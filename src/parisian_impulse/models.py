@@ -25,6 +25,8 @@ from typing import Union
 
 from .errors import ConfigError, DomainError, InvalidRefractionError
 
+SPEC_CACHE_SIZE = 128  # distinct specs kept by each per-spec cache
+
 
 @dataclass(frozen=True)
 class BrownianMotion:
@@ -194,11 +196,11 @@ class CoefficientSet:
         return isinstance(self.spec.model, CramerLundberg)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def compute_coefficients(spec: ProblemSpec) -> CoefficientSet:
     """Coefficients of the two q-scale functions attached to ``spec``.
 
-    Cached: specs are frozen, so each distinct problem is solved once.
+    Cached: specs are frozen, so a recently seen problem is not solved again.
     """
     return CoefficientSet(
         spec=spec,

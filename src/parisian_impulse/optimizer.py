@@ -8,28 +8,43 @@ pair minimizes the payout ratio
 
 over ``lower >= 0``, ``upper > lower + beta``; the candidate value function
 then scales V by the minimized ratio below ``upper`` and grows with unit
-slope above it.  The first-order system ties g to the derivative of V, so
-the search rides on the closed two-exponential form of V for x >= 0:
-a coarse grid over a bounding box, then a damped Newton (interior case,
-``V'(lower) = V'(upper) = g``) or a bracketed scalar root (boundary case,
-``lower = 0``).
+slope above it.
+
+On x >= 0, V is two exponentials, so V' is convex with a closed-form argmin
+``a*`` and the search reduces to one scalar root (the structure of Loeffen,
+2009, Insurance Math. Econ. 45).  For ``c1 <= a*`` let ``c2(c1) >= a*`` be
+the right preimage, ``V'(c2) = V'(c1)``, and
+
+    G(c1) = V(c2) - V(c1) - V'(c1) * (c2 - c1 - beta).
+
+``G(a*) = beta * V'(a*) > 0`` and G changes sign at most once on [0, a*].
+The optimum is interior exactly when ``a* > 0`` and ``G(0) < 0``: then
+``c1*`` is the root of G and ``g* = V'(c1*) = V'(c2*)``.  Otherwise
+``c1* = 0`` and ``c2*`` is the root of the increasing function
+``h(c2) = V'(c2) * (c2 - beta) - (V(c2) - V(0))`` on ``(max(a*, beta), inf)``.
+Every root, the preimage included, comes from one bracketed Newton-bisection
+on floats that never leaves the finite range of ``exp``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, SolverFailureError
 from .formatting import sig17
 from .models import BrownianMotion, CramerLundberg
 from .parisian import ParisianScale
+from .scale import EXP_ARG_MAX, ExponentialPair
 
-SEARCH_DERIVATIVE_FACTOR = 10.0  # box edge: V' grown this far past its minimum
-TIE_BREAK_ABS = 1e-10  # g-difference below which the boundary case wins
+SEARCH_DERIVATIVE_FACTOR = 10.0  # search_bound: V' grown this far past its minimum
+# Relative step at which a root counts as converged: a Newton step this
+# small leaves an error at rounding level, and a bisection step this small
+# bounds the error by itself.
+ROOT_RTOL = 1e-12
+ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -73,9 +88,9 @@ class OptimalPolicyResult:
     case: str  # "interior" or "boundary"
     fo_residual: float  # relative first-order residual
     derivative_argmin: float
-    search_bound: float
+    search_bound: float  # where V' reaches SEARCH_DERIVATIVE_FACTOR * V'(a*)
     sufficiency_pass: bool
-    iterations: int
+    iterations: int  # evaluations of G (interior) or h (boundary)
 
 
 def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
@@ -90,161 +105,123 @@ def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
     return (ps.value(upper) - ps.value(lower)) / (upper - lower - beta)
 
 
-def _search_bound(ps: ParisianScale) -> tuple[float, float]:
-    """a*_R and the box edge where V' has grown well past its minimum."""
-    pair = ps.positive_pair
-    a_star = pair.derivative_argmin()
-    target = SEARCH_DERIVATIVE_FACTOR * pair.derivative(a_star)
-    hi = max(a_star + 1.0, 1.0)
-    for _ in range(200):
-        if pair.derivative(hi) > target:
-            break
-        hi *= 1.5
-    else:
-        raise SolverFailureError("could not bracket the search box edge")
-    x_max = brentq(lambda x: pair.derivative(x) - target, a_star, hi, xtol=1e-10)
-    return a_star, x_max
+def _derivatives(pair: ExponentialPair, x: float) -> tuple[float, float, float]:
+    """V, V' and V'' of the two-exponential branch at one point, on floats."""
+    ep = pair.a * math.exp(pair.kp * x)
+    em = pair.b * math.exp(pair.km * x)
+    return ep - em, pair.kp * ep - pair.km * em, pair.kp**2 * ep - pair.km**2 * em
 
 
-def _coarse_grid(ps: ParisianScale, x_max: float, n: int = 481):
-    beta = ps.spec.beta
-    grid = np.linspace(0.0, x_max, n)
-    vals = ps.positive_pair.value(grid)
-    gap = grid[None, :] - grid[:, None] - beta  # [lower, upper] axes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = (vals[None, :] - vals[:, None]) / gap
-    g[gap <= 1e-12] = np.inf
-    i, j = np.unravel_index(np.argmin(g), g.shape)
-    return float(grid[i]), float(grid[j]), float(g[i, j])
+def _find_root(
+    f: Callable[[float], tuple[float, float]], lo: float, cap: float, width: float
+) -> tuple[float, int]:
+    """Root of f on (lo, cap], where f is negative left of the root and
+    positive right of it; f returns (value, slope) and f(lo) < 0 is given.
 
-
-def _polish_interior(
-    ps: ParisianScale, c1: float, c2: float, x_max: float
-) -> Optional[tuple[float, float, int]]:
-    """Damped Newton on (V'(c1) - V'(c2), V'(c2)*(c2-c1-beta) - (V(c2)-V(c1))).
-
-    Returns (c1, c2, iterations) or None when the interior system has no
-    admissible solution reachable from the coarse start.
+    The right end of the bracket starts ``width`` past lo and moves right,
+    tripling the step, until f turns positive; it never passes ``cap``.
+    Newton steps that stay inside the bracket and at least halve the previous
+    step alternate with bisection.  Returns (root, evaluations of f).
     """
-    pair = ps.positive_pair
-    beta = ps.spec.beta
-
-    def residuals(a: float, b: float) -> tuple[float, float]:
-        return (
-            pair.derivative(a) - pair.derivative(b),
-            pair.derivative(b) * (b - a - beta) - (pair.value(b) - pair.value(a)),
-        )
-
-    scale = max(pair.derivative(0.0), 1e-30)
-    c1 = max(c1, 1e-12)
-    f1, f2 = residuals(c1, c2)
-    for it in range(1, 61):
-        gap = c2 - c1 - beta
-        norm = max(abs(f1), abs(f2) / max(gap, 1e-12)) / scale
-        if norm < 1e-13:
-            return float(c1), float(c2), it
-        j11 = pair.second_derivative(c1)
-        j12 = -pair.second_derivative(c2)
-        j21 = pair.derivative(c1) - pair.derivative(c2)
-        j22 = pair.second_derivative(c2) * gap
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        d1 = (f1 * j22 - f2 * j12) / det
-        d2 = (j11 * f2 - j21 * f1) / det
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            n1, n2 = c1 - step * d1, c2 - step * d2
-            if 0.0 <= n1 and n1 + beta < n2 and n2 <= 2.0 * x_max:
-                g1, g2 = residuals(n1, n2)
-                new_norm = max(abs(g1), abs(g2) / max(n2 - n1 - beta, 1e-12)) / scale
-                if new_norm < max(abs(f1), abs(f2) / max(gap, 1e-12)) / scale:
-                    c1, c2, f1, f2 = n1, n2, g1, g2
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            return None
-    return None
-
-
-def _polish_boundary(ps: ParisianScale, x_max: float) -> tuple[float, int]:
-    """Root of V'(c2)*(c2 - beta) = V(c2) - V(0) on (beta, hi].
-
-    Only the value V(0) enters at the lower edge, never a derivative there,
-    so the bounded-variation kink at 0 is immaterial.
-    """
-    pair = ps.positive_pair
-    beta = ps.spec.beta
-    v0 = pair.value(0.0)
-
-    def h(c2: float) -> float:
-        return pair.derivative(c2) * (c2 - beta) - (pair.value(c2) - v0)
-
-    lo = beta * (1.0 + 1e-9) + 1e-12
-    hi = max(x_max, lo * 2.0)
-    for _ in range(200):
-        if h(hi) > 0.0:
-            break
-        hi *= 1.5
-    else:
+    if not lo < cap:
         raise SolverFailureError(
-            "boundary stationarity has no bracket", best_point=ImpulsePolicy(0.0, x_max)
+            f"root search starts at {lo:.6g}, at or past the finite exp range end {cap:.6g}"
         )
-    root = brentq(h, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    # one Newton touch-up against the exact derivative for the last digits
-    gap = root - beta
-    hp = pair.second_derivative(root) * gap
-    if hp != 0.0 and math.isfinite(hp):
-        step = h(root) / hp
-        if abs(step) < 1e-6:
-            root -= step
-    return root, 1
+    hi = min(lo + width, cap)
+    for its in range(1, ROOT_MAX_ITER + 1):
+        fx, dfx = f(hi)
+        if fx > 0.0:
+            break
+        if not fx <= 0.0 or hi >= cap:
+            raise SolverFailureError(f"no sign change on [{lo:.6g}, {cap:.6g}]")
+        width *= 3.0
+        lo, hi = hi, min(hi + width, cap)
+    else:
+        raise SolverFailureError(f"no sign change on [{lo:.6g}, {cap:.6g}]")
+    x, last_step = hi, hi - lo
+    for its in range(its + 1, ROOT_MAX_ITER + 1):
+        step = fx / dfx if dfx != 0.0 else math.inf
+        if abs(step) <= ROOT_RTOL * abs(x):
+            return x - step, its
+        nx = x - step
+        if not (lo < nx < hi and abs(step) <= 0.5 * last_step):
+            nx = 0.5 * (lo + hi)
+        last_step = abs(nx - x)
+        if last_step <= ROOT_RTOL * abs(nx):
+            return nx, its
+        x = nx
+        fx, dfx = f(x)
+        if fx > 0.0:
+            hi = x
+        elif fx < 0.0:
+            lo = x
+        elif fx == 0.0:
+            return x, its
+        else:
+            raise SolverFailureError(f"non-finite residual at x={x:.6g}")
+    raise SolverFailureError(f"root search did not converge in {ROOT_MAX_ITER} steps")
 
 
 def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
     """Minimize the payout ratio g over admissible (lower, upper) pairs.
 
-    Coarse grid over the bounding box, polished per case; the smaller of the
-    interior and boundary candidates wins, with ties going to the boundary.
+    Sign test on G(0) for the case, then one scalar root per case (see the
+    module docstring).  ``iterations`` counts the evaluations of the outer
+    function, G or h.
     """
     beta = ps.spec.beta
     pair = ps.positive_pair
-    a_star, x_max = _search_bound(ps)
-    if x_max <= beta:
-        raise SolverFailureError(
-            f"search box [0, {x_max:.3g}] cannot contain an admissible pair with beta={beta}"
-        )
-    c1_0, c2_0, _ = _coarse_grid(ps, x_max)
+    cap = EXP_ARG_MAX / pair.kp
+    width = 1.0 / pair.kp
+    a_star = pair.derivative_argmin()
+    d_min = _derivatives(pair, a_star)[1]
 
-    candidates = []
-    interior = _polish_interior(ps, c1_0, c2_0, x_max)
-    if interior is not None and interior[0] > 0.0:
-        c1, c2, its = interior
-        candidates.append(("interior", ImpulsePolicy(c1, c2), payout_ratio(ps, c1, c2), its))
-    c2_b, its_b = _polish_boundary(ps, x_max)
-    candidates.append(("boundary", ImpulsePolicy(0.0, c2_b), payout_ratio(ps, 0.0, c2_b), its_b))
+    def preimage(level: float) -> float:
+        """The point c >= a* with V'(c) = level, for level >= V'(a*)."""
+        if level <= d_min:
+            return a_star
 
-    case, policy, g_star, iterations = min(candidates, key=lambda c: c[2])
+        def f(x: float) -> tuple[float, float]:
+            _, d1, d2 = _derivatives(pair, x)
+            return d1 - level, d2
+
+        return _find_root(f, a_star, cap, width)[0]
+
+    def G(c1: float) -> tuple[float, float]:
+        v1, d1, d2 = _derivatives(pair, c1)
+        c2 = preimage(d1)
+        gap = c2 - c1 - beta
+        return _derivatives(pair, c2)[0] - v1 - d1 * gap, -d2 * gap
+
+    v0 = _derivatives(pair, 0.0)[0]
+
+    def h(c2: float) -> tuple[float, float]:
+        v2, d1, d2 = _derivatives(pair, c2)
+        return d1 * (c2 - beta) - (v2 - v0), d2 * (c2 - beta)
+
+    search_bound = preimage(SEARCH_DERIVATIVE_FACTOR * d_min)
+    if a_star > 0.0 and G(0.0)[0] < 0.0:
+        case = "interior"
+        c1, iterations = _find_root(G, 0.0, a_star, width)
+        c2 = preimage(_derivatives(pair, c1)[1])
+    else:
+        case = "boundary"
+        c1 = 0.0
+        c2, iterations = _find_root(h, max(a_star, beta), cap, width)
+    policy = ImpulsePolicy(c1, c2)
+    g_star = payout_ratio(ps, c1, c2)
+
+    fo = abs(_derivatives(pair, c2)[1] - g_star) / g_star
     if case == "interior":
-        boundary_g = next(c[2] for c in candidates if c[0] == "boundary")
-        if abs(g_star - boundary_g) < TIE_BREAK_ABS:
-            case, policy, g_star, iterations = next(
-                c for c in candidates if c[0] == "boundary"
-            )
-
-    fo = abs(pair.derivative(policy.upper) - g_star) / g_star
-    if case == "interior":
-        fo = max(fo, abs(pair.derivative(policy.lower) - g_star) / g_star)
-    sufficiency = check_sufficiency_pair(ps, policy.upper)
+        fo = max(fo, abs(_derivatives(pair, c1)[1] - g_star) / g_star)
+    sufficiency = check_sufficiency_pair(ps, c2)
     return OptimalPolicyResult(
         policy=policy,
         payout_ratio=g_star,
         case=case,
         fo_residual=fo,
         derivative_argmin=a_star,
-        search_bound=x_max,
+        search_bound=search_bound,
         sufficiency_pass=sufficiency.passed,
         iterations=iterations,
     )
@@ -370,66 +347,15 @@ def generator_residual(
     return drift * d1 + m.lam * (jump_avg - vx) - spec.q * vx
 
 
-CSV_COLUMNS = (
-    "model",
-    "mu",
-    "sigma",
-    "p",
-    "lambda",
-    "mu_claim",
-    "delta",
-    "q",
-    "r",
-    "beta",
-    "c1_star",
-    "c2_star",
-    "g_star",
-    "case",
-    "fo_residual",
-    "sufficiency_pass",
-)
-
-
-def _model_fields(spec) -> dict:
-    m = spec.model
-    if isinstance(m, BrownianMotion):
-        return {"model": "brownian", "mu": sig17(m.mu), "sigma": sig17(m.sigma)}
-    return {
-        "model": "cramer-lundberg",
-        "p": sig17(m.p),
-        "lambda": sig17(m.lam),
-        "mu_claim": sig17(m.mu_claim),
-    }
-
-
-def result_csv_row(ps: ParisianScale, result: OptimalPolicyResult) -> list[str]:
-    spec = ps.spec
-    fields = dict.fromkeys(CSV_COLUMNS, "")
-    fields.update(_model_fields(spec))
-    fields.update(
-        delta=sig17(spec.delta),
-        q=sig17(spec.q),
-        r=sig17(spec.r),
-        beta=sig17(spec.beta),
-        c1_star=sig17(result.policy.lower),
-        c2_star=sig17(result.policy.upper),
-        g_star=sig17(result.payout_ratio),
-        case=result.case,
-        fo_residual=sig17(result.fo_residual),
-        sufficiency_pass=str(result.sufficiency_pass).lower(),
-    )
-    return [fields[c] for c in CSV_COLUMNS]
-
-
 def result_record(ps: ParisianScale, result: OptimalPolicyResult) -> str:
     """One key per line, for logs and the command line."""
     spec = ps.spec
-    lines = [f"model: {_model_fields(spec)['model']}"]
     m = spec.model
     if isinstance(m, BrownianMotion):
-        lines += [f"mu: {sig17(m.mu)}", f"sigma: {sig17(m.sigma)}"]
+        lines = ["model: brownian", f"mu: {sig17(m.mu)}", f"sigma: {sig17(m.sigma)}"]
     else:
-        lines += [
+        lines = [
+            "model: cramer_lundberg",
             f"p: {sig17(m.p)}",
             f"lambda: {sig17(m.lam)}",
             f"mu_claim: {sig17(m.mu_claim)}",
@@ -449,30 +375,3 @@ def result_record(ps: ParisianScale, result: OptimalPolicyResult) -> str:
         f"sufficiency_pass: {str(result.sufficiency_pass).lower()}",
     ]
     return "\n".join(lines)
-
-
-def brute_force_payout_grid(
-    ps: ParisianScale, x_max: float, step: float = 1e-3
-) -> tuple[float, float, float]:
-    """Exhaustive grid minimum of g with the given step (test oracle).
-
-    Chunked over the lower boundary so the full pair table never
-    materializes.
-    """
-    beta = ps.spec.beta
-    n = int(math.floor(x_max / step)) + 1
-    grid = np.arange(n, dtype=float) * step
-    vals = ps.positive_pair.value(grid)
-    best = (math.inf, 0.0, 0.0)
-    chunk = max(1, int(1e7) // n)
-    for start in range(0, n, chunk):
-        rows = slice(start, min(start + chunk, n))
-        gap = grid[None, :] - grid[rows, None] - beta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = (vals[None, :] - vals[rows, None]) / gap
-        g[gap <= 1e-12] = np.inf
-        flat = int(np.argmin(g))
-        i, j = np.unravel_index(flat, g.shape)
-        if g[i, j] < best[0]:
-            best = (float(g[i, j]), float(grid[rows][i]), float(grid[j]))
-    return best

@@ -23,15 +23,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
 from .errors import (
+    OverflowRangeError,
     QuadratureFailureError,
     SeriesConvergenceError,
     UndefinedDerivativeError,
 )
-from .models import BrownianMotion, CramerLundberg, ProblemSpec, compute_coefficients
+from .models import (
+    SPEC_CACHE_SIZE,
+    BrownianMotion,
+    CramerLundberg,
+    ProblemSpec,
+    compute_coefficients,
+)
 from .scale import ExponentialPair, ScaleFunction, refracted_pair, refracted_scale
 
 SERIES_RTOL = 1e-12
@@ -150,6 +156,13 @@ class ParisianScale:
             self.positive_pair = self._positive_pair_cl()
         else:
             self.positive_pair = self._positive_pair_brownian()
+        # an overflowing series constant leaves inf or nan coefficients
+        pair = self.positive_pair
+        if not (math.isfinite(pair.a) and math.isfinite(pair.b)):
+            raise OverflowRangeError(
+                f"V on x >= 0 is not finite: coefficients {pair.a}, {pair.b} "
+                f"(series constant {self.series_constant})"
+            )
 
     # ---------- construction of the x >= 0 branch ----------
 
@@ -169,9 +182,10 @@ class ParisianScale:
             - (X.rate_plus - X.rate_minus) * eqr * ndtr(-math.sqrt(spec.r) * disc / m.sigma)
         )
         span = Y.rate_plus - Y.rate_minus
+        # ndtr returns np.float64; keep the coefficients plain floats
         return ExponentialPair(
-            (i1 - eqr * Y.rate_minus) / span,
-            (i1 - eqr * Y.rate_plus) / span,
+            float((i1 - eqr * Y.rate_minus) / span),
+            float((i1 - eqr * Y.rate_plus) / span),
             Y.rate_plus,
             Y.rate_minus,
         )
@@ -373,6 +387,9 @@ class ParisianScale:
         return self._quad_brownian(x, abs_tol)
 
     def _quad_cl(self, x: float, abs_tol: float) -> float:
+        # imported on use: scipy.integrate loads scipy.optimize, about 0.3 s
+        from scipy.integrate import quad
+
         spec = self.spec
         m = spec.model
         cs = self.coefficient_set
@@ -394,6 +411,8 @@ class ParisianScale:
         return total
 
     def _quad_brownian(self, x: float, abs_tol: float) -> float:
+        from scipy.integrate import quad
+
         spec = self.spec
         m = spec.model
         cs = self.coefficient_set
@@ -421,7 +440,7 @@ class ParisianScale:
         return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
 def parisian_scale(spec: ProblemSpec) -> ParisianScale:
     """Shared, cached ParisianScale instance for a spec."""
     return ParisianScale(spec)

@@ -24,16 +24,16 @@ from .models import (
 )
 
 # exp() overflows just above 709; refuse a margin earlier
-_EXP_ARG_MAX = 700.0
+EXP_ARG_MAX = 700.0
 
 ArrayLike = Union[float, np.ndarray]
 
 
 def _check_exp_range(rate: float, x: ArrayLike) -> None:
     hi = float(np.max(rate * np.asarray(x, dtype=float), initial=-math.inf))
-    if hi > _EXP_ARG_MAX:
+    if hi > EXP_ARG_MAX:
         raise OverflowRangeError(
-            f"exponent {hi:.3g} exceeds the finite double range (limit {_EXP_ARG_MAX})"
+            f"exponent {hi:.3g} exceeds the finite double range (limit {EXP_ARG_MAX})"
         )
 
 

@@ -5,15 +5,19 @@ exponent equation come from the quadratic formula, weights from the residues
 of 1/(psi - q), and the refracted scale function from its defining
 convolution evaluated with adaptive quadrature.  None of it shares code with
 the package's closed forms, so agreement is a genuine cross-check rather
-than a tautology.
+than a tautology.  The one exception is ``brute_force_payout_grid``, which
+checks the optimizer's search rather than V: it takes V from the package and
+only replaces the root solves with an exhaustive lattice.
 """
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from parisian_impulse.models import BrownianMotion, CramerLundberg, Model, ProblemSpec
+from parisian_impulse.parisian import ParisianScale
 
 
 def exponent_roots_and_weights(model: Model, q: float) -> tuple[float, float, float, float]:
@@ -187,3 +191,30 @@ class CramerLundbergWindowOracle:
             return mp.findroot(
                 h, (beta, mp.mpf(upper)), solver="anderson", tol=mp.mpf(10) ** -self.dps
             )
+
+
+def brute_force_payout_grid(
+    ps: ParisianScale, x_max: float, step: float = 1e-3
+) -> tuple[float, float, float]:
+    """Exhaustive grid minimum of g with the given step (test oracle).
+
+    Chunked over the lower boundary so the full pair table never
+    materializes.
+    """
+    beta = ps.spec.beta
+    n = int(math.floor(x_max / step)) + 1
+    grid = np.arange(n, dtype=float) * step
+    vals = ps.positive_pair.value(grid)
+    best = (math.inf, 0.0, 0.0)
+    chunk = max(1, int(1e7) // n)
+    for start in range(0, n, chunk):
+        rows = slice(start, min(start + chunk, n))
+        gap = grid[None, :] - grid[rows, None] - beta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = (vals[None, :] - vals[rows, None]) / gap
+        g[gap <= 1e-12] = np.inf
+        flat = int(np.argmin(g))
+        i, j = np.unravel_index(flat, g.shape)
+        if g[i, j] < best[0]:
+            best = (float(g[i, j]), float(grid[rows][i]), float(grid[j]))
+    return best

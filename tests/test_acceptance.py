@@ -31,7 +31,6 @@ from parisian_impulse import (
     payout_ratio,
     value_function,
 )
-from parisian_impulse.optimizer import brute_force_payout_grid
 from parisian_impulse.parisian import ParisianScale, parisian_scale
 
 import oracles
@@ -178,7 +177,7 @@ def test_criterion_6_stationarity_and_classification(capsys, optimum):
     for _, spec, _ in problems:
         result = optimum(spec)
         ps = parisian_scale(spec)
-        g_brute, _, _ = brute_force_payout_grid(ps, result.search_bound, step=1e-3)
+        g_brute, _, _ = oracles.brute_force_payout_grid(ps, result.search_bound, step=1e-3)
         brute_worst = max(brute_worst, result.payout_ratio - g_brute)
     brute_ok = brute_worst <= 1e-6
 

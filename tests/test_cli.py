@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import parisian_impulse
 from parisian_impulse import cli
 from parisian_impulse.cli import EVAL_COLUMNS
 from parisian_impulse.simulate import MC_CSV_COLUMNS
@@ -17,6 +20,20 @@ CL_CFG = str(CONFIGS / "cramer_lundberg.cfg")
 
 def _rows(out: str) -> list[list[str]]:
     return [line.split(",") for line in out.strip().splitlines()]
+
+
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    # they cost about 0.3 s of every command's start; quadrature imports
+    # scipy.integrate on first use
+    src = str(Path(parisian_impulse.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import parisian_impulse.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ from __future__ import annotations
 import pytest
 
 from parisian_impulse import (
+    CramerLundberg,
     DomainError,
     ImpulsePolicy,
+    ProblemSpec,
     SolverFailureError,
     check_sufficiency_pair,
     check_transfer_inequality,
@@ -14,12 +16,8 @@ from parisian_impulse import (
     payout_ratio,
     value_function,
 )
-from parisian_impulse.optimizer import (
-    CSV_COLUMNS,
-    brute_force_payout_grid,
-    result_csv_row,
-    result_record,
-)
+from parisian_impulse.config import build_problem_spec, parse_config_text
+from parisian_impulse.optimizer import result_record
 from parisian_impulse.parisian import parisian_scale
 
 import oracles
@@ -135,7 +133,7 @@ def test_first_order_conditions_hold(bm_scale, optimum):
 
 def test_brute_force_cannot_beat_polished(bm_scale, optimum):
     result = optimum(bm_scale.spec)
-    g_brute, c1_b, c2_b = brute_force_payout_grid(bm_scale, 8.0, step=5e-3)
+    g_brute, c1_b, c2_b = oracles.brute_force_payout_grid(bm_scale, 8.0, step=5e-3)
     assert g_brute >= result.payout_ratio - 1e-12
     assert g_brute - result.payout_ratio < 1e-4  # grid is that fine
     assert c1_b == pytest.approx(result.policy.lower, abs=6e-3)
@@ -213,14 +211,66 @@ def test_generator_residual(bm_scale, cl_scale, optimum):
             assert generator_residual(ps, pol, x) < 0.0
 
 
-def test_csv_row_and_record(cl_scale, optimum):
+def test_result_record(cl_scale, optimum):
     result = optimum(cl_scale.spec)
-    row = result_csv_row(cl_scale, result)
-    assert len(row) == len(CSV_COLUMNS)
-    by_name = dict(zip(CSV_COLUMNS, row))
-    assert by_name["model"] == "cramer-lundberg"
-    assert by_name["mu"] == ""  # foreign model columns stay empty
-    assert float(by_name["c2_star"]) == result.policy.upper
     record = result_record(cl_scale, result)
     assert "case: interior" in record
     assert "c1_star:" in record and "sufficiency_pass: true" in record
+    # the model line and the parameter lines read back as a config file
+    fields = dict(line.split(": ", 1) for line in record.splitlines())
+    assert fields["model"] == "cramer_lundberg"
+    keys = ("model", "p", "lambda", "mu_claim", "delta", "q", "r", "beta")
+    text = "\n".join(f"{k} = {fields[k]}" for k in keys)
+    assert build_problem_spec(parse_config_text(text)) == cl_scale.spec
+
+
+# Compound Poisson with a steep discount: V' is increasing on x >= 0, and the
+# boundary optimum c2 = 1.414 lies past search_bound = 0.989, where V' is
+# already ten times V'(0+); search_bound does not limit the search.
+CL_STEEP = ProblemSpec(
+    CramerLundberg(p=3.0, lam=2.0, mu_claim=1.0), delta=0.25, q=5.0, r=2.0, beta=1.0
+)
+
+
+def test_boundary_optimum_beyond_search_bound(optimum):
+    ps = parisian_scale(CL_STEEP)
+    result = optimum(CL_STEEP)
+    assert result.case == "boundary"
+    assert result.derivative_argmin == 0.0
+    assert result.policy.upper == pytest.approx(1.414, abs=1e-3)
+    assert result.policy.upper > result.search_bound
+    assert result.fo_residual < 1e-8
+    assert result.sufficiency_pass
+    assert check_transfer_inequality(ps, result.policy).passed
+    g_brute, _, _ = oracles.brute_force_payout_grid(ps, 4.0, step=1e-3)
+    assert g_brute >= result.payout_ratio * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec,case",
+    [
+        (brownian_spec(0.05), "interior"),
+        (brownian_spec(1.0), "boundary"),
+        (cramer_lundberg_spec(1.0), "interior"),
+        (CL_STEEP, "boundary"),
+    ],
+    ids=["bm-interior", "bm-boundary", "cl-interior", "cl-boundary"],
+)
+def test_result_fields_are_plain_floats(spec, case, optimum):
+    # np.float64 fields would print as np.float64(...) and not round-trip
+    result = optimum(spec)
+    assert result.case == case
+    for value in (
+        result.policy.lower,
+        result.policy.upper,
+        result.payout_ratio,
+        result.fo_residual,
+        result.derivative_argmin,
+        result.search_bound,
+    ):
+        assert type(value) is float
+
+
+def test_iterations_count_outer_root_steps(optimum):
+    assert optimum(brownian_spec(1.0)).iterations > 1
+    assert optimum(brownian_spec(0.05)).iterations > 1

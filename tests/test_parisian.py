@@ -10,9 +10,14 @@ from scipy.special import gammainc, i1
 
 from parisian_impulse import (
     CompoundPoissonWindow,
+    CramerLundberg,
+    OverflowRangeError,
+    ProblemSpec,
     SeriesConvergenceError,
     UndefinedDerivativeError,
+    find_optimal_policy,
 )
+from parisian_impulse.models import compute_coefficients
 from parisian_impulse.parisian import ParisianScale, parisian_scale, regularized_lower_gamma
 
 from params import brownian_spec, cramer_lundberg_spec
@@ -190,3 +195,30 @@ def test_parisian_scale_cache():
     # direct construction still works and agrees
     fresh = ParisianScale(cramer_lundberg_spec())
     assert fresh.value(1.5) == parisian_scale(cramer_lundberg_spec()).value(1.5)
+
+
+def test_spec_caches_stay_bounded():
+    base = brownian_spec(1.0)
+    limit = parisian_scale.cache_info().maxsize
+    assert limit is not None and limit == compute_coefficients.cache_info().maxsize
+    for i in range(limit + 20):
+        spec = ProblemSpec(base.model, base.delta, base.q, base.r, 1.0 + 1e-3 * i)
+        find_optimal_policy(parisian_scale(spec))
+        for cached in (parisian_scale, compute_coefficients):
+            assert cached.cache_info().currsize <= limit
+    assert parisian_scale.cache_info().currsize == limit
+
+
+def test_series_constant_overflow_is_typed():
+    # a long window with a fast discount: the series constant overflows, and
+    # V on x >= 0 would come out as inf - inf = nan
+    spec = ProblemSpec(
+        CramerLundberg(p=2.68956546879706, lam=2.747048294530684, mu_claim=1.7277246454377586),
+        delta=0.4294724124360556,
+        q=1.30526300043215,
+        r=100.40425596173607,
+        beta=0.4775314543234669,
+    )
+    with pytest.raises(OverflowRangeError):
+        ParisianScale(spec)
+

@@ -12,8 +12,11 @@ from parisian_impulse import (
     CramerLundberg,
     DomainError,
     ImpulsePolicy,
+    NumericalError,
     ProblemSpec,
+    check_transfer_inequality,
     compute_coefficients,
+    find_optimal_policy,
     laplace_exponent,
     parisian_clock,
     payout_ratio,
@@ -24,6 +27,7 @@ from parisian_impulse.formatting import sig17
 from parisian_impulse.parisian import parisian_scale
 from parisian_impulse.scale import ScaleFunction, refracted_scale
 
+import oracles
 from params import brownian_spec, cramer_lundberg_spec
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -56,6 +60,23 @@ def specs(draw):
         r=draw(st.floats(0.2, 4.0)),
         beta=draw(st.floats(0.01, 2.0)),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=specs())
+def test_optimizer_certified_or_typed_error(spec):
+    try:
+        ps = parisian_scale(spec)
+        result = find_optimal_policy(ps)
+    except NumericalError:
+        return
+    policy = result.policy
+    assert result.fo_residual <= 1e-8
+    assert result.sufficiency_pass
+    assert check_transfer_inequality(ps, policy).passed
+    # no pair of a lattice spanning twice the trigger beats the root solve
+    g_brute, _, _ = oracles.brute_force_payout_grid(ps, 2.0 * policy.upper + 1.0, step=1e-2)
+    assert g_brute >= result.payout_ratio * (1.0 - 1e-12)
 
 
 @given(model=models, a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0),
