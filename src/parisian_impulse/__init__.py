@@ -53,12 +53,9 @@ from .scale import (
 )
 from .simulate import (
     MonteCarloEstimate,
-    PathOutcome,
     SimulationConfig,
     estimate_exit_functional,
     estimate_policy_npv,
-    parisian_clock,
-    simulate_refracted_path,
 )
 
 __version__ = "0.1.0"

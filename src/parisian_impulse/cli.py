@@ -50,14 +50,14 @@ from .optimizer import (
 from .parisian import ParisianScale, parisian_scale
 from .scale import refracted_scale
 from .simulate import (
-    MC_CSV_COLUMNS,
+    MonteCarloEstimate,
     SimulationConfig,
     estimate_exit_functional,
     estimate_policy_npv,
-    mc_csv_row,
 )
 
 EVAL_COLUMNS = ("x", "W", "W_prime", "Z", "w", "V", "V_prime")
+MC_CSV_COLUMNS = ("functional", "x", "a_or_policy", "estimate", "stderr", "n", "seed", "dt")
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +512,23 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+
+def mc_csv_row(functional: str, x: float, a_or_policy: str,
+               estimate: MonteCarloEstimate, config: SimulationConfig,
+               dt_used: float | None) -> str:
+    """One CSV row per estimate; ``dt`` is empty for the event-driven scheme."""
+    cells = [
+        functional,
+        sig17(x),
+        a_or_policy,
+        sig17(estimate.mean),
+        sig17(estimate.stderr),
+        str(estimate.n_effective),
+        str(config.seed),
+        sig17(dt_used) if dt_used is not None else "",
+    ]
+    return ",".join(cells)
 
 
 def cmd_simulate(args) -> int:

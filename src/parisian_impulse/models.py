@@ -28,6 +28,16 @@ from .errors import ConfigError, DomainError, InvalidRefractionError
 SPEC_CACHE_SIZE = 128  # distinct specs kept by each per-spec cache
 
 
+def _check_fields(obj, finite: tuple[str, ...] = (), positive: tuple[str, ...] = ()) -> None:
+    """ConfigError unless every named field is finite and each ``positive`` one > 0."""
+    for name in finite + positive:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if name in positive and not value > 0:
+            raise ConfigError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class BrownianMotion:
     """Linear Brownian motion with drift ``mu`` and volatility ``sigma > 0``."""
@@ -36,8 +46,7 @@ class BrownianMotion:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        _check_fields(self, finite=("mu",), positive=("sigma",))
 
 
 @dataclass(frozen=True)
@@ -52,14 +61,7 @@ class CramerLundberg:
     mu_claim: float
 
     def __post_init__(self) -> None:
-        if not self.p > 0:
-            raise ConfigError(f"premium rate p must be positive, got {self.p}")
-        if not self.lam > 0:
-            raise ConfigError(f"claim rate lam must be positive, got {self.lam}")
-        if not self.mu_claim > 0:
-            raise ConfigError(
-                f"claim size rate mu_claim must be positive, got {self.mu_claim}"
-            )
+        _check_fields(self, positive=("p", "lam", "mu_claim"))
 
 
 Model = Union[BrownianMotion, CramerLundberg]
@@ -94,14 +96,7 @@ class ProblemSpec:
     beta: float
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
-        if not self.q > 0:
-            raise ConfigError(f"q must be positive, got {self.q}")
-        if not self.r > 0:
-            raise ConfigError(f"r must be positive, got {self.r}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
+        _check_fields(self, positive=("delta", "q", "r", "beta"))
         if isinstance(self.model, CramerLundberg) and not self.model.p - self.delta > 0:
             raise InvalidRefractionError(
                 f"need p - delta > 0, got p={self.model.p} delta={self.delta}"
@@ -134,12 +129,29 @@ def right_inverse(model: Model, q: float) -> float:
     """Largest root of ``psi(theta) = q`` (the right inverse of psi at q)."""
     if q < 0:
         raise DomainError(f"right inverse defined for q >= 0, got {q}")
+    return _roots(model, q)[0]
+
+
+def _roots(model: Model, q: float) -> tuple[float, float]:
+    """The roots ``(plus >= 0 >= minus)`` of ``psi(theta) = q``.
+
+    ``psi(theta) = q`` is the quadratic ``a t^2 + b t + c = 0`` with ``a > 0``
+    and ``c <= 0``.  The root of larger magnitude comes from the quadratic
+    formula without cancellation, and the other from the product of the
+    roots, ``c / a``.  The textbook ``(-b + disc) / 2a`` for the small root
+    cancels when ``b^2 >> |a c|``, that is when the drift dominates the
+    discount rate.
+    """
     if isinstance(model, BrownianMotion):
-        mu, s2 = model.mu, model.sigma**2
-        return (math.sqrt(mu * mu + 2.0 * q * s2) - mu) / s2
-    p, lam, mu = model.p, model.lam, model.mu_claim
-    b = q + lam - mu * p
-    return (b + math.sqrt(b * b + 4.0 * p * q * mu)) / (2.0 * p)
+        a, b, c = 0.5 * model.sigma**2, model.mu, -q
+    else:
+        p, lam, mu = model.p, model.lam, model.mu_claim
+        a, b, c = p, p * mu - lam - q, -q * mu
+    t = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+    if t == 0.0:  # q = 0 with zero drift: a double root at zero
+        return 0.0, 0.0
+    r1, r2 = t / a, c / t
+    return max(r1, r2), min(r1, r2)
 
 
 @dataclass(frozen=True)
@@ -164,23 +176,14 @@ class ScaleCoefficients:
 
 
 def _coefficients(model: Model, q: float) -> ScaleCoefficients:
+    plus, minus = _roots(model, q)
     if isinstance(model, BrownianMotion):
-        mu, s2 = model.mu, model.sigma**2
-        disc = math.sqrt(mu * mu + 2.0 * q * s2)
-        rho1 = (disc + mu) / s2  # W(x) ~ exp(-rho1 x) part
-        rho2 = (disc - mu) / s2  # dominant growth rate, = right inverse at q
-        weight = 2.0 / (s2 * (rho1 + rho2))
-        return ScaleCoefficients(rho2, -rho1, weight, weight)
-    p, lam, mu = model.p, model.lam, model.mu_claim
-    b = q + lam - mu * p
-    disc = math.sqrt(b * b + 4.0 * p * q * mu)
-    q_plus = (b + disc) / (2.0 * p)
-    q_minus = (b - disc) / (2.0 * p)
-    # weights (mu + root) / (q_plus - q_minus) / p; their difference is 1/p
-    span = q_plus - q_minus
-    return ScaleCoefficients(
-        q_plus, q_minus, (mu + q_plus) / (span * p), (mu + q_minus) / (span * p)
-    )
+        weight = 2.0 / (model.sigma**2 * (plus - minus))
+        return ScaleCoefficients(plus, minus, weight, weight)
+    p, mu = model.p, model.mu_claim
+    # weights (mu + root) / (plus - minus) / p; their difference is 1/p
+    span = plus - minus
+    return ScaleCoefficients(plus, minus, (mu + plus) / (span * p), (mu + minus) / (span * p))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, SolverFailureError
+from .errors import DomainError, OverflowRangeError, SolverFailureError
 from .formatting import sig17
 from .models import BrownianMotion, CramerLundberg
 from .parisian import ParisianScale
@@ -255,7 +255,12 @@ def check_sufficiency_pair(
     a_star = pair.derivative_argmin()
     far = max(upper + 10.0, 3.0 * max(a_star, 1.0))
     xs = np.linspace(upper, far, grid_n)
-    dv = pair.derivative(xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a typed error below
+        dv = pair.derivative(xs)
+    if not np.all(np.isfinite(dv)):
+        raise OverflowRangeError(
+            f"V' is not finite on the certificate grid [{upper:.6g}, {far:.6g}]"
+        )
     worst = float(np.min(np.diff(dv)))
     passed = upper >= a_star - 1e-12 and worst >= -tol
     return SufficiencyReport(passed=passed, worst_slack=worst, derivative_argmin=a_star)

@@ -26,6 +26,7 @@ from typing import Optional
 from scipy.special import log_ndtr, ndtr
 
 from .errors import (
+    DomainError,
     OverflowRangeError,
     QuadratureFailureError,
     SeriesConvergenceError,
@@ -54,6 +55,8 @@ def regularized_lower_gamma(order: int, x: float) -> float:
     """
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
+    if not math.isfinite(x):
+        raise DomainError(f"argument must be finite, got {x}")
     if x <= 0.0:
         return 0.0
     if order <= x:
@@ -70,14 +73,14 @@ def regularized_lower_gamma(order: int, x: float) -> float:
         return 0.0
     term = math.exp(log_t)
     tail = term
-    k = order
-    while True:
-        k += 1
+    # about 9*sqrt(order) terms reach 1e-17 when x is just below order
+    for k in range(order + 1, order + 51 + 20 * math.isqrt(order)):
         term *= x / k
         tail += term
         # <= so a subnormal tail (where 1e-17*tail rounds to 0) still stops
         if term <= 1e-17 * tail:
             return tail
+    raise SeriesConvergenceError(f"incomplete gamma tail P({order}, {x}) did not converge")
 
 
 @dataclass(frozen=True)
@@ -151,11 +154,19 @@ class ParisianScale:
         self.refracted_scale_fn = ScaleFunction.for_refracted(spec)
         self._is_cl = isinstance(spec.model, CramerLundberg)
         self.series_constant: Optional[float] = None
-        if self._is_cl:
-            self.series_constant = self._constant()
-            self.positive_pair = self._positive_pair_cl()
-        else:
-            self.positive_pair = self._positive_pair_brownian()
+        try:
+            if self._is_cl:
+                self.series_constant = self._constant()
+                self.positive_pair = self._positive_pair_cl()
+            else:
+                self.positive_pair = self._positive_pair_brownian()
+        except OverflowError as exc:
+            # exp(q*r) = V(0), or a series term base^m / (m+1)! for a long window
+            window = f", p*r = {spec.model.p * spec.r:.6g}" if self._is_cl else ""
+            raise OverflowRangeError(
+                f"V on x >= 0 overflows the double range (q*r = {spec.q * spec.r:.6g}"
+                f"{window}): {exc}"
+            ) from exc
         # an overflowing series constant leaves inf or nan coefficients
         pair = self.positive_pair
         if not (math.isfinite(pair.a) and math.isfinite(pair.b)):

@@ -10,7 +10,11 @@ Two estimators are provided, both independent of the closed forms in
   an impulse policy (pay down from the upper trigger to the lower level, a flat
   transaction cost per payment), stopped at Parisian ruin.
 
-Conventions shared by all kernels:
+Each model has one path kernel, and both estimators share it: the exit
+functional is the policy kernel with an absorbing payment at ``a`` that pays
+``exp(-q * T_a)``, selected by passing no lower level.
+
+Conventions of both kernels:
 
 * The compound Poisson model is simulated exactly (event-driven, crossing and
   payment times solved in closed form); the Brownian model uses plain
@@ -38,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .formatting import sig17
 from .models import BrownianMotion, CramerLundberg, ProblemSpec
 from .optimizer import ImpulsePolicy
 
@@ -93,15 +96,6 @@ class MonteCarloEstimate:
     elapsed_seconds: float
     censored_fraction: float
     warning: str | None = None
-
-
-@dataclass(frozen=True)
-class PathOutcome:
-    """Terminal state of a single simulated path."""
-
-    value: float
-    time: float
-    reason: str  # "hit" | "ruin" | "censored"
 
 
 def _substreams(seed: int) -> list[np.random.Generator]:
@@ -172,24 +166,46 @@ def _draw_uniform_pair(gen: np.random.Generator, n_pairs: int, antithetic: bool,
     return np.clip(u, _U_LO, _U_HI)
 
 
+def _block_size(n_paths: int, antithetic: bool) -> tuple[int, int]:
+    """(mirrored pairs, simulated paths) for one block."""
+    n_pairs = (n_paths + 1) // 2 if antithetic else 0
+    return n_pairs, 2 * n_pairs if antithetic else n_paths
+
+
+def _start_payment(spec: ProblemSpec, x: float, upper: float, lower: float | None,
+                   n: int) -> tuple[np.ndarray, float]:
+    """NPV at time zero and the surplus just after it: under a policy, a start
+    at or above ``upper`` pays the excess down to ``lower`` at once."""
+    x0 = float(x)
+    if lower is None or x0 < upper:
+        return np.zeros(n), x0
+    first = x0 - lower - spec.beta
+    assert first > 0.0 and lower >= 0.0
+    return np.zeros(n) + first, lower
+
+
 # ---------------------------------------------------------------------------
-# Brownian kernels (Euler-Maruyama, per-step Parisian clock)
+# Brownian kernel (Euler-Maruyama, per-step Parisian clock)
 # ---------------------------------------------------------------------------
 
 
-def _brownian_exit_block(spec: ProblemSpec, x: float, a: float, dt: float, t_max: float,
-                         gen: np.random.Generator, n_paths: int,
-                         antithetic: bool) -> tuple[np.ndarray, int, int]:
+def _brownian_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
+                    dt: float, t_max: float, gen: np.random.Generator, n_paths: int,
+                    antithetic: bool) -> tuple[np.ndarray, int, int]:
+    """Payoffs of one block of paths, with the raw and censored path counts.
+
+    With ``lower`` None a touch of ``upper`` pays ``exp(-q t)`` and absorbs the
+    path (exit functional); otherwise it pays the surplus down to ``lower`` at
+    cost ``spec.beta`` and the path goes on (impulse policy NPV).
+    """
     model = spec.model
     assert isinstance(model, BrownianMotion)
-    n_pairs = (n_paths + 1) // 2 if antithetic else 0
-    n = 2 * n_pairs if antithetic else n_paths
+    n_pairs, n = _block_size(n_paths, antithetic)
+    value, x0 = _start_payment(spec, x, upper, lower, n)
+    if lower is None and x0 >= upper:
+        return _pair_average(value + 1.0, antithetic), n, 0
 
-    payoff = np.zeros(n)
-    if x >= a:
-        return _pair_average(payoff + 1.0, antithetic), n, 0
-
-    u = np.full(n, float(x))
+    u = np.full(n, x0)
     exc = np.zeros(n)  # current excursion length; starts counting at time zero
     idx = np.arange(n)
     sig_dt = model.sigma * math.sqrt(dt)
@@ -208,90 +224,54 @@ def _brownian_exit_block(spec: ProblemSpec, x: float, a: float, dt: float, t_max
             z = gen.standard_normal(idx.size)
         # drift indicator from the step start, barrier and clock at step end
         u += (mu - delta * (u > 0.0)) * dt + sig_dt * z
-        below = u < 0.0
-        exc = np.where(below, exc + dt, 0.0)
-        hit = u >= a
-        ruin = exc >= r
-        if hit.any():
-            payoff[idx[hit]] = math.exp(-q * t)
-        done = hit | ruin
+        pay = u >= upper
+        if pay.any():
+            if lower is None:
+                value[idx[pay]] = math.exp(-q * t)
+            else:
+                # the Euler step can overshoot the trigger; pay the whole excess
+                net = u[pay] - lower - spec.beta
+                assert lower >= 0.0 and float(net.min()) > 0.0
+                value[idx[pay]] += math.exp(-q * t) * net
+                u[pay] = lower
+        # an absorbed path is dropped below before its clock is read again
+        exc = np.where(u < 0.0, exc + dt, 0.0)
+        done = exc >= r
+        if lower is None:
+            done |= pay
         if done.any():
             keep = ~done
             u, exc, idx = u[keep], exc[keep], idx[keep]
-    n_censored = idx.size
-    return _pair_average(payoff, antithetic), n, n_censored
-
-
-def _brownian_npv_block(spec: ProblemSpec, policy: ImpulsePolicy, x: float, beta: float,
-                        dt: float, t_max: float, gen: np.random.Generator, n_paths: int,
-                        antithetic: bool) -> tuple[np.ndarray, int, int]:
-    model = spec.model
-    assert isinstance(model, BrownianMotion)
-    n_pairs = (n_paths + 1) // 2 if antithetic else 0
-    n = 2 * n_pairs if antithetic else n_paths
-    c1, c2 = policy.lower, policy.upper
-
-    npv = np.zeros(n)
-    x0 = float(x)
-    if x0 >= c2:
-        first = x0 - c1 - beta
-        assert first > 0.0 and c1 >= 0.0
-        npv += first
-        x0 = c1
-
-    u = np.full(n, x0)
-    exc = np.zeros(n)
-    idx = np.arange(n)
-    sig_dt = model.sigma * math.sqrt(dt)
-    mu, delta, q, r = model.mu, spec.delta, spec.q, spec.r
-    n_steps = int(math.ceil(t_max / dt))
-
-    for step in range(n_steps):
-        if idx.size == 0:
-            break
-        t = (step + 1) * dt
-        if antithetic:
-            z_full = gen.standard_normal(n_pairs)
-            z_full = np.concatenate([z_full, -z_full])
-            z = z_full[idx]
-        else:
-            z = gen.standard_normal(idx.size)
-        u += (mu - delta * (u > 0.0)) * dt + sig_dt * z
-        pay = u >= c2
-        if pay.any():
-            # the Euler step can overshoot the trigger; pay the whole excess
-            net = u[pay] - c1 - beta
-            assert c1 >= 0.0 and float(net.min()) > 0.0
-            npv[idx[pay]] += math.exp(-q * t) * net
-            u[pay] = c1
-        below = u < 0.0
-        exc = np.where(below, exc + dt, 0.0)
-        ruin = exc >= r
-        if ruin.any():
-            keep = ~ruin
-            u, exc, idx = u[keep], exc[keep], idx[keep]
-    n_censored = idx.size
-    return _pair_average(npv, antithetic), n, n_censored
+    return _pair_average(value, antithetic), n, idx.size
 
 
 # ---------------------------------------------------------------------------
-# Compound Poisson kernels (exact, event-driven)
+# Compound Poisson kernel (exact, event-driven)
 # ---------------------------------------------------------------------------
 
 
-def _cl_exit_block(spec: ProblemSpec, x: float, a: float, t_max: float,
-                   gen: np.random.Generator, n_paths: int,
-                   antithetic: bool) -> tuple[np.ndarray, int, int]:
+def _cl_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
+              t_max: float, gen: np.random.Generator, n_paths: int,
+              antithetic: bool) -> tuple[np.ndarray, int, int]:
+    """Payoffs of one block of paths, with the raw and censored path counts.
+
+    ``lower`` selects the functional as in :func:`_brownian_block`.  A payment
+    returns the path to ``lower``, from where it may reach ``upper`` again
+    before the next claim, so payments come in evenly spaced chains.
+    """
     model = spec.model
     assert isinstance(model, CramerLundberg)
-    n_pairs = (n_paths + 1) // 2 if antithetic else 0
-    n = 2 * n_pairs if antithetic else n_paths
+    n_pairs, n = _block_size(n_paths, antithetic)
     p, lam, mu_c = model.p, model.lam, model.mu_claim
     slope_up = p - spec.delta
     q, r = spec.q, spec.r
+    value, x0 = _start_payment(spec, x, upper, lower, n)
+    if lower is not None:
+        net = upper - lower - spec.beta
+        tau = (upper - lower) / slope_up  # spacing of back-to-back payments
+        disc_tau = math.expm1(-q * tau)
 
-    payoff = np.zeros(n)
-    u = np.full(n, float(x))
+    u = np.full(n, x0)
     t = np.zeros(n)
     # time at which the running excursion turns into ruin; inf while at or above 0
     deadline = np.where(u < 0.0, r, np.inf)
@@ -317,116 +297,63 @@ def _cl_exit_block(spec: ProblemSpec, x: float, a: float, t_max: float,
         u_eff = np.where(recovers, 0.0, u)
         t_eff = np.where(recovers, t_rec, t)
         upper_track = ~below | recovers
-        t_hit = np.where(upper_track, t_eff + (a - u_eff) / slope_up, np.inf)
-        hits = upper_track & (t_hit <= t_stop)  # barrier wins claim-time ties
-        if hits.any():
-            payoff[idx[hits]] = np.exp(-q * t_hit[hits])
-
-        done = ruined | hits
-        censored = ~done & (t_claim > t_max)
-        n_censored += int(np.count_nonzero(censored))
-        done |= censored
-
-        cont = ~done
-        if cont.any():
-            still_below = below[cont] & ~recovers[cont]
-            drift = np.where(still_below, p, slope_up)
-            u_new = u_eff[cont] + drift * (t_claim[cont] - t_eff[cont]) - claim[cont]
-            went_below = u_new < 0.0
-            was_below = still_below
-            # a fresh excursion starts at the claim; an ongoing one keeps its deadline
-            deadline_new = np.where(
-                went_below & ~was_below, t_claim[cont] + r,
-                np.where(went_below, deadline[cont], np.inf),
-            )
-            u, t, deadline, idx = u_new, t_claim[cont], deadline_new, idx[cont]
-        else:
-            break
-    return _pair_average(payoff, antithetic), n, n_censored
-
-
-def _cl_npv_block(spec: ProblemSpec, policy: ImpulsePolicy, x: float, beta: float,
-                  t_max: float, gen: np.random.Generator, n_paths: int,
-                  antithetic: bool) -> tuple[np.ndarray, int, int]:
-    model = spec.model
-    assert isinstance(model, CramerLundberg)
-    n_pairs = (n_paths + 1) // 2 if antithetic else 0
-    n = 2 * n_pairs if antithetic else n_paths
-    p, lam, mu_c = model.p, model.lam, model.mu_claim
-    slope_up = p - spec.delta
-    q, r = spec.q, spec.r
-    c1, c2 = policy.lower, policy.upper
-    net = c2 - c1 - beta
-    tau = (c2 - c1) / slope_up  # spacing of back-to-back payments
-    disc_tau = math.expm1(-q * tau)
-
-    npv = np.zeros(n)
-    x0 = float(x)
-    if x0 >= c2:
-        first = x0 - c1 - beta
-        assert first > 0.0 and c1 >= 0.0
-        npv += first
-        x0 = c1
-
-    u = np.full(n, x0)
-    t = np.zeros(n)
-    deadline = np.where(u < 0.0, r, np.inf)
-    idx = np.arange(n)
-    n_censored = 0
-
-    while idx.size:
-        live = idx.size
-        ue = _draw_uniform_pair(gen, n_pairs, antithetic, live)
-        uc = _draw_uniform_pair(gen, n_pairs, antithetic, live)
-        if antithetic:
-            ue, uc = ue[idx], uc[idx]
-        t_claim = t - np.log(ue) / lam
-        claim = -np.log(uc) / mu_c
-        t_stop = np.minimum(t_claim, t_max)
-
-        below = u < 0.0
-        t_rec = np.where(below, t + (0.0 - u) / p, t)
-        ruined = below & (deadline < t_rec) & (deadline <= t_stop)
-        recovers = below & ~ruined & (t_rec <= t_stop)
-
-        u_eff = np.where(recovers, 0.0, u)
-        t_eff = np.where(recovers, t_rec, t)
-        upper_track = ~below | recovers
-        t_hit = np.where(upper_track, t_eff + (c2 - u_eff) / slope_up, np.inf)
+        t_hit = np.where(upper_track, t_eff + (upper - u_eff) / slope_up, np.inf)
         pays = upper_track & (t_hit <= t_stop)  # payment wins claim-time ties
-        if pays.any():
-            assert c1 >= 0.0 and net > 0.0
+        done = ruined
+        if lower is None:
+            if pays.any():
+                value[idx[pays]] = np.exp(-q * t_hit[pays])
+            done = done | pays
+        elif pays.any():
+            assert lower >= 0.0 and net > 0.0
             # whole chain of evenly spaced payments inside this claim interval
             k = np.floor((t_stop[pays] - t_hit[pays]) / tau).astype(np.int64) + 1
             chain = np.exp(-q * t_hit[pays]) * np.expm1(-q * tau * k) / disc_tau
-            npv[idx[pays]] += net * chain
-            u_eff[pays] = c1
+            value[idx[pays]] += net * chain
+            u_eff[pays] = lower
             t_eff[pays] = t_hit[pays] + (k - 1) * tau
 
-        censored = ~ruined & (t_claim > t_max)
+        censored = ~done & (t_claim > t_max)
         n_censored += int(np.count_nonzero(censored))
-        done = ruined | censored
+        done = done | censored
 
         cont = ~done
-        if cont.any():
-            still_below = below[cont] & ~recovers[cont]
-            drift = np.where(still_below, p, slope_up)
-            u_new = u_eff[cont] + drift * (t_claim[cont] - t_eff[cont]) - claim[cont]
-            went_below = u_new < 0.0
-            was_below = still_below
-            deadline_new = np.where(
-                went_below & ~was_below, t_claim[cont] + r,
-                np.where(went_below, deadline[cont], np.inf),
-            )
-            u, t, deadline, idx = u_new, t_claim[cont], deadline_new, idx[cont]
-        else:
+        if not cont.any():
             break
-    return _pair_average(npv, antithetic), n, n_censored
+        still_below = below[cont] & ~recovers[cont]
+        drift = np.where(still_below, p, slope_up)
+        u_new = u_eff[cont] + drift * (t_claim[cont] - t_eff[cont]) - claim[cont]
+        went_below = u_new < 0.0
+        # a fresh excursion starts at the claim; an ongoing one keeps its deadline
+        deadline_new = np.where(
+            went_below & ~still_below, t_claim[cont] + r,
+            np.where(went_below, deadline[cont], np.inf),
+        )
+        u, t, deadline, idx = u_new, t_claim[cont], deadline_new, idx[cont]
+    return _pair_average(value, antithetic), n, n_censored
 
 
 # ---------------------------------------------------------------------------
 # Public estimators
 # ---------------------------------------------------------------------------
+
+
+def _estimate(spec: ProblemSpec, x: float, upper: float, lower: float | None,
+              config: SimulationConfig) -> MonteCarloEstimate:
+    """Run the model's kernel over the seeded substreams and combine blocks."""
+    dt, t_max = config.resolve(spec)
+    start = time.perf_counter()
+    acc = _Accumulator()
+    for count, gen in zip(_block_counts(config.n_paths), _substreams(config.seed)):
+        if count == 0:
+            continue
+        if isinstance(spec.model, BrownianMotion):
+            block = _brownian_block(spec, x, upper, lower, dt, t_max, gen, count,
+                                    config.antithetic)
+        else:
+            block = _cl_block(spec, x, upper, lower, t_max, gen, count, config.antithetic)
+        acc.add_block(*block)
+    return acc.estimate(time.perf_counter() - start)
 
 
 def estimate_exit_functional(spec: ProblemSpec, x: float, a: float,
@@ -437,20 +364,7 @@ def estimate_exit_functional(spec: ProblemSpec, x: float, a: float,
     """
     if x > a:
         raise DomainError(f"start {x} must not exceed the barrier {a}")
-    dt, t_max = config.resolve(spec)
-    start = time.perf_counter()
-    acc = _Accumulator()
-    gens = _substreams(config.seed)
-    for count, gen in zip(_block_counts(config.n_paths), gens):
-        if count == 0:
-            continue
-        if isinstance(spec.model, BrownianMotion):
-            block = _brownian_exit_block(spec, x, a, dt, t_max, gen, count,
-                                         config.antithetic)
-        else:
-            block = _cl_exit_block(spec, x, a, t_max, gen, count, config.antithetic)
-        acc.add_block(*block)
-    return acc.estimate(time.perf_counter() - start)
+    return _estimate(spec, x, a, None, config)
 
 
 def estimate_policy_npv(spec: ProblemSpec, policy: ImpulsePolicy, x: float,
@@ -465,160 +379,4 @@ def estimate_policy_npv(spec: ProblemSpec, policy: ImpulsePolicy, x: float,
     if x < 0.0:
         raise DomainError(f"initial surplus {x} must be nonnegative")
     policy.validate(spec.beta)
-    dt, t_max = config.resolve(spec)
-    start = time.perf_counter()
-    acc = _Accumulator()
-    gens = _substreams(config.seed)
-    for count, gen in zip(_block_counts(config.n_paths), gens):
-        if count == 0:
-            continue
-        if isinstance(spec.model, BrownianMotion):
-            block = _brownian_npv_block(spec, policy, x, spec.beta, dt, t_max, gen,
-                                        count, config.antithetic)
-        else:
-            block = _cl_npv_block(spec, policy, x, spec.beta, t_max, gen, count,
-                                  config.antithetic)
-        acc.add_block(*block)
-    return acc.estimate(time.perf_counter() - start)
-
-
-# ---------------------------------------------------------------------------
-# Single-path reference operations
-# ---------------------------------------------------------------------------
-
-
-def parisian_clock(times: np.ndarray, values: np.ndarray, delay: float) -> float | None:
-    """First sample time at which the path has spent ``delay`` or more below zero.
-
-    Works on a sampled path (per-step convention): the excursion clock counts
-    from the last sample at or above zero, or from the first sample if the path
-    starts negative.  Returns None when no excursion completes.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.ndim != 1 or times.size == 0:
-        raise ValueError("times and values must be matching 1-D arrays")
-    anchor = np.where(values >= 0.0, times, -np.inf)
-    anchor[0] = times[0] if values[0] < 0.0 else anchor[0]
-    last_ok = np.maximum.accumulate(anchor)
-    ruined = (values < 0.0) & (times - last_ok >= delay)
-    hits = np.flatnonzero(ruined)
-    return float(times[hits[0]]) if hits.size else None
-
-
-def simulate_refracted_path(spec: ProblemSpec, x0: float, barrier: float | None,
-                            config: SimulationConfig,
-                            rng: np.random.Generator | None = None,
-                            record_path: bool = False):
-    """Simulate one refracted path until it exits above ``barrier``, is ruined,
-    or reaches the horizon.
-
-    Returns a :class:`PathOutcome`; with ``record_path`` also returns the
-    sampled (times, values) arrays (per step for the Brownian scheme, per event
-    for the compound Poisson one).
-    """
-    gen = rng if rng is not None else np.random.default_rng(config.seed)
-    dt, t_max = config.resolve(spec)
-    if isinstance(spec.model, BrownianMotion):
-        outcome, ts, us = _single_brownian(spec, x0, barrier, dt, t_max, gen)
-    else:
-        outcome, ts, us = _single_cl(spec, x0, barrier, t_max, gen)
-    if record_path:
-        return outcome, np.asarray(ts), np.asarray(us)
-    return outcome
-
-
-def _single_brownian(spec, x0, barrier, dt, t_max, gen):
-    model = spec.model
-    mu, sigma, delta, r = model.mu, model.sigma, spec.delta, spec.r
-    sig_dt = sigma * math.sqrt(dt)
-    u, t, exc = float(x0), 0.0, 0.0
-    ts, us = [0.0], [u]
-    if barrier is not None and u >= barrier:
-        return PathOutcome(u, 0.0, "hit"), ts, us
-    n_steps = int(math.ceil(t_max / dt))
-    for step in range(n_steps):
-        drift = mu - (delta if u > 0.0 else 0.0)
-        u += drift * dt + sig_dt * float(gen.standard_normal())
-        t = (step + 1) * dt
-        ts.append(t)
-        us.append(u)
-        exc = exc + dt if u < 0.0 else 0.0
-        if barrier is not None and u >= barrier:
-            return PathOutcome(u, t, "hit"), ts, us
-        if exc >= r:
-            return PathOutcome(u, t, "ruin"), ts, us
-    return PathOutcome(u, t, "censored"), ts, us
-
-
-def _single_cl(spec, x0, barrier, t_max, gen):
-    model = spec.model
-    p, lam, mu_c = model.p, model.lam, model.mu_claim
-    slope_up = p - spec.delta
-    r = spec.r
-    u, t = float(x0), 0.0
-    deadline = t + r if u < 0.0 else math.inf
-    ts, us = [0.0], [u]
-    if barrier is not None and u >= barrier:
-        return PathOutcome(u, 0.0, "hit"), ts, us
-    while True:
-        e = float(gen.exponential(1.0 / lam))
-        c = float(gen.exponential(1.0 / mu_c))
-        t_claim = t + e
-        t_stop = min(t_claim, t_max)
-        if u < 0.0:
-            t_rec = t + (0.0 - u) / p
-            if deadline < t_rec and deadline <= t_stop:
-                ts.append(deadline)
-                us.append(u + p * (deadline - t))
-                return PathOutcome(us[-1], deadline, "ruin"), ts, us
-            if t_rec <= t_stop:
-                ts.append(t_rec)
-                us.append(0.0)
-                u, t, deadline = 0.0, t_rec, math.inf
-            else:
-                if t_claim > t_max:
-                    return PathOutcome(u + p * (t_max - t), t_max, "censored"), ts, us
-                u += p * (t_claim - t) - c
-                t = t_claim
-                ts.append(t)
-                us.append(u)
-                continue
-        if barrier is not None:
-            t_hit = t + (barrier - u) / slope_up
-            if t_hit <= t_stop:
-                ts.append(t_hit)
-                us.append(barrier)
-                return PathOutcome(barrier, t_hit, "hit"), ts, us
-        if t_claim > t_max:
-            return PathOutcome(u + slope_up * (t_max - t), t_max, "censored"), ts, us
-        u += slope_up * (t_claim - t) - c
-        t = t_claim
-        ts.append(t)
-        us.append(u)
-        if u < 0.0 and deadline == math.inf:
-            deadline = t + r
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-MC_CSV_COLUMNS = ("functional", "x", "a_or_policy", "estimate", "stderr", "n", "seed", "dt")
-
-
-def mc_csv_row(functional: str, x: float, a_or_policy: str,
-               estimate: MonteCarloEstimate, config: SimulationConfig,
-               dt_used: float | None) -> str:
-    """One CSV row per estimate; ``dt`` is empty for the event-driven scheme."""
-    cells = [
-        functional,
-        sig17(x),
-        a_or_policy,
-        sig17(estimate.mean),
-        sig17(estimate.stderr),
-        str(estimate.n_effective),
-        str(config.seed),
-        sig17(dt_used) if dt_used is not None else "",
-    ]
-    return ",".join(cells)
+    return _estimate(spec, x, policy.upper, policy.lower, config)

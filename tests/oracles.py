@@ -8,16 +8,22 @@ the package's closed forms, so agreement is a genuine cross-check rather
 than a tautology.  The one exception is ``brute_force_payout_grid``, which
 checks the optimizer's search rather than V: it takes V from the package and
 only replaces the root solves with an exhaustive lattice.
+
+The single-path simulators at the end follow one refracted path at a time in
+plain Python; they check the vectorized Monte Carlo kernels' conventions
+(excursion clock, barrier ties, drift per step) path by path.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from parisian_impulse.models import BrownianMotion, CramerLundberg, Model, ProblemSpec
 from parisian_impulse.parisian import ParisianScale
+from parisian_impulse.simulate import SimulationConfig
 
 
 def exponent_roots_and_weights(model: Model, q: float) -> tuple[float, float, float, float]:
@@ -218,3 +224,130 @@ def brute_force_payout_grid(
         if g[i, j] < best[0]:
             best = (float(g[i, j]), float(grid[rows][i]), float(grid[j]))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Single-path reference simulators
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PathOutcome:
+    """Terminal state of a single simulated path."""
+
+    value: float
+    time: float
+    reason: str  # "hit" | "ruin" | "censored"
+
+
+def parisian_clock(times: np.ndarray, values: np.ndarray, delay: float) -> float | None:
+    """First sample time at which the path has spent ``delay`` or more below zero.
+
+    Works on a sampled path (per-step convention): the excursion clock counts
+    from the last sample at or above zero, or from the first sample if the path
+    starts negative.  Returns None when no excursion completes.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.shape != values.shape or times.ndim != 1 or times.size == 0:
+        raise ValueError("times and values must be matching 1-D arrays")
+    anchor = np.where(values >= 0.0, times, -np.inf)
+    anchor[0] = times[0] if values[0] < 0.0 else anchor[0]
+    last_ok = np.maximum.accumulate(anchor)
+    ruined = (values < 0.0) & (times - last_ok >= delay)
+    hits = np.flatnonzero(ruined)
+    return float(times[hits[0]]) if hits.size else None
+
+
+def simulate_refracted_path(spec: ProblemSpec, x0: float, barrier: float | None,
+                            config: SimulationConfig,
+                            rng: np.random.Generator | None = None,
+                            record_path: bool = False):
+    """Simulate one refracted path until it exits above ``barrier``, is ruined,
+    or reaches the horizon.
+
+    Returns a :class:`PathOutcome`; with ``record_path`` also returns the
+    sampled (times, values) arrays (per step for the Brownian scheme, per event
+    for the compound Poisson one).
+    """
+    gen = rng if rng is not None else np.random.default_rng(config.seed)
+    dt, t_max = config.resolve(spec)
+    if isinstance(spec.model, BrownianMotion):
+        outcome, ts, us = _single_brownian(spec, x0, barrier, dt, t_max, gen)
+    else:
+        outcome, ts, us = _single_cl(spec, x0, barrier, t_max, gen)
+    if record_path:
+        return outcome, np.asarray(ts), np.asarray(us)
+    return outcome
+
+
+def _single_brownian(spec, x0, barrier, dt, t_max, gen):
+    model = spec.model
+    mu, sigma, delta, r = model.mu, model.sigma, spec.delta, spec.r
+    sig_dt = sigma * math.sqrt(dt)
+    u, t, exc = float(x0), 0.0, 0.0
+    ts, us = [0.0], [u]
+    if barrier is not None and u >= barrier:
+        return PathOutcome(u, 0.0, "hit"), ts, us
+    n_steps = int(math.ceil(t_max / dt))
+    for step in range(n_steps):
+        drift = mu - (delta if u > 0.0 else 0.0)
+        u += drift * dt + sig_dt * float(gen.standard_normal())
+        t = (step + 1) * dt
+        ts.append(t)
+        us.append(u)
+        exc = exc + dt if u < 0.0 else 0.0
+        if barrier is not None and u >= barrier:
+            return PathOutcome(u, t, "hit"), ts, us
+        if exc >= r:
+            return PathOutcome(u, t, "ruin"), ts, us
+    return PathOutcome(u, t, "censored"), ts, us
+
+
+def _single_cl(spec, x0, barrier, t_max, gen):
+    model = spec.model
+    p, lam, mu_c = model.p, model.lam, model.mu_claim
+    slope_up = p - spec.delta
+    r = spec.r
+    u, t = float(x0), 0.0
+    deadline = t + r if u < 0.0 else math.inf
+    ts, us = [0.0], [u]
+    if barrier is not None and u >= barrier:
+        return PathOutcome(u, 0.0, "hit"), ts, us
+    while True:
+        e = float(gen.exponential(1.0 / lam))
+        c = float(gen.exponential(1.0 / mu_c))
+        t_claim = t + e
+        t_stop = min(t_claim, t_max)
+        if u < 0.0:
+            t_rec = t + (0.0 - u) / p
+            if deadline < t_rec and deadline <= t_stop:
+                ts.append(deadline)
+                us.append(u + p * (deadline - t))
+                return PathOutcome(us[-1], deadline, "ruin"), ts, us
+            if t_rec <= t_stop:
+                ts.append(t_rec)
+                us.append(0.0)
+                u, t, deadline = 0.0, t_rec, math.inf
+            else:
+                if t_claim > t_max:
+                    return PathOutcome(u + p * (t_max - t), t_max, "censored"), ts, us
+                u += p * (t_claim - t) - c
+                t = t_claim
+                ts.append(t)
+                us.append(u)
+                continue
+        if barrier is not None:
+            t_hit = t + (barrier - u) / slope_up
+            if t_hit <= t_stop:
+                ts.append(t_hit)
+                us.append(barrier)
+                return PathOutcome(barrier, t_hit, "hit"), ts, us
+        if t_claim > t_max:
+            return PathOutcome(u + slope_up * (t_max - t), t_max, "censored"), ts, us
+        u += slope_up * (t_claim - t) - c
+        t = t_claim
+        ts.append(t)
+        us.append(u)
+        if u < 0.0 and deadline == math.inf:
+            deadline = t + r

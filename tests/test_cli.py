@@ -10,8 +10,8 @@ import pytest
 
 import parisian_impulse
 from parisian_impulse import cli
-from parisian_impulse.cli import EVAL_COLUMNS
-from parisian_impulse.simulate import MC_CSV_COLUMNS
+from parisian_impulse.cli import EVAL_COLUMNS, MC_CSV_COLUMNS, mc_csv_row
+from parisian_impulse.simulate import MonteCarloEstimate, SimulationConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BM_CFG = str(CONFIGS / "brownian.cfg")
@@ -281,3 +281,12 @@ def test_simulate_npv_needs_both_levels(capsys):
                    "--x", "1", "--c1", "0", "--paths", "100"])
     assert rc == 2
     assert "both" in capsys.readouterr().err
+
+
+def test_csv_row_shape(cl_spec):
+    est = MonteCarloEstimate(0.5, 0.01, 100, 0.0, 0.0)
+    row = mc_csv_row("exit", 1.0, "3", est, SimulationConfig(n_paths=100, seed=3), None)
+    cells = row.split(",")
+    assert len(cells) == len(MC_CSV_COLUMNS)
+    assert cells[-1] == ""  # event-driven scheme has no step size
+    assert cells[3] == "0.5"

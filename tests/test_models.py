@@ -63,6 +63,71 @@ def test_both_scale_rates_solve_exponent(model):
     assert c.weight_plus > 0.0 and c.weight_minus > 0.0
 
 
+# Drift much larger than the discount rate: the textbook quadratic formula
+# cancels in the small root (Brownian rate_plus, compound Poisson rate_plus
+# for p*mu_claim >> lam + q, rate_minus for lam + q >> p*mu_claim) and is off
+# by 3e-14 to 5e-12 relative on these specs.
+STEEP_SPECS = [
+    ProblemSpec(BrownianMotion(2.274186884288196, 0.3), 0.01, 0.01, 1.0, 0.5),
+    ProblemSpec(CramerLundberg(5.0, 0.1, 3.0), 0.5, 0.01, 1.0, 0.5),
+    ProblemSpec(CramerLundberg(0.6, 4.0, 0.1), 0.1, 0.002, 1.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("spec", STEEP_SPECS)
+def test_scale_rates_match_mpmath_on_steep_specs(spec):
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+
+    def roots(model, q):
+        if isinstance(model, BrownianMotion):
+            a, b, c = mp.mpf(model.sigma) ** 2 / 2, mp.mpf(model.mu), -mp.mpf(q)
+        else:
+            p, lam, mu = (mp.mpf(v) for v in (model.p, model.lam, model.mu_claim))
+            a, b, c = p, p * mu - lam - q, -q * mu
+        disc = mp.sqrt(b * b - 4 * a * c)
+        return (-b + disc) / (2 * a), (-b - disc) / (2 * a)
+
+    cs = compute_coefficients(spec)
+    for model, coeffs in ((spec.model, cs.surplus), (drift_adjusted(spec), cs.refracted)):
+        plus, minus = roots(model, spec.q)
+        assert coeffs.rate_plus == pytest.approx(float(plus), rel=1e-14, abs=0.0)
+        assert coeffs.rate_minus == pytest.approx(float(minus), rel=1e-14, abs=0.0)
+        assert right_inverse(model, spec.q) == coeffs.rate_plus
+
+
+NON_FINITE = [
+    "BrownianMotion(mu=nan, sigma=0.75)",
+    "BrownianMotion(mu=0.5, sigma=inf)",
+    "CramerLundberg(p=inf, lam=2.0, mu_claim=1.0)",
+    "CramerLundberg(p=3.0, lam=nan, mu_claim=1.0)",
+    "CramerLundberg(p=3.0, lam=2.0, mu_claim=inf)",
+    "ProblemSpec(CramerLundberg(3.0, 2.0, 1.0), delta=nan, q=0.05, r=2.0, beta=0.5)",
+    "ProblemSpec(BrownianMotion(0.5, 0.75), delta=0.05, q=inf, r=2.0, beta=0.5)",
+    "ProblemSpec(BrownianMotion(0.5, 0.75), delta=0.05, q=0.05, r=inf, beta=0.5)",
+    "ProblemSpec(BrownianMotion(0.5, 0.75), delta=0.05, q=0.05, r=2.0, beta=inf)",
+]
+
+
+def test_non_finite_parameters_rejected(bounded_python):
+    # each case goes on to evaluate V; a spec with p=inf used to be accepted
+    # and then loop forever in the incomplete gamma series
+    code = f"""
+from math import inf, nan
+from parisian_impulse import *
+for expr in {NON_FINITE!r}:
+    try:
+        built = eval(expr)
+        spec = built if isinstance(built, ProblemSpec) else ProblemSpec(
+            built, delta=0.05, q=0.05, r=2.0, beta=0.5)
+        parisian_scale(spec).value(-1.0)
+        print("accepted")
+    except ConfigError:
+        print("ConfigError")
+"""
+    assert bounded_python(code).split() == ["ConfigError"] * len(NON_FINITE)
+
+
 def test_compound_poisson_roots_frozen():
     # frozen from the quadratic formula at 50-digit precision
     X = compute_coefficients(cramer_lundberg_spec()).surplus

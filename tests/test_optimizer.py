@@ -1,12 +1,16 @@
 """Impulse policy search, value function and optimality certificates."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from parisian_impulse import (
+    BrownianMotion,
     CramerLundberg,
     DomainError,
     ImpulsePolicy,
+    OverflowRangeError,
     ProblemSpec,
     SolverFailureError,
     check_sufficiency_pair,
@@ -274,3 +278,14 @@ def test_result_fields_are_plain_floats(spec, case, optimum):
 def test_iterations_count_outer_root_steps(optimum):
     assert optimum(brownian_spec(1.0)).iterations > 1
     assert optimum(brownian_spec(0.05)).iterations > 1
+
+
+def test_sufficiency_overflow_is_typed():
+    # V(0) = e^{697} is finite, but V' overflows on the certificate grid; the
+    # solver used to return g* = 4e303 with a failed certificate
+    spec = ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076, q=3.63,
+                       r=191.9, beta=0.677)
+    ps = parisian_scale(spec)
+    assert math.isfinite(ps.value(0.0))
+    with pytest.raises(OverflowRangeError, match="certificate grid"):
+        find_optimal_policy(ps)

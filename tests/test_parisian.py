@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, i1
 
 from parisian_impulse import (
+    BrownianMotion,
     CompoundPoissonWindow,
     CramerLundberg,
     OverflowRangeError,
@@ -222,3 +223,29 @@ def test_series_constant_overflow_is_typed():
     with pytest.raises(OverflowRangeError):
         ParisianScale(spec)
 
+
+@pytest.mark.parametrize("spec", [
+    # window p*r = 586: the series term base^m / (m+1)! leaves the double range
+    ProblemSpec(CramerLundberg(p=3.78, lam=2.37, mu_claim=1.61),
+                delta=0.43, q=0.10, r=155.0, beta=0.5),
+    # q*r = 823: V(0) = e^{qr} itself is not a finite double
+    ProblemSpec(BrownianMotion(mu=0.5, sigma=0.75), delta=0.05, q=4.2, r=196.0, beta=0.5),
+], ids=["cl_long_window", "bm_large_qr"])
+def test_exp_overflow_in_construction_is_typed(spec):
+    with pytest.raises(OverflowRangeError, match="double range"):
+        ParisianScale(spec)
+
+
+def test_incomplete_gamma_rejects_non_finite_argument(bounded_python):
+    # P(3, nan) used to spin forever in the tail loop
+    code = """
+from parisian_impulse import DomainError
+from parisian_impulse.parisian import regularized_lower_gamma
+for x in (float("nan"), float("inf"), -float("inf")):
+    try:
+        regularized_lower_gamma(3, x)
+        print("returned")
+    except DomainError:
+        print("DomainError")
+"""
+    assert bounded_python(code, timeout=30.0).split() == ["DomainError"] * 3

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from parisian_impulse import (
     BrownianMotion,
@@ -18,7 +18,6 @@ from parisian_impulse import (
     compute_coefficients,
     find_optimal_policy,
     laplace_exponent,
-    parisian_clock,
     payout_ratio,
     right_inverse,
 )
@@ -28,6 +27,7 @@ from parisian_impulse.parisian import parisian_scale
 from parisian_impulse.scale import ScaleFunction, refracted_scale
 
 import oracles
+from oracles import parisian_clock
 from params import brownian_spec, cramer_lundberg_spec
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -115,6 +115,8 @@ def test_coefficient_invariants(spec):
 
 
 @given(spec=specs(), z=st.floats(0.0, 6.0))
+@example(spec=ProblemSpec(BrownianMotion(mu=2.274186884288196, sigma=0.3),
+                          delta=0.01, q=0.01, r=1.0, beta=0.5), z=0.0)
 def test_refracted_scale_joins_surplus_scale_at_zero(spec, z):
     # at x = 0 the convolution term vanishes and w(0; -z) collapses to W(z)
     cs = compute_coefficients(spec)

@@ -13,18 +13,16 @@ import pytest
 from parisian_impulse import (
     ConfigError,
     DomainError,
-    MonteCarloEstimate,
+    ImpulsePolicy,
     SimulationConfig,
     estimate_exit_functional,
     estimate_policy_npv,
     find_optimal_policy,
-    parisian_clock,
-    simulate_refracted_path,
     value_function,
 )
 from parisian_impulse.models import CramerLundberg, ProblemSpec
-from parisian_impulse.simulate import MC_CSV_COLUMNS, mc_csv_row
 
+from oracles import parisian_clock, simulate_refracted_path
 from params import brownian_spec, cramer_lundberg_spec
 
 
@@ -66,8 +64,6 @@ def test_domain_checks(bm_spec, cl_spec):
     cfg = SimulationConfig(n_paths=10)
     with pytest.raises(DomainError):
         estimate_exit_functional(bm_spec, 3.0, 2.0, cfg)
-    from parisian_impulse import ImpulsePolicy
-
     with pytest.raises(DomainError):
         estimate_policy_npv(cl_spec, ImpulsePolicy(0.0, 4.0), -0.5, cfg)
     with pytest.raises(DomainError):
@@ -129,6 +125,48 @@ def test_frozen_estimate_regression(cl_spec):
     cfg = SimulationConfig(n_paths=20_000, seed=7)
     est = estimate_exit_functional(cl_spec, 1.0, 3.0, cfg)
     assert est.mean == pytest.approx(0.84036785272294112, rel=1e-12)
+
+
+# One row per kernel path: both models, both functionals, plain and antithetic
+# draws, starts below zero, mid-band, on and above the trigger, and a barrier
+# below zero.  Values were captured before the exit and NPV kernels were merged.
+# The compound Poisson kernel watches the barrier only on the track at or above
+# zero, so its rows with a barrier below zero record the kernel as it stands,
+# not a first passage.
+KERNEL_FROZEN = [
+    ("bm", "exit", -1.0, 3.0, False, 0.5048878813157918, 0.016402094119595916),
+    ("bm", "exit", -1.0, 3.0, True, 0.5252350160576964, 0.009931039834767058),
+    ("bm", "exit", 1.5, 3.0, False, 0.8411351406944313, 0.006826957787336864),
+    ("bm", "exit", 1.5, 3.0, True, 0.8477844034422867, 0.004449379194475608),
+    ("bm", "npv", 3.0, (0.5, 3.0), False, 8.420913180360216, 0.11079908840503322),
+    ("bm", "npv", 3.0, (0.5, 3.0), True, 8.457710060587196, 0.04584989760765686),
+    ("bm", "npv", 4.0, (0.5, 3.0), False, 9.420913180360216, 0.11079908840503343),
+    ("bm", "npv", 4.0, (0.5, 3.0), True, 9.457710060587196, 0.045849897607657855),
+    ("cl", "exit", -1.0, 3.0, False, 0.6531447036458851, 0.008500056005208773),
+    ("cl", "exit", -1.0, 3.0, True, 0.6624791873348228, 0.006726839561029426),
+    ("cl", "exit", -1.0, -0.5, False, 0.8730035232142904, 0.006943618418940883),
+    ("cl", "exit", -1.0, -0.5, True, 0.8821343908109277, 0.006225379315099487),
+    ("cl", "npv", 4.0, (0.5, 4.0), False, 9.410099542843298, 0.10950942039699041),
+    ("cl", "npv", 4.0, (0.5, 4.0), True, 9.682064126068706, 0.07861537257350881),
+    ("cl", "npv", 5.0, (0.5, 4.0), False, 10.4100995428433, 0.10950942039699035),
+    ("cl", "npv", 5.0, (0.5, 4.0), True, 10.682064126068706, 0.07861537257350881),
+]
+
+
+@pytest.mark.parametrize("model, functional, x, arg, antithetic, mean, stderr", KERNEL_FROZEN)
+def test_kernel_paths_frozen(model, functional, x, arg, antithetic, mean, stderr):
+    if model == "bm":
+        spec = brownian_spec()
+        cfg = SimulationConfig(n_paths=400, seed=3, antithetic=antithetic, dt=0.02, t_max=30.0)
+    else:
+        spec = cramer_lundberg_spec()
+        cfg = SimulationConfig(n_paths=2000, seed=3, antithetic=antithetic, t_max=40.0)
+    if functional == "exit":
+        est = estimate_exit_functional(spec, x, arg, cfg)
+    else:
+        est = estimate_policy_npv(spec, ImpulsePolicy(*arg), x, cfg)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 def test_tiny_path_count_works(cl_spec):
@@ -197,7 +235,7 @@ def test_censoring_reported(cl_spec):
 
 
 # ---------------------------------------------------------------------------
-# single-path kernel and the excursion clock
+# single-path oracle and the excursion clock
 # ---------------------------------------------------------------------------
 
 
@@ -263,12 +301,3 @@ def test_parisian_clock_matches_path_kernel():
         else:
             assert ruin_time is None
     assert ruins >= 2  # the downward drift makes ruin the common outcome
-
-
-def test_csv_row_shape(cl_spec):
-    est = MonteCarloEstimate(0.5, 0.01, 100, 0.0, 0.0)
-    row = mc_csv_row("exit", 1.0, "3", est, SimulationConfig(n_paths=100, seed=3), None)
-    cells = row.split(",")
-    assert len(cells) == len(MC_CSV_COLUMNS)
-    assert cells[-1] == ""  # event-driven scheme has no step size
-    assert cells[3] == "0.5"
