@@ -41,7 +41,6 @@ from .parisian import (
     CompoundPoissonWindow,
     ParisianScale,
     parisian_scale,
-    regularized_lower_gamma,
 )
 from .scale import (
     ExponentialPair,

@@ -10,7 +10,14 @@ over one delay window:
   normal CDF tails below 0 and a two-exponential branch above 0;
 * Cramer-Lundberg displaces by ``p*r`` minus a compound Poisson sum of
   exponential claims, and V needs one scalar series constant C plus a
-  bracketed incomplete-gamma series on the middle band ``[-p*r, 0)``.
+  bracketed incomplete-gamma series on the middle band ``[-p*r, 0)``.  Each
+  series is one NumPy term vector in log space: every ``P(m+1, x)`` comes
+  from a single Poisson pmf, so a point costs time linear in the number of
+  terms, and the term count follows from the series base.
+
+The closed forms use NumPy and ``math`` only (the normal CDF tails come from
+``math.erfc`` and the Mills-ratio expansion); nothing here imports SciPy at
+module level.
 
 ``quadrature_value`` evaluates the defining integral directly with adaptive
 quadrature; it is deliberately independent of the closed forms so the two
@@ -23,10 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from scipy.special import log_ndtr, ndtr
+import numpy as np
 
 from .errors import (
-    DomainError,
     OverflowRangeError,
     QuadratureFailureError,
     SeriesConvergenceError,
@@ -39,48 +45,91 @@ from .models import (
     ProblemSpec,
     compute_coefficients,
 )
-from .scale import ExponentialPair, ScaleFunction, refracted_pair, refracted_scale
+from .scale import ExponentialPair, ScaleFunction, refracted_scale
 
 SERIES_RTOL = 1e-12
-SERIES_MAX_TERMS = 500
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# (k, log k!) for k < its length; shared by every spec, grown on demand and
+# replaced as one tuple so a reader never pairs tables of different lengths
+_FACTORIAL_TABLE = (np.zeros(0), np.zeros(0))
 
 
-def regularized_lower_gamma(order: int, x: float) -> float:
-    """Regularized lower incomplete gamma P(order, x) for integer order >= 1.
+def _log_factorials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``k`` and ``log k!`` for ``k = 0 .. n-1``."""
+    global _FACTORIAL_TABLE
+    k, log_k_factorial = _FACTORIAL_TABLE
+    if len(k) < n:
+        size = max(n, 2 * len(k), 256)
+        k = np.arange(float(size))
+        log_k_factorial = np.array([math.lgamma(i + 1.0) for i in range(size)])
+        _FACTORIAL_TABLE = (k, log_k_factorial)
+    return k[:n], log_k_factorial[:n]
 
-    Two cancellation-free branches: for ``order <= x`` subtract the short
-    Poisson head from 1 (the head is at most ~0.6 there); for ``order > x``
-    sum the all-positive Poisson tail directly.  Leading terms start in log
-    space, so neither branch can overflow.
+
+def _term_budget(peak: float) -> int:
+    """Terms for a series whose terms peak near index ``peak`` and fall off
+    like a Gaussian of width about ``sqrt(peak)`` beyond it."""
+    return int(peak + 10.0 * math.sqrt(peak)) + 30
+
+
+def _log_gamma_terms(x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log P(m+1, x)`` and ``log(e^{-x} x^m / m!)`` for ``m = 0 .. n-1``.
+
+    ``P(m+1, x)`` is the Poisson tail ``sum_{k > m} e^{-x} x^k / k!``
+    (DLMF 8.4.10): one pmf, summed from the far end, where it has fallen
+    by ``e^{-50}`` below its mode.  A sum of positive terms has no
+    cancellation on either side of ``m = x``; a ``P`` that underflows
+    gives ``-inf``.  Call inside ``np.errstate(divide="ignore")``.
     """
-    if order < 1:
-        raise ValueError(f"order must be a positive integer, got {order}")
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x}")
     if x <= 0.0:
-        return 0.0
-    if order <= x:
-        # P = 1 - e^{-x} sum_{k < order} x^k / k!
-        term = math.exp(-x)
-        head = term
-        for k in range(1, order):
-            term *= x / k
-            head += term
-        return 1.0 - head
-    # P = e^{-x} sum_{k >= order} x^k / k!, decreasing terms since order > x
-    log_t = order * math.log(x) - x - math.lgamma(order + 1.0)
-    if log_t < -745.0:
-        return 0.0
-    term = math.exp(log_t)
-    tail = term
-    # about 9*sqrt(order) terms reach 1e-17 when x is just below order
-    for k in range(order + 1, order + 51 + 20 * math.isqrt(order)):
-        term *= x / k
-        tail += term
-        # <= so a subnormal tail (where 1e-17*tail rounds to 0) still stops
-        if term <= 1e-17 * tail:
-            return tail
-    raise SeriesConvergenceError(f"incomplete gamma tail P({order}, {x}) did not converge")
+        log_p = np.full(n, -np.inf)
+        log_pmf = np.full(n, -np.inf)
+        if x == 0.0:
+            log_pmf[0] = 0.0
+        return log_p, log_pmf
+    reach = max(n, math.ceil(x))
+    k, log_k_factorial = _log_factorials(reach + 10 * math.isqrt(reach) + 10)
+    log_pmf = k * math.log(x) - x - log_k_factorial
+    tail = np.exp(log_pmf[:0:-1]).cumsum()[::-1]
+    return np.log(tail[:n]), log_pmf[:n]
+
+
+def _mills_series(x: float) -> float:
+    """``sum_k (-1)^k (2k-1)!! / x^{2k}`` for ``x <= -20``, so that
+    ``Phi(x) = phi(x) / |x|`` times the sum (DLMF 7.12.1)."""
+    inv = 1.0 / (x * x)
+    term = total = 1.0
+    k = 0
+    while abs(term) > 1e-17 * total:
+        k += 1
+        term *= -(2 * k - 1) * inv
+        total += term
+    return total
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF.
+
+    ``erfc`` loses about ``x^2`` ulps to the rounding of its argument; beyond
+    ``|x| = 20`` the Mills-ratio expansion loses about half as many.
+    """
+    if x < -20.0:
+        return math.exp(-0.5 * x * x) * _mills_series(x) / (-x * _SQRT_2PI)
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def _log_ndtr(x: float) -> float:
+    """Log of the standard normal CDF, accurate in both tails."""
+    if x > 20.0:
+        # log(1 - t) = -t to double precision for t = Phi(-x) < 1e-88
+        return -_ndtr(-x)
+    if x > 0.0:
+        return math.log1p(-0.5 * math.erfc(x / _SQRT2))
+    if x > -20.0:
+        return math.log(0.5 * math.erfc(-x / _SQRT2))
+    return -0.5 * x * x - math.log(-x * _SQRT_2PI) + math.log(_mills_series(x))
 
 
 @dataclass(frozen=True)
@@ -106,37 +155,34 @@ class CompoundPoissonWindow:
         c = self.mu_claim * self.lam * self.r
         term = c  # m = 0 contribution before the exponential prefactor
         total = term
-        m = 0
         small = 0
-        while True:
-            m += 1
-            if m > SERIES_MAX_TERMS:
-                raise SeriesConvergenceError(
-                    f"compound density series did not converge at y={y}"
-                )
+        # the term ratio c*y / (m (m+1)) falls below 1 near m = sqrt(c*y)
+        for m in range(1, _term_budget(math.sqrt(c * y)) + 1):
             term *= c * y / (m * (m + 1))
             total += term
+            if total == math.inf:
+                break
             small = small + 1 if term < SERIES_RTOL * total else 0
             if small >= 2:
-                break
-        return self.atom * math.exp(-self.mu_claim * y) * total
+                return self.atom * math.exp(-self.mu_claim * y) * total
+        raise SeriesConvergenceError(f"compound density series did not converge at y={y}")
 
 
 def _bessel_like_series(w: float) -> float:
     """``sum_{m>=0} w^{m+1} / (m! (m+1)!)`` for w > 0."""
     term = w
     total = term
-    m = 0
     small = 0
-    while True:
-        m += 1
-        if m > SERIES_MAX_TERMS:
-            raise SeriesConvergenceError("window series did not converge")
+    # the term ratio w / (m (m+1)) falls below 1 near m = sqrt(w)
+    for m in range(1, _term_budget(math.sqrt(w)) + 1):
         term *= w / (m * (m + 1))
         total += term
+        if total == math.inf:
+            raise OverflowRangeError("window series leaves the double range")
         small = small + 1 if term < SERIES_RTOL * total else 0
         if small >= 2:
             return total
+    raise SeriesConvergenceError("window series did not converge")
 
 
 class ParisianScale:
@@ -160,8 +206,8 @@ class ParisianScale:
                 self.positive_pair = self._positive_pair_cl()
             else:
                 self.positive_pair = self._positive_pair_brownian()
-        except OverflowError as exc:
-            # exp(q*r) = V(0), or a series term base^m / (m+1)! for a long window
+        except (OverflowError, OverflowRangeError) as exc:
+            # exp(q*r) = V(0), or a series of a long window
             window = f", p*r = {spec.model.p * spec.r:.6g}" if self._is_cl else ""
             raise OverflowRangeError(
                 f"V on x >= 0 overflows the double range (q*r = {spec.q * spec.r:.6g}"
@@ -190,13 +236,12 @@ class ParisianScale:
         i1 = (
             2.0 / math.sqrt(2.0 * math.pi * s2 * spec.r) * math.exp(-spec.r * m.mu**2 / (2.0 * s2))
             + X.rate_plus * eqr
-            - (X.rate_plus - X.rate_minus) * eqr * ndtr(-math.sqrt(spec.r) * disc / m.sigma)
+            - (X.rate_plus - X.rate_minus) * eqr * _ndtr(-math.sqrt(spec.r) * disc / m.sigma)
         )
         span = Y.rate_plus - Y.rate_minus
-        # ndtr returns np.float64; keep the coefficients plain floats
         return ExponentialPair(
-            float((i1 - eqr * Y.rate_minus) / span),
-            float((i1 - eqr * Y.rate_plus) / span),
+            (i1 - eqr * Y.rate_minus) / span,
+            (i1 - eqr * Y.rate_plus) / span,
             Y.rate_plus,
             Y.rate_minus,
         )
@@ -225,52 +270,46 @@ class ParisianScale:
         plus_variant:  base = p*r*(q_minus + mu), c = q_plus + mu
         minus_variant: base = p*r*(q_plus + mu),  c = q_minus + mu
         S(u)  = sum_m base^m / (m! (m+1)!) * gamma(m+1, u*c) * [p*r*c - (m+1)]
+
+        One term vector per call, combined in log space so a huge
+        ``base^m / (m+1)!`` can meet a tiny ``P(m+1, u*c)``.
         """
         spec = self.spec
-        m_ = spec.model
         X = self.coefficient_set.surplus
-        pr = m_.p * spec.r
-        mu = m_.mu_claim
+        pr = spec.model.p * spec.r
+        mu = spec.model.mu_claim
         if plus_variant:
             base = pr * (X.rate_minus + mu)
             c = X.rate_plus + mu
         else:
             base = pr * (X.rate_plus + mu)
             c = X.rate_minus + mu
-        uc = u * c
-        log_base = math.log(base)
-        total = 0.0
-        total_d = 0.0
-        small = 0
-        for m in range(SERIES_MAX_TERMS + 1):
-            bracket = pr * c - (m + 1)
-            # base^m / (m+1)! and the derivative kernel, both via log space
-            log_a = m * log_base - math.lgamma(m + 2.0)
-            a_m = math.exp(log_a)
-            term = a_m * regularized_lower_gamma(m + 1, uc) * bracket
-            total += term
+        # terms peak near m = base where P ~ 1, and near sqrt(base*u*c) below
+        n = _term_budget(max(base, math.sqrt(base * pr * c)))
+        m, log_m_factorial = _log_factorials(n + 1)
+        # log(base^m / (m+1)!) and the bracket, m = 0 .. n-1
+        log_a = m[:-1] * math.log(base) - log_m_factorial[1:]
+        bracket = pr * c - m[1:]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_p, log_pmf = _log_gamma_terms(u * c, n)
+            terms = np.exp(log_a + log_p) * bracket
+            total = float(terms.sum())
+            last = max(abs(terms[-1]), abs(terms[-2]))
+            total_d = 0.0
             if with_derivative:
-                if uc > 0.0:
-                    log_d = m * (log_base + math.log(uc)) - uc - math.lgamma(
-                        m + 1.0
-                    ) - math.lgamma(m + 2.0)
-                    d_m = c * math.exp(log_d) if log_d > -745.0 else 0.0
-                else:
-                    d_m = c if m == 0 else 0.0
-                term_d = d_m * bracket
-                total_d += term_d
-            else:
-                term_d = 0.0
-            scale = max(abs(total), abs(total_d), 1e-300)
-            if max(abs(term), abs(term_d)) < SERIES_RTOL * scale:
-                small += 1
-                if small >= 2:
-                    return total, total_d
-            else:
-                small = 0
-        raise SeriesConvergenceError(
-            f"bracketed gamma series did not converge within {SERIES_MAX_TERMS} terms"
-        )
+                # d/du P(m+1, u*c) = c * e^{-uc} (uc)^m / m!
+                terms_d = np.exp(log_a + log_pmf) * (c * bracket)
+                total_d = float(terms_d.sum())
+                last = max(last, abs(terms_d[-1]), abs(terms_d[-2]))
+        if not (math.isfinite(total) and math.isfinite(total_d)):
+            raise OverflowRangeError(
+                f"bracketed gamma series leaves the double range (base {base:.6g})"
+            )
+        if last >= SERIES_RTOL * max(abs(total), abs(total_d), 1e-300):
+            raise SeriesConvergenceError(
+                f"bracketed gamma series did not converge within {n} terms"
+            )
+        return total, total_d
 
     def _constant(self) -> float:
         """The scalar constant feeding the positive branch: the integral of the
@@ -285,10 +324,14 @@ class ParisianScale:
         s_plus, _ = self._bracket_series(pr, plus_variant=True, with_derivative=False)
         s_minus, _ = self._bracket_series(pr, plus_variant=False, with_derivative=False)
         tail = _bessel_like_series(m.p * m.lam * mu * spec.r**2)
+        e_p = math.exp(X.rate_plus * pr)
+        e_m = math.exp(X.rate_minus * pr)
+        # the surplus scale derivative W'(p*r), on floats
+        w_slope = X.weight_plus * X.rate_plus * e_p - X.weight_minus * X.rate_minus * e_m
         return math.exp(-m.lam * spec.r) * (
-            m.p * self.surplus_scale.derivative(pr)
-            + a_minus * X.rate_plus * math.exp(X.rate_plus * pr) * s_plus
-            - a_plus * X.rate_minus * math.exp(X.rate_minus * pr) * s_minus
+            m.p * w_slope
+            + a_minus * X.rate_plus * e_p * s_plus
+            - a_plus * X.rate_minus * e_m * s_minus
             + math.exp(-mu * pr) / pr * tail
         )
 
@@ -304,13 +347,14 @@ class ParisianScale:
         elr = math.exp(-m.lam * spec.r)
         e_p = math.exp(X.rate_plus * u)
         e_m = math.exp(X.rate_minus * u)
-        value = elr * (
-            m.p * self.surplus_scale.value(u) + a_minus * e_p * s_plus - a_plus * e_m * s_minus
-        )
+        # the surplus scale W and W' at u >= 0, on floats
+        w_value = X.weight_plus * e_p - X.weight_minus * e_m
+        value = elr * (m.p * w_value + a_minus * e_p * s_plus - a_plus * e_m * s_minus)
         if not with_derivative:
             return value, None
+        w_slope = X.weight_plus * X.rate_plus * e_p - X.weight_minus * X.rate_minus * e_m
         deriv = elr * (
-            m.p * self.surplus_scale.derivative(u)
+            m.p * w_slope
             + a_minus * e_p * (X.rate_plus * s_plus + sd_plus)
             - a_plus * e_m * (X.rate_minus * s_minus + sd_minus)
         )
@@ -329,8 +373,8 @@ class ParisianScale:
         alpha = (-x - spec.r * disc) / sr
         beta = (-x + spec.r * disc) / sr
         # log-space tails keep exp(-rate_minus * x) * survival finite far below 0
-        t_plus = math.exp(qr + X.rate_plus * x + log_ndtr(-alpha))
-        t_minus = math.exp(qr + X.rate_minus * x + log_ndtr(-beta))
+        t_plus = math.exp(qr + X.rate_plus * x + _log_ndtr(-alpha))
+        t_minus = math.exp(qr + X.rate_minus * x + _log_ndtr(-beta))
         value = t_plus + t_minus
         if not with_derivative:
             return value, None

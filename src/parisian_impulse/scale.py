@@ -68,15 +68,6 @@ class ExponentialPair:
             - self.b * self.km * np.exp(self.km * xx),
         )
 
-    def second_derivative(self, x: ArrayLike) -> ArrayLike:
-        _check_exp_range(self.kp, x)
-        xx = np.asarray(x, dtype=float)
-        return _match(
-            x,
-            self.a * self.kp**2 * np.exp(self.kp * xx)
-            - self.b * self.km**2 * np.exp(self.km * xx),
-        )
-
     def integral_from_zero(self, x: ArrayLike) -> ArrayLike:
         """``int_0^x f(y) dy`` (kp, km are nonzero for every model here)."""
         _check_exp_range(self.kp, x)

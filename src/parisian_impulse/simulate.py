@@ -360,8 +360,12 @@ def estimate_exit_functional(spec: ProblemSpec, x: float, a: float,
                              config: SimulationConfig) -> MonteCarloEstimate:
     """Estimate the discounted probability of reaching ``a`` before Parisian ruin.
 
-    The analytic counterpart is ``parisian_scale(spec).value(x) / value(a)``.
+    The analytic counterpart is ``parisian_scale(spec).value(x) / value(a)``,
+    which needs ``a >= 0``: below 0 the excursion clock still runs at the
+    passage time.
     """
+    if a < 0.0:
+        raise DomainError(f"barrier {a} must be nonnegative")
     if x > a:
         raise DomainError(f"start {x} must not exceed the barrier {a}")
     return _estimate(spec, x, a, None, config)

@@ -9,6 +9,9 @@ than a tautology.  The one exception is ``brute_force_payout_grid``, which
 checks the optimizer's search rather than V: it takes V from the package and
 only replaces the root solves with an exhaustive lattice.
 
+``regularized_lower_gamma`` evaluates ``P(order, x)`` one scalar at a time,
+term by term; it checks the package's vectorized incomplete gamma terms.
+
 The single-path simulators at the end follow one refracted path at a time in
 plain Python; they check the vectorized Monte Carlo kernels' conventions
 (excursion clock, barrier ties, drift per step) path by path.
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from parisian_impulse.errors import DomainError, SeriesConvergenceError
 from parisian_impulse.models import BrownianMotion, CramerLundberg, Model, ProblemSpec
 from parisian_impulse.parisian import ParisianScale
 from parisian_impulse.simulate import SimulationConfig
@@ -93,7 +97,7 @@ def refracted_scale_by_convolution(spec: ProblemSpec, x: float, depth: float) ->
 
 
 class CramerLundbergWindowOracle:
-    """High-precision ``V`` on ``x >= 0`` for the compound Poisson model,
+    """High-precision ``V`` on ``x >= -p r`` for the compound Poisson model,
     straight from the defining window integral
 
         V(x) = int_0^{p r} w(x; -z) (z / r) P(X_r in dz),   X_r = p r - S_r,
@@ -103,9 +107,10 @@ class CramerLundbergWindowOracle:
     s^{n-1} / (n! (n-1)!)``.  The surplus and reduced-premium scale functions
     are the residue sums ``sum_k e^{k x} / psi'(k)`` over the roots of
     ``psi = q``; ``w(x; -z) = W(x + z) + delta int_0^x Wr(x - y) W'(y + z) dy``
-    is convolved exponential by exponential, and the window integral is done
-    by ``mpmath.quad``.  Takes plain numbers and shares no code with the
-    package.  Results are mpf values computed at ``dps + 10`` digits; compare
+    is convolved exponential by exponential; below 0, ``w(x; -z) = W(x + z)``
+    vanishes for ``z < -x``, so the window integral starts at ``z = -x``.  The
+    integral is done by ``mpmath.quad``.  Takes plain numbers and shares no
+    code with the package.  Results are mpf values computed at ``dps + 10`` digits; compare
     them inside ``mpmath.workdps``.
     """
 
@@ -162,21 +167,39 @@ class CramerLundbergWindowOracle:
             self._kernel_cache[z] = z / self.r * density
         return self._kernel_cache[z]
 
+    def _surplus(self, y):
+        """``W(y)`` and ``W'(y)`` for y >= 0: ``w(x; -z) = W(x + z)`` when x < 0."""
+        exp = self.mp.exp
+        return (sum(a * exp(k * y) for k, a in self.surplus),
+                sum(a * k * exp(k * y) for k, a in self.surplus))
+
     def _window(self, x, part: int):
         mp = self.mp
-        if x < 0:
-            raise ValueError(f"the oracle covers x >= 0 only, got {x}")
         with mp.workdps(self.dps + 10):
             x, pr = mp.mpf(x), self.p * self.r
-            atom = mp.exp(-self.lam * self.r) * self.p * self._refracted(x, pr)[part]
-            inner = mp.quad(lambda z: self._refracted(x, z)[part] * self._kernel(z), [0, pr])
+            if x < -pr:
+                raise ValueError(f"V vanishes below -p*r = {pr}, got {x}")
+            if x >= 0:
+                w = self._refracted
+                lo = mp.mpf(0)
+            else:
+                # below 0 the refraction never acts inside the window, and the
+                # displacement must lift the start back to 0: z >= -x
+                def w(x, z):
+                    return self._surplus(x + z)
+                lo = -x
+            atom = mp.exp(-self.lam * self.r) * self.p * w(x, pr)[part]
+            inner = mp.quad(lambda z: w(x, z)[part] * self._kernel(z), [lo, pr])
+            if part == 1 and x < 0:
+                # the moving lower limit z = -x contributes W(0) * kernel(-x)
+                inner += w(x, lo)[0] * self._kernel(lo)
             return atom + inner
 
     def value(self, x):
         return self._window(x, 0)
 
     def derivative(self, x):
-        """Right derivative in x (the lower window limit is 0 for all x >= 0)."""
+        """Derivative in x; the right derivative at x = 0, where V' jumps."""
         return self._window(x, 1)
 
     def best_boundary_trigger(self, beta, upper):
@@ -199,13 +222,54 @@ class CramerLundbergWindowOracle:
             )
 
 
+def regularized_lower_gamma(order: int, x: float) -> float:
+    """Regularized lower incomplete gamma P(order, x) for integer order >= 1.
+
+    Two cancellation-free branches: for ``order <= x`` subtract the short
+    Poisson head from 1 (the head is at most ~0.6 there); for ``order > x``
+    sum the all-positive Poisson tail directly.  Leading terms start in log
+    space, so neither branch can overflow.
+    """
+    if order < 1:
+        raise ValueError(f"order must be a positive integer, got {order}")
+    if not math.isfinite(x):
+        raise DomainError(f"argument must be finite, got {x}")
+    if x <= 0.0:
+        return 0.0
+    if order <= x:
+        # P = 1 - e^{-x} sum_{k < order} x^k / k!
+        term = math.exp(-x)
+        head = term
+        for k in range(1, order):
+            term *= x / k
+            head += term
+        return 1.0 - head
+    # P = e^{-x} sum_{k >= order} x^k / k!, decreasing terms since order > x
+    log_t = order * math.log(x) - x - math.lgamma(order + 1.0)
+    if log_t < -745.0:
+        return 0.0
+    term = math.exp(log_t)
+    tail = term
+    # about 9*sqrt(order) terms reach 1e-17 when x is just below order
+    for k in range(order + 1, order + 51 + 20 * math.isqrt(order)):
+        term *= x / k
+        tail += term
+        # <= so a subnormal tail (where 1e-17*tail rounds to 0) still stops
+        if term <= 1e-17 * tail:
+            return tail
+    raise SeriesConvergenceError(f"incomplete gamma tail P({order}, {x}) did not converge")
+
+
 def brute_force_payout_grid(
     ps: ParisianScale, x_max: float, step: float = 1e-3
 ) -> tuple[float, float, float]:
     """Exhaustive grid minimum of g with the given step (test oracle).
 
     Chunked over the lower boundary so the full pair table never
-    materializes.
+    materializes.  The gap ``upper - lower - beta`` falls as the lower level
+    rises, so the columns a chunk's first row cannot use (gap <= 1e-12) are
+    inadmissible for the whole chunk and are never formed; the remaining
+    block is computed into buffers reused across chunks.
     """
     beta = ps.spec.beta
     n = int(math.floor(x_max / step)) + 1
@@ -213,16 +277,29 @@ def brute_force_payout_grid(
     vals = ps.positive_pair.value(grid)
     best = (math.inf, 0.0, 0.0)
     chunk = max(1, int(1e7) // n)
+    gap_buf, g_buf = np.empty(chunk * n), np.empty(chunk * n)
+    bad_buf = np.empty(chunk * n, dtype=bool)
     for start in range(0, n, chunk):
-        rows = slice(start, min(start + chunk, n))
-        gap = grid[None, :] - grid[rows, None] - beta
+        stop = min(start + chunk, n)
+        admissible = grid - grid[start] - beta > 1e-12
+        if not admissible.any():
+            break  # later chunks start higher and admit even fewer columns
+        lo = int(np.argmax(admissible))
+        shape = (stop - start, n - lo)
+        size = shape[0] * shape[1]
+        gap = gap_buf[:size].reshape(shape)
+        g = g_buf[:size].reshape(shape)
+        bad = bad_buf[:size].reshape(shape)
+        np.subtract(grid[None, lo:], grid[start:stop, None], out=gap)
+        np.subtract(gap, beta, out=gap)
+        np.subtract(vals[None, lo:], vals[start:stop, None], out=g)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = (vals[None, :] - vals[rows, None]) / gap
-        g[gap <= 1e-12] = np.inf
-        flat = int(np.argmin(g))
-        i, j = np.unravel_index(flat, g.shape)
+            np.divide(g, gap, out=g)
+        np.less_equal(gap, 1e-12, out=bad)
+        np.copyto(g, np.inf, where=bad)
+        i, j = np.unravel_index(int(np.argmin(g)), shape)
         if g[i, j] < best[0]:
-            best = (float(g[i, j]), float(grid[rows][i]), float(grid[j]))
+            best = (float(g[i, j]), float(grid[start + i]), float(grid[lo + j]))
     return best
 
 

@@ -46,7 +46,7 @@ def test_laplace_exponent_compound_poisson():
 def test_right_inverse_solves_exponent(model, q):
     phi = right_inverse(model, q)
     assert phi > 0.0
-    assert laplace_exponent(model, phi) == pytest.approx(q, rel=1e-12)
+    assert laplace_exponent(model, phi) == pytest.approx(q, rel=1e-12, abs=0.0)
 
 
 def test_right_inverse_rejects_negative_q():
@@ -140,17 +140,17 @@ def test_compound_poisson_roots_frozen():
 def test_mass_at_zero():
     assert compute_coefficients(brownian_spec()).surplus.mass_at_zero == 0.0
     cl = compute_coefficients(cramer_lundberg_spec()).surplus
-    assert cl.mass_at_zero == pytest.approx(1.0 / 3.0, rel=1e-13)
+    assert cl.mass_at_zero == pytest.approx(1.0 / 3.0, rel=1e-13, abs=0.0)
 
 
 def test_rate_plus_is_right_inverse():
     for spec in (brownian_spec(), cramer_lundberg_spec()):
         cs = compute_coefficients(spec)
         assert cs.surplus.rate_plus == pytest.approx(
-            right_inverse(spec.model, spec.q), rel=1e-13
+            right_inverse(spec.model, spec.q), rel=1e-13, abs=0.0
         )
         assert cs.refracted.rate_plus == pytest.approx(
-            right_inverse(drift_adjusted(spec), spec.q), rel=1e-13
+            right_inverse(drift_adjusted(spec), spec.q), rel=1e-13, abs=0.0
         )
 
 

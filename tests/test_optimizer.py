@@ -47,7 +47,7 @@ def test_payout_ratio_matches_definition(bm_scale):
     spec = bm_scale.spec
     g = payout_ratio(bm_scale, 0.5, 2.0)
     manual = (bm_scale.value(2.0) - bm_scale.value(0.5)) / (2.0 - 0.5 - spec.beta)
-    assert g == pytest.approx(manual, rel=1e-15)
+    assert g == pytest.approx(manual, rel=1e-15, abs=0.0)
     assert g > 0.0
 
 
@@ -156,7 +156,7 @@ def test_value_function_shape(bm_scale, optimum):
     v = lambda x: value_function(bm_scale, pol, x)
     # continuous at the trigger, unit slope above it
     assert v(up - 1e-10) == pytest.approx(v(up), rel=1e-9)
-    assert v(up + 2.0) - v(up + 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert v(up + 2.0) - v(up + 1.0) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     # at the optimum the scaling factor is exactly 1/V'(c2*)
     for x in (0.0, 0.7, up):
         assert v(x) == pytest.approx(

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc, i1
+from scipy.special import gammainc, i1, log_ndtr, ndtr
 
 from parisian_impulse import (
     BrownianMotion,
@@ -19,8 +20,15 @@ from parisian_impulse import (
     find_optimal_policy,
 )
 from parisian_impulse.models import compute_coefficients
-from parisian_impulse.parisian import ParisianScale, parisian_scale, regularized_lower_gamma
+from parisian_impulse.parisian import (
+    ParisianScale,
+    _log_gamma_terms,
+    _log_ndtr,
+    _ndtr,
+    parisian_scale,
+)
 
+from oracles import CramerLundbergWindowOracle, regularized_lower_gamma
 from params import brownian_spec, cramer_lundberg_spec
 
 # Frozen from a 50-digit evaluation of the defining window integral
@@ -46,7 +54,7 @@ FROZEN_CL = {
 def test_value_at_zero_is_discounted_delay(bm_scale, cl_scale):
     for ps in (bm_scale, cl_scale):
         assert ps.value(0.0) == pytest.approx(
-            math.exp(ps.spec.q * ps.spec.r), rel=1e-12
+            math.exp(ps.spec.q * ps.spec.r), rel=1e-12, abs=0.0
         )
 
 
@@ -154,6 +162,107 @@ def test_regularized_lower_gamma_against_scipy():
             assert mine == pytest.approx(ref, rel=1e-12, abs=1e-300), (order, x)
 
 
+@pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 5.0, 17.5, 40.0, 120.0, 300.0, 700.0])
+def test_gamma_terms_match_scalar_oracle_and_scipy(x):
+    # both sides of m + 1 = x, the seam itself at integer x, and the far tail;
+    # x stops below 745, where the scalar oracle's e^{-x} underflows
+    n = max(60, int(2 * x))
+    with np.errstate(divide="ignore"):
+        log_p, log_pmf = _log_gamma_terms(x, n)
+    for m in range(n):
+        ref = float(gammainc(m + 1, x))
+        if ref < 1e-300:  # exp(log_p) would be subnormal
+            continue
+        assert math.exp(log_p[m]) == pytest.approx(ref, rel=5e-12, abs=0.0), m
+        assert math.exp(log_p[m]) == pytest.approx(
+            regularized_lower_gamma(m + 1, x), rel=5e-12, abs=0.0
+        ), m
+    pmf = np.exp(np.arange(n) * math.log(x) - x - np.array([math.lgamma(k + 1.0) for k in range(n)]))
+    assert np.exp(log_pmf) == pytest.approx(pmf, rel=1e-12, abs=0.0)
+
+
+def test_gamma_terms_at_zero():
+    log_p, log_pmf = _log_gamma_terms(0.0, 5)
+    assert np.all(np.exp(log_p) == 0.0)
+    assert list(np.exp(log_pmf)) == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_band_matches_mpmath_window_oracle(cl_scale):
+    mpmath = pytest.importorskip("mpmath")
+    m, spec = cl_scale.spec.model, cl_scale.spec
+    oracle = CramerLundbergWindowOracle(m.p, m.lam, m.mu_claim, spec.delta, spec.q, spec.r)
+    pr = m.p * spec.r
+    for i in range(8):
+        x = -pr * (i + 0.5) / 8
+        with mpmath.workdps(40):
+            v, d = oracle.value(x), oracle.derivative(x)
+            assert float(abs(cl_scale.value(x) / v - 1)) <= 1e-12, x
+            assert float(abs(cl_scale.derivative(x) / d - 1)) <= 1e-12, x
+
+
+# V and V' of a long-window spec (p*r = 100) from the term-by-term series this
+# package used before its series became term vectors
+LONG_WINDOW_BEFORE = [
+    (-6.25, 34.05412963262963, 2.572034420902392),
+    (-18.75, 13.247693532407133, 1.000732605119206),
+    (-31.25, 5.14054476862354, 0.3923795777285371),
+    (-43.75, 1.8701953004727148, 0.16961570529561992),
+    (-56.25, 0.40844068620438617, 0.06882556869114079),
+    (-68.75, 0.01687817010371039, 0.006176428529569992),
+    (-81.25, 1.7667255294162162e-05, 1.3956901405291199e-05),
+    (-93.75, 1.4061042011904834e-12, 3.1017192415797034e-12),
+]
+
+
+def test_long_window_band_no_further_from_oracle_than_before():
+    mpmath = pytest.importorskip("mpmath")
+    spec = ProblemSpec(CramerLundberg(p=2.5, lam=1.5, mu_claim=1.2),
+                       delta=0.3, q=0.1, r=40.0, beta=0.5)
+    ps = ParisianScale(spec)
+    oracle = CramerLundbergWindowOracle(2.5, 1.5, 1.2, 0.3, 0.1, 40.0, dps=20)
+    for x, v_before, d_before in LONG_WINDOW_BEFORE:
+        with mpmath.workdps(30):
+            v, d = oracle.value(x), oracle.derivative(x)
+            assert abs(ps.value(x) - v) <= abs(v_before - v), x
+            assert abs(ps.derivative(x) - d) <= abs(d_before - d), x
+
+
+@pytest.mark.parametrize("r", [150.0, 200.0])
+def test_long_delay_gives_value_or_overflow(r):
+    # the window series used to run out of its fixed 500-term budget at r = 200
+    base = cramer_lundberg_spec()
+    spec = ProblemSpec(base.model, base.delta, base.q, r, base.beta)
+    try:
+        ps = ParisianScale(spec)
+    except OverflowRangeError:
+        return
+    for x in (-0.75 * spec.model.p * r, -1.0, 0.0, 2.0):
+        assert math.isfinite(ps.value(x))
+
+
+def test_normal_cdf_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([-np.logspace(3, -3, 300), [0.0], np.logspace(-3, math.log10(40.0), 200),
+                         np.linspace(-40.0, 10.0, 201)])
+    tiny = mpmath.mpf(np.finfo(float).tiny)
+    with mpmath.workdps(40):
+        for mine, theirs, exact in (
+            (_ndtr, ndtr, mpmath.ncdf),
+            # log(1 - t) for x > 0 needs more than 40 digits through log(ncdf)
+            (_log_ndtr, log_ndtr,
+             lambda x: mpmath.log1p(-mpmath.ncdf(-x)) if x > 0 else mpmath.log(mpmath.ncdf(x))),
+        ):
+            worst_mine = worst_scipy = 0.0
+            for x in map(float, xs):
+                ref = exact(mpmath.mpf(x))
+                if abs(ref) < tiny:  # subnormal or zero in double
+                    continue
+                worst_mine = max(worst_mine, float(abs(mine(x) / ref - 1)))
+                worst_scipy = max(worst_scipy, float(abs(float(theirs(x)) / ref - 1)))
+            assert worst_mine <= worst_scipy, (mine.__name__, worst_mine, worst_scipy)
+            assert worst_mine < 1e-13, mine.__name__
+
+
 def test_regularized_lower_gamma_edges():
     assert regularized_lower_gamma(3, 0.0) == 0.0
     assert regularized_lower_gamma(3, -1.0) == 0.0
@@ -165,7 +274,7 @@ def test_regularized_lower_gamma_edges():
 
 def test_compound_window_density():
     window = CompoundPoissonWindow(lam=2.0, mu_claim=1.0, r=2.0)
-    assert window.atom == pytest.approx(math.exp(-4.0), rel=1e-15)
+    assert window.atom == pytest.approx(math.exp(-4.0), rel=1e-15, abs=0.0)
     assert window.density(0.0) == 0.0
     assert window.density(-1.0) == 0.0
     # closed Bessel form of the same density
@@ -238,9 +347,10 @@ def test_exp_overflow_in_construction_is_typed(spec):
 
 def test_incomplete_gamma_rejects_non_finite_argument(bounded_python):
     # P(3, nan) used to spin forever in the tail loop
-    code = """
+    code = f"""
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 from parisian_impulse import DomainError
-from parisian_impulse.parisian import regularized_lower_gamma
+from oracles import regularized_lower_gamma
 for x in (float("nan"), float("inf"), -float("inf")):
     try:
         regularized_lower_gamma(3, x)

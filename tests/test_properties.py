@@ -106,7 +106,7 @@ def test_coefficient_invariants(spec):
         assert coeffs.weight_plus > 0.0
         assert coeffs.weight_minus > 0.0
     if isinstance(spec.model, CramerLundberg):
-        assert cs.surplus.mass_at_zero == pytest.approx(1.0 / spec.model.p, rel=1e-12)
+        assert cs.surplus.mass_at_zero == pytest.approx(1.0 / spec.model.p, rel=1e-12, abs=0.0)
         assert cs.surplus.rate_minus > -spec.model.mu_claim
     else:
         assert cs.surplus.mass_at_zero == 0.0

@@ -90,7 +90,7 @@ def test_claimless_hit_is_deterministic():
     est = estimate_exit_functional(spec, 1.0, 3.0, cfg)
     # drift above zero is p - delta = 2.75, so the crossing time is exact
     expected = math.exp(-spec.q * (3.0 - 1.0) / 2.75)
-    assert est.mean == pytest.approx(expected, rel=1e-12)
+    assert est.mean == pytest.approx(expected, rel=1e-12, abs=0.0)
     # identical payoffs; allow one-pass variance rounding at the 1e-9 level
     assert est.stderr < 1e-6
 
@@ -124,15 +124,16 @@ def test_frozen_estimate_regression(cl_spec):
     # pins the substream layout; any change to the path kernels moves this
     cfg = SimulationConfig(n_paths=20_000, seed=7)
     est = estimate_exit_functional(cl_spec, 1.0, 3.0, cfg)
-    assert est.mean == pytest.approx(0.84036785272294112, rel=1e-12)
+    assert est.mean == pytest.approx(0.84036785272294112, rel=1e-12, abs=0.0)
 
 
 # One row per kernel path: both models, both functionals, plain and antithetic
-# draws, starts below zero, mid-band, on and above the trigger, and a barrier
-# below zero.  Values were captured before the exit and NPV kernels were merged.
-# The compound Poisson kernel watches the barrier only on the track at or above
-# zero, so its rows with a barrier below zero record the kernel as it stands,
-# not a first passage.
+# draws, starts below zero, mid-band, on and above the trigger.  Values were
+# captured before the exit and NPV kernels were merged, except the two rows
+# with the barrier at zero, the edge of the exit functional's domain (a
+# barrier below zero is rejected, test_exit_barrier_below_zero_rejected);
+# those were captured before that check and lie within 1.4 standard errors
+# of V(-1)/V(0).
 KERNEL_FROZEN = [
     ("bm", "exit", -1.0, 3.0, False, 0.5048878813157918, 0.016402094119595916),
     ("bm", "exit", -1.0, 3.0, True, 0.5252350160576964, 0.009931039834767058),
@@ -144,8 +145,8 @@ KERNEL_FROZEN = [
     ("bm", "npv", 4.0, (0.5, 3.0), True, 9.457710060587196, 0.045849897607657855),
     ("cl", "exit", -1.0, 3.0, False, 0.6531447036458851, 0.008500056005208773),
     ("cl", "exit", -1.0, 3.0, True, 0.6624791873348228, 0.006726839561029426),
-    ("cl", "exit", -1.0, -0.5, False, 0.8730035232142904, 0.006943618418940883),
-    ("cl", "exit", -1.0, -0.5, True, 0.8821343908109277, 0.006225379315099487),
+    ("cl", "exit", -1.0, 0.0, False, 0.8651030930057101, 0.00688078067401188),
+    ("cl", "exit", -1.0, 0.0, True, 0.8741513288829181, 0.006169041427000448),
     ("cl", "npv", 4.0, (0.5, 4.0), False, 9.410099542843298, 0.10950942039699041),
     ("cl", "npv", 4.0, (0.5, 4.0), True, 9.682064126068706, 0.07861537257350881),
     ("cl", "npv", 5.0, (0.5, 4.0), False, 10.4100995428433, 0.10950942039699035),
@@ -165,8 +166,20 @@ def test_kernel_paths_frozen(model, functional, x, arg, antithetic, mean, stderr
         est = estimate_exit_functional(spec, x, arg, cfg)
     else:
         est = estimate_policy_npv(spec, ImpulsePolicy(*arg), x, cfg)
-    assert est.mean == pytest.approx(mean, rel=1e-12)
-    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+    assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model", ["bm", "cl"])
+def test_exit_barrier_below_zero_rejected(model):
+    # V(x)/V(a) is not the exit functional there: at a first passage below 0
+    # the excursion clock is still running
+    spec = brownian_spec() if model == "bm" else cramer_lundberg_spec()
+    cfg = SimulationConfig(n_paths=10, seed=3)
+    with pytest.raises(DomainError, match="barrier"):
+        estimate_exit_functional(spec, -1.0, -0.5, cfg)
+    with pytest.raises(DomainError, match="barrier"):
+        estimate_exit_functional(spec, -0.5, -0.5, cfg)
 
 
 def test_tiny_path_count_works(cl_spec):
@@ -251,7 +264,7 @@ def test_single_path_deterministic_crossing():
     out, ts, us = simulate_refracted_path(spec, 1.0, 3.0, cfg, record_path=True)
     assert out.reason == "hit"
     assert out.value == 3.0
-    assert out.time == pytest.approx((3.0 - 1.0) / 2.75, rel=1e-12)
+    assert out.time == pytest.approx((3.0 - 1.0) / 2.75, rel=1e-12, abs=0.0)
     assert ts[0] == 0.0 and us[0] == 1.0 and us[-1] == 3.0
 
 
@@ -297,7 +310,7 @@ def test_parisian_clock_matches_path_kernel():
         ruin_time = parisian_clock(ts, us, spec.r)
         if out.reason == "ruin":
             ruins += 1
-            assert ruin_time == pytest.approx(out.time, rel=1e-12)
+            assert ruin_time == pytest.approx(out.time, rel=1e-12, abs=0.0)
         else:
             assert ruin_time is None
     assert ruins >= 2  # the downward drift makes ruin the common outcome
