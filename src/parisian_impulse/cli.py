@@ -282,6 +282,21 @@ def _cell(compute) -> str:
         return "overflow"
 
 
+def _column(f, xs: np.ndarray) -> list[str]:
+    """One CSV column of ``f`` on the grid, from one array call; NaN marks a
+    singular derivative.  A column that overflows somewhere is redone point
+    by point, so that only the overflowing cells are flagged."""
+    try:
+        values = f(xs)
+    except OverflowRangeError:
+        return [_cell(lambda: f(x)) for x in xs.tolist()]
+    return [sig17(v) if math.isfinite(v) else "" for v in values.tolist()]
+
+
+def _numbers(cells: list[str]) -> list[float | None]:
+    return [float(c) if c not in ("", "overflow") else None for c in cells]
+
+
 def cmd_eval(args) -> int:
     spec = _load_spec(args)
     if args.depth < 0.0:
@@ -292,24 +307,21 @@ def cmd_eval(args) -> int:
     cs = ps.coefficient_set
     depth = args.depth
 
-    lines = [",".join(EVAL_COLUMNS)]
-    v_cells: list[float | None] = []
-    xs = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
-    for x in xs:
-        cells = [
-            sig17(x),
-            _cell(lambda: surplus.value(x)),
-            _cell(lambda: surplus.derivative(x)),
-            _cell(lambda: surplus.second_scale(x)),
-            _cell(lambda: refracted_scale(cs, x, depth)),
-            _cell(lambda: ps.value(x)),
-            _cell(lambda: ps.derivative(x)),
-        ]
-        lines.append(",".join(cells))
-        v_cells.append(ps.value(x) if cells[5] not in ("", "overflow") else None)
+    xs = np.array([lo + i * (hi - lo) / (n - 1) for i in range(n)])
+    columns = [
+        [sig17(x) for x in xs.tolist()],
+        _column(surplus.value, xs),
+        _column(surplus.derivative, xs),
+        _column(surplus.second_scale, xs),
+        _column(lambda x: refracted_scale(cs, x, depth), xs),
+        _column(ps.value, xs),
+        _column(ps.derivative, xs),
+    ]
+    lines = [",".join(EVAL_COLUMNS)] + [",".join(row) for row in zip(*columns)]
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.svg:
-        _svg_line_chart(args.svg, xs, {"V": v_cells}, "Parisian refracted scale V")
+        _svg_line_chart(args.svg, xs.tolist(), {"V": _numbers(columns[5])},
+                        "Parisian refracted scale V")
     return 0
 
 
@@ -332,13 +344,12 @@ def cmd_optimize(args) -> int:
         rows = [(lo + i * (hi - lo) / (n - 1), "") for i in range(n)]
         rows += [(c1, "c1_star"), (c2, "c2_star")]
         rows.sort(key=lambda item: item[0])
-        lines = ["x,V_prime,marker"]
-        xs, ys = [], []
-        for x, marker in rows:
-            cell = _cell(lambda: ps.derivative(x))
-            lines.append(f"{sig17(x)},{cell},{marker}")
-            xs.append(x)
-            ys.append(float(cell) if cell not in ("", "overflow") else None)
+        xs = [x for x, _ in rows]
+        cells = _column(ps.derivative, np.array(xs))
+        lines = ["x,V_prime,marker"] + [
+            f"{sig17(x)},{cell},{marker}" for (x, marker), cell in zip(rows, cells)
+        ]
+        ys = _numbers(cells)
         if args.out:
             _write_text(args.out, "\n".join(lines) + "\n")
         if args.svg:
@@ -371,7 +382,7 @@ def _quadrature_points(spec: ProblemSpec) -> list[float]:
 def _check_unimodal(ps: ParisianScale, hi: float = 20.0, n: int = 2000) -> tuple[bool, str]:
     a_star = ps.derivative_argmin()
     xs = np.linspace(1e-6, hi, n)
-    vals = np.array([ps.derivative(float(x)) for x in xs])
+    vals = ps.positive_pair.derivative(xs)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
     left = xs <= a_star
     worst_left = float(np.max(np.diff(vals[left]))) if np.count_nonzero(left) > 1 else 0.0
@@ -595,8 +606,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SolverFailureError as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
-        if exc.best_point is not None:
-            sys.stderr.write(f"best grid point: {exc.best_point}\n")
         return 3
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

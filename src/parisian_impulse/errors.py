@@ -40,12 +40,4 @@ class QuadratureFailureError(NumericalError):
 
 
 class SolverFailureError(NumericalError):
-    """Root finding or optimization failed to converge.
-
-    ``best_point`` carries the best candidate seen so far, when one exists,
-    so callers can still report a diagnostic.
-    """
-
-    def __init__(self, message: str, best_point: object = None):
-        super().__init__(message)
-        self.best_point = best_point
+    """Root finding or optimization failed to converge."""

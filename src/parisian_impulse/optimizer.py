@@ -37,7 +37,8 @@ from .errors import DomainError, OverflowRangeError, SolverFailureError
 from .formatting import sig17
 from .models import BrownianMotion, CramerLundberg
 from .parisian import ParisianScale
-from .scale import EXP_ARG_MAX, ExponentialPair
+from .quadrature import integrate
+from .scale import EXP_ARG_MAX, ArrayLike, ExponentialPair
 
 SEARCH_DERIVATIVE_FACTOR = 10.0  # search_bound: V' grown this far past its minimum
 # Relative step at which a root counts as converged: a Newton step this
@@ -227,8 +228,8 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
     )
 
 
-def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: float) -> float:
-    """Candidate value of the policy started from x.
+def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> ArrayLike:
+    """Candidate value of the policy started from x (a float or an array).
 
     Scales V below ``upper`` and continues with unit slope above; continuous
     at ``upper`` by construction.
@@ -238,6 +239,9 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: float) -> float:
     policy.validate(beta)
     gain = ps.value(up) - ps.value(lo)
     factor = (up - lo - beta) / gain
+    if isinstance(x, np.ndarray):
+        below = factor * ps.value(np.minimum(x, up))
+        return np.where(x <= up, below, x - lo - beta + factor * ps.value(lo))
     if x <= up:
         return factor * ps.value(x)
     return x - lo - beta + factor * ps.value(lo)
@@ -314,8 +318,6 @@ def generator_residual(
     Cramer-Lundberg jump average by adaptive quadrature over the actual
     piecewise value function.
     """
-    from scipy.integrate import quad
-
     spec = ps.spec
     v = lambda y: value_function(ps, policy, y)
     vx = v(x)
@@ -340,15 +342,10 @@ def generator_residual(
     for a, b in zip(kinks, kinks[1:]):
         if b <= a:
             continue
-        val, _ = quad(
-            lambda z: v(x - z) * m.mu_claim * math.exp(-m.mu_claim * z),
-            a,
-            b,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=300,
-        )
-        jump_avg += val
+        jump_avg += integrate(
+            lambda z: v(x - z) * m.mu_claim * np.exp(-m.mu_claim * z),
+            a, b, epsabs=1e-12, epsrel=1e-10, limit=300,
+        )[0]
     return drift * d1 + m.lam * (jump_avg - vx) - spec.q * vx
 
 

@@ -16,12 +16,12 @@ over one delay window:
   terms, and the term count follows from the series base.
 
 The closed forms use NumPy and ``math`` only (the normal CDF tails come from
-``math.erfc`` and the Mills-ratio expansion); nothing here imports SciPy at
-module level.
+``math.erfc`` and the Mills-ratio expansion).
 
-``quadrature_value`` evaluates the defining integral directly with adaptive
-quadrature; it is deliberately independent of the closed forms so the two
-routes can be compared.
+``quadrature_value`` evaluates the defining integral directly with the
+package's adaptive Gauss-Kronrod rule, on arrays of window depths; it is
+deliberately independent of the closed forms so the two routes can be
+compared.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     OverflowRangeError,
-    QuadratureFailureError,
     SeriesConvergenceError,
     UndefinedDerivativeError,
 )
@@ -45,9 +44,11 @@ from .models import (
     ProblemSpec,
     compute_coefficients,
 )
-from .scale import ExponentialPair, ScaleFunction, refracted_scale
+from .quadrature import integrate
+from .scale import ArrayLike, ExponentialPair, ScaleFunction, refracted_scale
 
 SERIES_RTOL = 1e-12
+QUAD_RTOL = 1e-11  # relative tolerance of the window integral
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -148,8 +149,10 @@ class CompoundPoissonWindow:
     def atom(self) -> float:
         return math.exp(-self.lam * self.r)
 
-    def density(self, y: float) -> float:
-        """Density of the continuous part at ``y > 0``."""
+    def density(self, y: ArrayLike) -> ArrayLike:
+        """Density of the continuous part at ``y > 0`` (zero elsewhere)."""
+        if isinstance(y, np.ndarray):
+            return self._density_block(np.asarray(y, dtype=float))
         if y <= 0.0:
             return 0.0
         c = self.mu_claim * self.lam * self.r
@@ -166,6 +169,33 @@ class CompoundPoissonWindow:
             if small >= 2:
                 return self.atom * math.exp(-self.mu_claim * y) * total
         raise SeriesConvergenceError(f"compound density series did not converge at y={y}")
+
+    def _density_block(self, y: np.ndarray) -> np.ndarray:
+        """The density on an array: one block of log-space terms
+        ``log(c^{m+1} y^m / (m! (m+1)!))``, a row per point, sized from the
+        largest ``sqrt(c*y)``.  The prefactor ``e^{-lam*r - mu*y}`` joins in
+        the log, so no intermediate sum leaves the double range."""
+        out = np.zeros_like(y)
+        pos = y > 0.0
+        if not pos.any():
+            return out
+        yp = y[pos]
+        c = self.mu_claim * self.lam * self.r
+        n = _term_budget(math.sqrt(c * float(yp.max())))
+        m, log_m_factorial = _log_factorials(n + 1)
+        log_terms = (
+            (m[:-1] + 1.0) * math.log(c) - log_m_factorial[:-1] - log_m_factorial[1:]
+            + np.log(yp)[:, None] * m[:-1]
+        )
+        peak = log_terms.max(axis=1)
+        scaled = np.exp(log_terms - peak[:, None])
+        total = scaled.sum(axis=1)
+        if np.any(scaled[:, -2:].max(axis=1) >= SERIES_RTOL * total):
+            raise SeriesConvergenceError(
+                f"compound density series did not converge within {n} terms"
+            )
+        out[pos] = np.exp(peak + np.log(total) - self.lam * self.r - self.mu_claim * yp)
+        return out
 
 
 def _bessel_like_series(w: float) -> float:
@@ -389,9 +419,11 @@ class ParisianScale:
 
     # ---------- public evaluation ----------
 
-    def value(self, x: float) -> float:
+    def value(self, x: ArrayLike) -> ArrayLike:
         """V at x.  Zero below ``-p*r`` for Cramer-Lundberg (with the value at
-        ``-p*r`` itself taken as the right limit)."""
+        ``-p*r`` itself taken as the right limit).  Takes arrays too."""
+        if isinstance(x, np.ndarray):
+            return self._on_array(x.astype(float, copy=False), with_derivative=False)
         if x >= 0.0:
             return self.positive_pair.value(x)
         if self._is_cl:
@@ -400,8 +432,11 @@ class ParisianScale:
             return self._middle_cl(x, with_derivative=False)[0]
         return self._neg_brownian(x, with_derivative=False)[0]
 
-    def derivative(self, x: float) -> float:
-        """dV/dx.  Undefined at the Cramer-Lundberg kinks x = 0 and x = -p*r."""
+    def derivative(self, x: ArrayLike) -> ArrayLike:
+        """dV/dx.  Undefined at the Cramer-Lundberg kinks x = 0 and x = -p*r:
+        a scalar there raises, an array holds NaN there."""
+        if isinstance(x, np.ndarray):
+            return self._on_array(x.astype(float, copy=False), with_derivative=True)
         if self._is_cl:
             boundary = -self.spec.model.p * self.spec.r
             if x == 0.0 or x == boundary:
@@ -416,6 +451,24 @@ class ParisianScale:
         if x >= 0.0:
             return self.positive_pair.derivative(x)
         return self._neg_brownian(x, with_derivative=True)[1]
+
+    def _on_array(self, x: np.ndarray, with_derivative: bool) -> np.ndarray:
+        """V or V' on an array, one branch per mask.  The x >= 0 branch is one
+        array call; the band and the Brownian tails loop over their points."""
+        pair = self.positive_pair
+        out = np.zeros_like(x)
+        pos = x >= 0.0
+        out[pos] = (pair.derivative if with_derivative else pair.value)(x[pos])
+        if self._is_cl:
+            boundary = -self.spec.model.p * self.spec.r
+            below, point = (x < 0.0) & (x >= boundary), self._middle_cl
+        else:
+            below, point = x < 0.0, self._neg_brownian
+        part = int(with_derivative)
+        out[below] = [point(v, with_derivative)[part] for v in x[below].tolist()]
+        if with_derivative and self._is_cl:
+            out[(x == 0.0) | (x == boundary)] = np.nan
+        return out
 
     def derivative_argmin(self) -> float:
         """Argmin of dV/dx over (0, inf), closed form; 0 if V' is increasing."""
@@ -442,9 +495,6 @@ class ParisianScale:
         return self._quad_brownian(x, abs_tol)
 
     def _quad_cl(self, x: float, abs_tol: float) -> float:
-        # imported on use: scipy.integrate loads scipy.optimize, about 0.3 s
-        from scipy.integrate import quad
-
         spec = self.spec
         m = spec.model
         cs = self.coefficient_set
@@ -453,45 +503,30 @@ class ParisianScale:
         lo = max(0.0, -x)
         total = window.atom * m.p * refracted_scale(cs, x, pr)
 
-        def integrand(z: float) -> float:
+        def integrand(z: np.ndarray) -> np.ndarray:
             return refracted_scale(cs, x, z) * (z / spec.r) * window.density(pr - z)
 
         if lo < pr:
-            val, err = quad(integrand, lo, pr, epsabs=abs_tol, epsrel=1e-11, limit=500)
-            if err > 1e3 * max(abs_tol, 1e-14) and err > 1e-8 * max(abs(val), 1.0):
-                raise QuadratureFailureError(
-                    f"window integral error estimate {err:.2e} too large at x={x}"
-                )
-            total += val
+            total += integrate(integrand, lo, pr, abs_tol, QUAD_RTOL)[0]
         return total
 
     def _quad_brownian(self, x: float, abs_tol: float) -> float:
-        from scipy.integrate import quad
-
         spec = self.spec
         m = spec.model
         cs = self.coefficient_set
         mean = m.mu * spec.r
         sd = m.sigma * math.sqrt(spec.r)
 
-        def integrand(z: float) -> float:
-            dens = math.exp(-0.5 * ((z - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+        def integrand(z: np.ndarray) -> np.ndarray:
+            dens = np.exp(-0.5 * ((z - mean) / sd) ** 2) / (sd * _SQRT_2PI)
             return refracted_scale(cs, x, z) * (z / spec.r) * dens
 
         lo = max(0.0, -x)
         hi = mean + 12.0 * sd
-        if lo >= hi:
-            return 0.0
         total = 0.0
         for a, b in ((lo, max(lo, mean)), (max(lo, mean), hi)):
-            if b <= a:
-                continue
-            val, err = quad(integrand, a, b, epsabs=abs_tol, epsrel=1e-11, limit=500)
-            if err > 1e3 * max(abs_tol, 1e-14) and err > 1e-8 * max(abs(val), 1.0):
-                raise QuadratureFailureError(
-                    f"window integral error estimate {err:.2e} too large at x={x}"
-                )
-            total += val
+            if a < b:
+                total += integrate(integrand, a, b, abs_tol, QUAD_RTOL)[0]
         return total
 
 

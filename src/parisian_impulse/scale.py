@@ -37,8 +37,9 @@ def _check_exp_range(rate: float, x: ArrayLike) -> None:
         )
 
 
-def _match(x: ArrayLike, out: np.ndarray) -> ArrayLike:
-    return out if isinstance(x, np.ndarray) else float(out)
+def _match(out: ArrayLike) -> ArrayLike:
+    """A float for a scalar result, the array otherwise."""
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,9 @@ class ExponentialPair:
     """The function ``f(x) = a * exp(kp * x) - b * exp(km * x)`` with kp > km.
 
     All scale-type functions in this package restrict to this shape on
-    ``x >= 0``.  Evaluations accept scalars or numpy arrays.
+    ``x >= 0``.  Evaluations accept scalars or numpy arrays.  ``a`` and ``b``
+    may be arrays of one shape (``refracted_pair`` on an array of depths);
+    a scalar ``x`` then gives an array.
     """
 
     a: float
@@ -57,13 +60,12 @@ class ExponentialPair:
     def value(self, x: ArrayLike) -> ArrayLike:
         _check_exp_range(self.kp, x)
         xx = np.asarray(x, dtype=float)
-        return _match(x, self.a * np.exp(self.kp * xx) - self.b * np.exp(self.km * xx))
+        return _match(self.a * np.exp(self.kp * xx) - self.b * np.exp(self.km * xx))
 
     def derivative(self, x: ArrayLike) -> ArrayLike:
         _check_exp_range(self.kp, x)
         xx = np.asarray(x, dtype=float)
         return _match(
-            x,
             self.a * self.kp * np.exp(self.kp * xx)
             - self.b * self.km * np.exp(self.km * xx),
         )
@@ -75,7 +77,7 @@ class ExponentialPair:
         out = self.a / self.kp * (np.exp(self.kp * xx) - 1.0) - self.b / self.km * (
             np.exp(self.km * xx) - 1.0
         )
-        return _match(x, out)
+        return _match(out)
 
     def derivative_argmin(self) -> float:
         """Location of the minimum of f' on [0, inf).
@@ -120,13 +122,13 @@ class ScaleFunction:
     def value(self, x: ArrayLike) -> ArrayLike:
         xx = np.asarray(x, dtype=float)
         out = np.where(xx < 0.0, 0.0, self.pair.value(np.maximum(xx, 0.0)))
-        return _match(x, out)
+        return _match(out)
 
     def derivative(self, x: ArrayLike) -> ArrayLike:
         """Right derivative; 0 on ``x < 0``, the 0+ limit at 0."""
         xx = np.asarray(x, dtype=float)
         out = np.where(xx < 0.0, 0.0, self.pair.derivative(np.maximum(xx, 0.0)))
-        return _match(x, out)
+        return _match(out)
 
     def second_scale(self, x: ArrayLike) -> ArrayLike:
         """``1 + q * int_0^x value(y) dy``; identically 1 on ``x <= 0``."""
@@ -134,24 +136,29 @@ class ScaleFunction:
         out = np.where(
             xx < 0.0, 1.0, 1.0 + self.q * self.pair.integral_from_zero(np.maximum(xx, 0.0))
         )
-        return _match(x, out)
+        return _match(out)
 
 
-def refracted_pair(cs: CoefficientSet, depth: float) -> ExponentialPair:
+def refracted_pair(cs: CoefficientSet, depth: ArrayLike) -> ExponentialPair:
     """Two-exponential form of ``w(x; -depth)`` on ``x >= 0``.
 
     Partial fractions against the refracted-process exponent kill the
     surplus-rate exponentials in the convolution exactly, leaving only the
     refracted rates.  The resulting coefficients are sums of same-sign terms
-    for the growing part, so the evaluation stays cancellation-free.
+    for the growing part, so the evaluation stays cancellation-free.  An
+    array of depths gives arrays ``a`` and ``b``, one entry per depth.
     """
-    if depth < 0:
+    if isinstance(depth, np.ndarray):
+        negative, exp = bool((depth < 0.0).any()), np.exp
+    else:
+        negative, exp = depth < 0.0, math.exp
+    if negative:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     X, Y = cs.surplus, cs.refracted
     delta = cs.spec.delta
     _check_exp_range(X.rate_plus, depth)
-    e_p = math.exp(X.rate_plus * depth)
-    e_m = math.exp(X.rate_minus * depth)
+    e_p = exp(X.rate_plus * depth)
+    e_m = exp(X.rate_minus * depth)
     tp = X.weight_plus * X.rate_plus * e_p
     tm = X.weight_minus * X.rate_minus * e_m
     a = -delta * Y.weight_plus * (
@@ -163,16 +170,23 @@ def refracted_pair(cs: CoefficientSet, depth: float) -> ExponentialPair:
     return ExponentialPair(a, b, Y.rate_plus, Y.rate_minus)
 
 
-def refracted_scale(cs: CoefficientSet, x: float, depth: float) -> float:
+def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> ArrayLike:
     """``w(x; -depth)``: scale function of the refracted exit problem when the
     start sits ``depth`` below the refraction level 0.
 
     Equals the plain surplus scale function at ``x + depth`` for ``x < 0``
     and switches to the refracted two-exponential form above 0 (continuously).
+    Either argument may be an array: a scalar ``x`` with an array of depths
+    (the window integral) or an array of ``x`` at one depth.
     """
-    if x < 0.0:
-        return ScaleFunction(cs.surplus, cs.spec.q).value(x + depth)
-    return refracted_pair(cs, depth).value(x)
+    if not isinstance(x, np.ndarray):
+        if x < 0.0:
+            return ScaleFunction(cs.surplus, cs.spec.q).value(x + depth)
+        return refracted_pair(cs, depth).value(x)
+    xx = np.asarray(x, dtype=float)
+    below = ScaleFunction(cs.surplus, cs.spec.q).value(np.minimum(xx, 0.0) + depth)
+    above = refracted_pair(cs, depth).value(np.maximum(xx, 0.0))
+    return np.where(xx < 0.0, below, above)
 
 
 def refracted_scale_derivative(cs: CoefficientSet, x: float, depth: float) -> float:

@@ -227,8 +227,9 @@ def regularized_lower_gamma(order: int, x: float) -> float:
 
     Two cancellation-free branches: for ``order <= x`` subtract the short
     Poisson head from 1 (the head is at most ~0.6 there); for ``order > x``
-    sum the all-positive Poisson tail directly.  Leading terms start in log
-    space, so neither branch can overflow.
+    sum the all-positive Poisson tail directly.  Each branch starts from its
+    largest term, computed in log space, so neither can overflow and an
+    ``e^{-x}`` that underflows on its own (x > 745) does no harm.
     """
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
@@ -237,12 +238,15 @@ def regularized_lower_gamma(order: int, x: float) -> float:
     if x <= 0.0:
         return 0.0
     if order <= x:
-        # P = 1 - e^{-x} sum_{k < order} x^k / k!
-        term = math.exp(-x)
+        # P = 1 - e^{-x} sum_{k < order} x^k / k!, summed down from k = order - 1,
+        # the largest term since x / k >= 1 below it
+        term = math.exp((order - 1) * math.log(x) - x - math.lgamma(order))
         head = term
-        for k in range(1, order):
-            term *= x / k
+        for k in range(order - 1, 0, -1):
+            term *= k / x
             head += term
+            if term <= 1e-17 * head:
+                break
         return 1.0 - head
     # P = e^{-x} sum_{k >= order} x^k / k!, decreasing terms since order > x
     log_t = order * math.log(x) - x - math.lgamma(order + 1.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from parisian_impulse import (
@@ -163,6 +164,14 @@ def test_value_function_shape(bm_scale, optimum):
             bm_scale.value(x) / bm_scale.derivative(up), rel=1e-10
         )
     assert v(0.0) > 0.0
+
+
+def test_value_function_on_arrays_matches_scalar_calls(bm_scale, cl_scale, optimum):
+    for ps in (bm_scale, cl_scale):
+        pol = optimum(ps.spec).policy
+        xs = np.array([-8.0, -1.0, 0.0, 0.5 * pol.upper, pol.upper, 1.5 * pol.upper])
+        got = value_function(ps, pol, xs)
+        assert got.tolist() == [value_function(ps, pol, float(x)) for x in xs]
 
 
 def test_value_function_rejects_bad_policies(bm_scale):

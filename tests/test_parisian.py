@@ -106,6 +106,23 @@ def test_derivative_matches_finite_differences(which, points, bm_scale, cl_scale
         assert ps.derivative(x) == pytest.approx(fd, rel=1e-5), f"x={x}"
 
 
+@pytest.mark.parametrize("which", ["bm", "cl"])
+def test_value_and_derivative_on_arrays_match_scalar_calls(which, bm_scale, cl_scale):
+    # every branch: below the band, its edge, the band or the tails, 0, x > 0
+    ps = bm_scale if which == "bm" else cl_scale
+    xs = np.array([-8.0, -6.0, -5.9, -3.0, -1e-9, 0.0, 1e-9, 0.5, 3.0, 12.0])
+    assert ps.value(xs).tolist() == [ps.value(float(x)) for x in xs]
+    want = []
+    for x in xs:
+        try:
+            want.append(ps.derivative(float(x)))
+        except UndefinedDerivativeError:
+            want.append(math.nan)
+    got = ps.derivative(xs)
+    assert np.array_equal(got, np.array(want), equal_nan=True)
+    assert np.isnan(got).sum() == (2 if which == "cl" else 0)
+
+
 def test_derivative_undefined_at_compound_poisson_kinks(cl_scale):
     with pytest.raises(UndefinedDerivativeError):
         cl_scale.derivative(0.0)
@@ -162,10 +179,10 @@ def test_regularized_lower_gamma_against_scipy():
             assert mine == pytest.approx(ref, rel=1e-12, abs=1e-300), (order, x)
 
 
-@pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 5.0, 17.5, 40.0, 120.0, 300.0, 700.0])
+@pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 5.0, 17.5, 40.0, 120.0, 300.0, 700.0, 900.0])
 def test_gamma_terms_match_scalar_oracle_and_scipy(x):
     # both sides of m + 1 = x, the seam itself at integer x, and the far tail;
-    # x stops below 745, where the scalar oracle's e^{-x} underflows
+    # beyond x = 745 e^{-x} alone underflows
     n = max(60, int(2 * x))
     with np.errstate(divide="ignore"):
         log_p, log_pmf = _log_gamma_terms(x, n)
@@ -282,6 +299,10 @@ def test_compound_window_density():
     for y in (0.05, 0.5, 2.0, 7.0, 20.0):
         ref = math.exp(-4.0 - y) * math.sqrt(c / y) * float(i1(2.0 * math.sqrt(c * y)))
         assert window.density(y) == pytest.approx(ref, rel=1e-10), f"y={y}"
+    # on arrays: one log-space term block instead of the scalar recurrence
+    ys = np.array([-1.0, 0.0, 0.05, 0.5, 2.0, 7.0, 20.0])
+    assert window.density(ys) == pytest.approx([window.density(y) for y in ys.tolist()],
+                                               rel=1e-13, abs=0.0)
     # atom plus continuous mass adds to one
     mass, _ = quad(window.density, 0.0, 200.0, epsabs=1e-12, epsrel=1e-11, limit=300)
     assert window.atom + mass == pytest.approx(1.0, abs=1e-9)

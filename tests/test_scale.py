@@ -112,6 +112,21 @@ def test_refracted_scale_continuity_at_zero(spec):
     assert refracted_scale(cs, -3.0, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("spec", [brownian_spec(), cramer_lundberg_spec()])
+def test_refracted_scale_on_arrays_matches_scalar_calls(spec):
+    cs = compute_coefficients(spec)
+    xs = np.array([-3.0, -0.7, 0.0, 0.4, 2.5])
+    depths = np.array([0.0, 0.3, 1.7, 5.9])
+    # an array of x at one depth takes the scalar code point by point
+    assert refracted_scale(cs, xs, 1.3).tolist() == [refracted_scale(cs, x, 1.3) for x in xs]
+    # an array of depths at one x: np.exp in place of math.exp, last-digit gaps
+    for x in xs:
+        want = [refracted_scale(cs, float(x), float(z)) for z in depths]
+        assert refracted_scale(cs, float(x), depths) == pytest.approx(want, rel=1e-14, abs=0.0)
+    with pytest.raises(ValueError):
+        refracted_pair(cs, np.array([0.5, -0.1]))
+
+
 def test_refracted_scale_frozen_values():
     # frozen from a 50-digit evaluation of the defining convolution
     bm = compute_coefficients(brownian_spec())
