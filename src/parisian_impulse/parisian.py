@@ -153,22 +153,7 @@ class CompoundPoissonWindow:
         """Density of the continuous part at ``y > 0`` (zero elsewhere)."""
         if isinstance(y, np.ndarray):
             return self._density_block(np.asarray(y, dtype=float))
-        if y <= 0.0:
-            return 0.0
-        c = self.mu_claim * self.lam * self.r
-        term = c  # m = 0 contribution before the exponential prefactor
-        total = term
-        small = 0
-        # the term ratio c*y / (m (m+1)) falls below 1 near m = sqrt(c*y)
-        for m in range(1, _term_budget(math.sqrt(c * y)) + 1):
-            term *= c * y / (m * (m + 1))
-            total += term
-            if total == math.inf:
-                break
-            small = small + 1 if term < SERIES_RTOL * total else 0
-            if small >= 2:
-                return self.atom * math.exp(-self.mu_claim * y) * total
-        raise SeriesConvergenceError(f"compound density series did not converge at y={y}")
+        return float(self._density_block(np.array([y], dtype=float))[0])
 
     def _density_block(self, y: np.ndarray) -> np.ndarray:
         """The density on an array: one block of log-space terms

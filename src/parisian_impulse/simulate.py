@@ -31,10 +31,13 @@ Conventions of both kernels:
   Censoring beyond 0.1% of paths attaches a warning to the estimate.
 
 Estimates are reproducible bit for bit: paths are split over a fixed number of
-seeded substreams and block moments are combined in a fixed order.
+seeded substreams and block moments are combined in a fixed order.  The
+Brownian kernel steps all substreams in one array, each drawing its normals
+in the order it would alone.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -189,25 +192,33 @@ def _start_payment(spec: ProblemSpec, x: float, upper: float, lower: float | Non
 # ---------------------------------------------------------------------------
 
 
-def _brownian_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
-                    dt: float, t_max: float, gen: np.random.Generator, n_paths: int,
-                    antithetic: bool) -> tuple[np.ndarray, int, int]:
-    """Payoffs of one block of paths, with the raw and censored path counts.
+def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | None,
+                    dt: float, t_max: float, gens: list[np.random.Generator],
+                    counts: list[int], antithetic: bool) -> list[tuple[np.ndarray, int, int]]:
+    """Payoffs of every block, with its raw and censored path counts.
 
-    With ``lower`` None a touch of ``upper`` pays ``exp(-q t)`` and absorbs the
+    The blocks' paths are stepped as one array, laid out block after block;
+    block ``b`` draws its normals from ``gens[b]`` in the order it would on
+    its own, so each block's payoffs do not depend on the others.  With
+    ``lower`` None a touch of ``upper`` pays ``exp(-q t)`` and absorbs the
     path (exit functional); otherwise it pays the surplus down to ``lower`` at
     cost ``spec.beta`` and the path goes on (impulse policy NPV).
     """
     model = spec.model
     assert isinstance(model, BrownianMotion)
-    n_pairs, n = _block_size(n_paths, antithetic)
+    pairs, sizes = zip(*(_block_size(count, antithetic) for count in counts))
+    offsets = [0, *itertools.accumulate(sizes)]
+    n = offsets[-1]
     value, x0 = _start_payment(spec, x, upper, lower, n)
-    if lower is None and x0 >= upper:
-        return _pair_average(value + 1.0, antithetic), n, 0
+    absorbed = lower is None and x0 >= upper
+    if absorbed:
+        value += 1.0
 
     u = np.full(n, x0)
     exc = np.zeros(n)  # current excursion length; starts counting at time zero
-    idx = np.arange(n)
+    idx = np.arange(0 if absorbed else n)
+    z_all = np.empty(n)
+    fills = None  # per live block: its generator and the slices its draws fill
     sig_dt = model.sigma * math.sqrt(dt)
     mu, delta, q, r = model.mu, spec.delta, spec.q, spec.r
     n_steps = int(math.ceil(t_max / dt))
@@ -215,13 +226,25 @@ def _brownian_block(spec: ProblemSpec, x: float, upper: float, lower: float | No
     for step in range(n_steps):
         if idx.size == 0:
             break
+        if fills is None:
+            bounds = np.searchsorted(idx, offsets).tolist()
+            live = [b for b in range(len(counts)) if bounds[b + 1] > bounds[b]]
+            if antithetic:
+                # n_pairs draws and their negation over the block's full layout
+                fills = [(gens[b], z_all[offsets[b]:offsets[b] + pairs[b]],
+                          z_all[offsets[b] + pairs[b]:offsets[b + 1]]) for b in live]
+            else:
+                fills = [(gens[b], z_all[bounds[b]:bounds[b + 1]]) for b in live]
         t = (step + 1) * dt
         if antithetic:
-            z_full = gen.standard_normal(n_pairs)
-            z_full = np.concatenate([z_full, -z_full])
-            z = z_full[idx]
+            for gen, head, tail in fills:
+                gen.standard_normal(out=head)
+                np.negative(head, out=tail)
+            z = z_all[idx]
         else:
-            z = gen.standard_normal(idx.size)
+            for gen, out in fills:
+                gen.standard_normal(out=out)
+            z = z_all[:idx.size]
         # drift indicator from the step start, barrier and clock at step end
         u += (mu - delta * (u > 0.0)) * dt + sig_dt * z
         pay = u >= upper
@@ -242,7 +265,10 @@ def _brownian_block(spec: ProblemSpec, x: float, upper: float, lower: float | No
         if done.any():
             keep = ~done
             u, exc, idx = u[keep], exc[keep], idx[keep]
-    return _pair_average(value, antithetic), n, idx.size
+            fills = None
+    censored = np.diff(np.searchsorted(idx, offsets)).tolist()
+    return [(_pair_average(value[lo:hi], antithetic), hi - lo, c)
+            for lo, hi, c in zip(offsets, offsets[1:], censored)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +281,7 @@ def _cl_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
               antithetic: bool) -> tuple[np.ndarray, int, int]:
     """Payoffs of one block of paths, with the raw and censored path counts.
 
-    ``lower`` selects the functional as in :func:`_brownian_block`.  A payment
+    ``lower`` selects the functional as in :func:`_brownian_paths`.  A payment
     returns the path to ``lower``, from where it may reach ``upper`` again
     before the next claim, so payments come in evenly spaced chains.
     """
@@ -343,16 +369,17 @@ def _estimate(spec: ProblemSpec, x: float, upper: float, lower: float | None,
     """Run the model's kernel over the seeded substreams and combine blocks."""
     dt, t_max = config.resolve(spec)
     start = time.perf_counter()
+    counts, gens = _block_counts(config.n_paths), _substreams(config.seed)
+    if isinstance(spec.model, BrownianMotion):
+        blocks = _brownian_paths(spec, x, upper, lower, dt, t_max, gens, counts,
+                                 config.antithetic)
+    else:
+        blocks = (_cl_block(spec, x, upper, lower, t_max, gen, count, config.antithetic)
+                  for count, gen in zip(counts, gens))
     acc = _Accumulator()
-    for count, gen in zip(_block_counts(config.n_paths), _substreams(config.seed)):
-        if count == 0:
-            continue
-        if isinstance(spec.model, BrownianMotion):
-            block = _brownian_block(spec, x, upper, lower, dt, t_max, gen, count,
-                                    config.antithetic)
-        else:
-            block = _cl_block(spec, x, upper, lower, t_max, gen, count, config.antithetic)
-        acc.add_block(*block)
+    for count, block in zip(counts, blocks):
+        if count:
+            acc.add_block(*block)
     return acc.estimate(time.perf_counter() - start)
 
 

@@ -15,6 +15,9 @@ term by term; it checks the package's vectorized incomplete gamma terms.
 The single-path simulators at the end follow one refracted path at a time in
 plain Python; they check the vectorized Monte Carlo kernels' conventions
 (excursion clock, barrier ties, drift per step) path by path.
+``brownian_block`` steps one seeded substream's Euler paths on their own; the
+package steps all substreams in one array and must give the same estimates
+bit for bit.
 """
 from __future__ import annotations
 
@@ -27,7 +30,12 @@ from scipy.integrate import quad
 from parisian_impulse.errors import DomainError, SeriesConvergenceError
 from parisian_impulse.models import BrownianMotion, CramerLundberg, Model, ProblemSpec
 from parisian_impulse.parisian import ParisianScale
-from parisian_impulse.simulate import SimulationConfig
+from parisian_impulse.simulate import (
+    SimulationConfig,
+    _block_size,
+    _pair_average,
+    _start_payment,
+)
 
 
 def exponent_roots_and_weights(model: Model, q: float) -> tuple[float, float, float, float]:
@@ -432,3 +440,59 @@ def _single_cl(spec, x0, barrier, t_max, gen):
         us.append(u)
         if u < 0.0 and deadline == math.inf:
             deadline = t + r
+
+
+def brownian_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
+                   dt: float, t_max: float, gen: np.random.Generator, n_paths: int,
+                   antithetic: bool) -> tuple[np.ndarray, int, int]:
+    """Payoffs of one block of paths, with the raw and censored path counts.
+
+    With ``lower`` None a touch of ``upper`` pays ``exp(-q t)`` and absorbs the
+    path (exit functional); otherwise it pays the surplus down to ``lower`` at
+    cost ``spec.beta`` and the path goes on (impulse policy NPV).
+    """
+    model = spec.model
+    assert isinstance(model, BrownianMotion)
+    n_pairs, n = _block_size(n_paths, antithetic)
+    value, x0 = _start_payment(spec, x, upper, lower, n)
+    if lower is None and x0 >= upper:
+        return _pair_average(value + 1.0, antithetic), n, 0
+
+    u = np.full(n, x0)
+    exc = np.zeros(n)  # current excursion length; starts counting at time zero
+    idx = np.arange(n)
+    sig_dt = model.sigma * math.sqrt(dt)
+    mu, delta, q, r = model.mu, spec.delta, spec.q, spec.r
+    n_steps = int(math.ceil(t_max / dt))
+
+    for step in range(n_steps):
+        if idx.size == 0:
+            break
+        t = (step + 1) * dt
+        if antithetic:
+            z_full = gen.standard_normal(n_pairs)
+            z_full = np.concatenate([z_full, -z_full])
+            z = z_full[idx]
+        else:
+            z = gen.standard_normal(idx.size)
+        # drift indicator from the step start, barrier and clock at step end
+        u += (mu - delta * (u > 0.0)) * dt + sig_dt * z
+        pay = u >= upper
+        if pay.any():
+            if lower is None:
+                value[idx[pay]] = math.exp(-q * t)
+            else:
+                # the Euler step can overshoot the trigger; pay the whole excess
+                net = u[pay] - lower - spec.beta
+                assert lower >= 0.0 and float(net.min()) > 0.0
+                value[idx[pay]] += math.exp(-q * t) * net
+                u[pay] = lower
+        # an absorbed path is dropped below before its clock is read again
+        exc = np.where(u < 0.0, exc + dt, 0.0)
+        done = exc >= r
+        if lower is None:
+            done |= pay
+        if done.any():
+            keep = ~done
+            u, exc, idx = u[keep], exc[keep], idx[keep]
+    return _pair_average(value, antithetic), n, idx.size

@@ -21,8 +21,9 @@ from parisian_impulse import (
     value_function,
 )
 from parisian_impulse.models import CramerLundberg, ProblemSpec
+from parisian_impulse.simulate import _Accumulator, _block_counts, _substreams
 
-from oracles import parisian_clock, simulate_refracted_path
+from oracles import brownian_block, parisian_clock, simulate_refracted_path
 from params import brownian_spec, cramer_lundberg_spec
 
 
@@ -168,6 +169,67 @@ def test_kernel_paths_frozen(model, functional, x, arg, antithetic, mean, stderr
         est = estimate_policy_npv(spec, ImpulsePolicy(*arg), x, cfg)
     assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
+
+
+def _per_block_estimate(spec, x, upper, lower, cfg):
+    # the estimator with every substream stepped on its own by the oracle
+    dt, t_max = cfg.resolve(spec)
+    acc = _Accumulator()
+    for count, gen in zip(_block_counts(cfg.n_paths), _substreams(cfg.seed)):
+        if count:
+            acc.add_block(*brownian_block(spec, x, upper, lower, dt, t_max, gen, count,
+                                          cfg.antithetic))
+    return acc.estimate(0.0)
+
+
+def _assert_matches_per_block(spec, functional, x, arg, cfg):
+    if functional == "exit":
+        est = estimate_exit_functional(spec, x, arg, cfg)
+        ref = _per_block_estimate(spec, x, arg, None, cfg)
+    else:
+        est = estimate_policy_npv(spec, ImpulsePolicy(*arg), x, cfg)
+        ref = _per_block_estimate(spec, x, arg[1], arg[0], cfg)
+    for field in ("mean", "stderr", "censored_fraction"):
+        assert float.hex(getattr(est, field)) == float.hex(getattr(ref, field)), field
+    assert est.n_effective == ref.n_effective
+    assert est.warning == ref.warning
+    return est
+
+
+# starts below zero, at zero, mid-band, on the trigger (the exit paid at the
+# start) and above it
+BROWNIAN_STARTS = [
+    ("exit", -1.0, 3.0), ("exit", 0.0, 3.0), ("exit", 1.5, 3.0), ("exit", 3.0, 3.0),
+    ("npv", 0.0, (0.5, 3.0)), ("npv", 1.5, (0.5, 3.0)), ("npv", 3.0, (0.5, 3.0)),
+    ("npv", 4.0, (0.5, 3.0)),
+]
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("functional, x, arg", BROWNIAN_STARTS)
+def test_brownian_kernel_matches_per_block_oracle(functional, x, arg, antithetic):
+    # 1, 3 and 7 paths leave some of the eight substreams empty
+    spec = brownian_spec()
+    for n_paths in (1, 3, 7, 777):
+        cfg = SimulationConfig(n_paths=n_paths, seed=5, antithetic=antithetic, dt=0.05,
+                               t_max=12.0)
+        _assert_matches_per_block(spec, functional, x, arg, cfg)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_brownian_kernel_matches_per_block_oracle_all_paths_die(antithetic):
+    cfg = SimulationConfig(n_paths=777, seed=8, antithetic=antithetic, dt=0.05, t_max=60.0)
+    est = _assert_matches_per_block(brownian_spec(), "exit", 0.5, 3.0, cfg)
+    assert est.censored_fraction == 0.0
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_brownian_kernel_matches_per_block_oracle_censored(antithetic):
+    # from -1 some paths are ruined, some reach 3 and the rest are cut at t_max
+    cfg = SimulationConfig(n_paths=777, seed=8, antithetic=antithetic, dt=0.05, t_max=4.0)
+    est = _assert_matches_per_block(brownian_spec(), "exit", -1.0, 3.0, cfg)
+    assert 0.0 < est.censored_fraction < 1.0
+    assert est.warning is not None
 
 
 @pytest.mark.parametrize("model", ["bm", "cl"])
