@@ -45,10 +45,8 @@ from .parisian import (
 from .scale import (
     ExponentialPair,
     ScaleFunction,
-    refracted_derivative_argmin,
     refracted_pair,
     refracted_scale,
-    refracted_scale_derivative,
 )
 from .simulate import (
     MonteCarloEstimate,

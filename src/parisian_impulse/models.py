@@ -194,10 +194,6 @@ class CoefficientSet:
     surplus: ScaleCoefficients
     refracted: ScaleCoefficients
 
-    @property
-    def is_bounded_variation(self) -> bool:
-        return isinstance(self.spec.model, CramerLundberg)
-
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)
 def compute_coefficients(spec: ProblemSpec) -> CoefficientSet:

@@ -10,8 +10,8 @@ over ``lower >= 0``, ``upper > lower + beta``; the candidate value function
 then scales V by the minimized ratio below ``upper`` and grows with unit
 slope above it.
 
-On x >= 0, V is two exponentials, so V' is convex with a closed-form argmin
-``a*`` and the search reduces to one scalar root (the structure of Loeffen,
+On x >= 0, V is two exponentials, so V' falls to a closed-form argmin
+``a*`` and rises beyond it, and the search reduces to one scalar root (the structure of Loeffen,
 2009, Insurance Math. Econ. 45).  For ``c1 <= a*`` let ``c2(c1) >= a*`` be
 the right preimage, ``V'(c2) = V'(c1)``, and
 
@@ -24,12 +24,21 @@ The optimum is interior exactly when ``a* > 0`` and ``G(0) < 0``: then
 ``h(c2) = V'(c2) * (c2 - beta) - (V(c2) - V(0))`` on ``(max(a*, beta), inf)``.
 Every root, the preimage included, comes from one bracketed Newton-bisection
 on floats that never leaves the finite range of ``exp``.
+
+The sufficiency certificate (V' nondecreasing beyond the trigger) is closed
+form too.  With ``V = a*e^{kp x} - b*e^{km x}``, ``a > 0`` and ``km < 0``:
+if ``b >= 0``, ``V''' = a*kp^3*e^{kp x} - b*km^3*e^{km x} > 0``, so V' is
+convex with its minimum at ``a*``; if ``b < 0``, both terms of V'' are
+positive, so V' increases throughout and ``a* = 0``.  Either way the
+certificate holds on all of [upper, inf) exactly when ``upper >= a*``.  The
+transfer inequality has no reduction that simple: its margin is checked on a
+200 x 200 table of ordered pairs on [0, 2*upper].
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +55,9 @@ SEARCH_DERIVATIVE_FACTOR = 10.0  # search_bound: V' grown this far past its mini
 # bounds the error by itself.
 ROOT_RTOL = 1e-12
 ROOT_MAX_ITER = 200
+ARGMIN_TOL = 1e-12  # a trigger this close below a* counts as at it
+TRANSFER_GRID_N = 200  # points per axis of the transfer table on [0, 2*upper]
+TRANSFER_TOL = 1e-9  # least margin the transfer table accepts
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,7 @@ class OptimalPolicyResult:
 def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
     """g(lower, upper); raises DomainError outside the admissible wedge."""
     beta = ps.spec.beta
-    if not lower >= 0.0:
-        raise DomainError(f"lower boundary must be nonnegative, got {lower}")
-    if not upper > lower + beta:
-        raise DomainError(
-            f"need upper > lower + beta, got upper={upper} lower={lower} beta={beta}"
-        )
+    ImpulsePolicy(lower, upper).validate(beta)
     return (ps.value(upper) - ps.value(lower)) / (upper - lower - beta)
 
 
@@ -247,63 +254,54 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> Ar
     return x - lo - beta + factor * ps.value(lo)
 
 
-def check_sufficiency_pair(
-    ps: ParisianScale, upper: float, tol: float = 1e-9, grid_n: int = 2000
-) -> SufficiencyReport:
+def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport:
     """V' nondecreasing on [upper, inf): the optimality certificate.
 
-    The closed form gives the exact argmin of V'; the grid double-checks the
-    monotonicity numerically out to where V' has grown far past its minimum.
+    Closed form (see the module docstring): it holds exactly when ``a > 0``
+    and ``upper >= a*``.  ``worst_slack`` is the least V'' on [upper, inf):
+    V'' at upper, or at the zero of V''' when ``b < 0`` puts that further
+    right.  V' is also evaluated at both ends of ``[upper, far]``, where its
+    two exponential terms are largest, so that a V' that leaves the double
+    range there is a typed error rather than a silent pass.
     """
     pair = ps.positive_pair
     a_star = pair.derivative_argmin()
     far = max(upper + 10.0, 3.0 * max(a_star, 1.0))
-    xs = np.linspace(upper, far, grid_n)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as a typed error below
-        dv = pair.derivative(xs)
+        dv = pair.derivative(np.array([upper, far]))
     if not np.all(np.isfinite(dv)):
         raise OverflowRangeError(
             f"V' is not finite on the certificate grid [{upper:.6g}, {far:.6g}]"
         )
-    worst = float(np.min(np.diff(dv)))
-    passed = upper >= a_star - 1e-12 and worst >= -tol
-    return SufficiencyReport(passed=passed, worst_slack=worst, derivative_argmin=a_star)
+    # V''' = a*kp^3*e^{kp x} - b*km^3*e^{km x} vanishes only where e^{(kp-km) x} = ratio
+    ratio = pair.b * pair.km**3 / (pair.a * pair.kp**3) if pair.a > 0.0 else 0.0
+    at = max(upper, math.log(ratio) / (pair.kp - pair.km)) if ratio > 0.0 else upper
+    passed = pair.a > 0.0 and upper >= a_star - ARGMIN_TOL
+    return SufficiencyReport(
+        passed=passed, worst_slack=_derivatives(pair, at)[2], derivative_argmin=a_star
+    )
 
 
-def check_sufficiency(ps: ParisianScale, result: OptimalPolicyResult) -> SufficiencyReport:
-    return check_sufficiency_pair(ps, result.policy.upper)
-
-
-def check_transfer_inequality(
-    ps: ParisianScale,
-    policy: ImpulsePolicy,
-    grid_n: int = 200,
-    x_max: Optional[float] = None,
-    tol: float = 1e-9,
-) -> TransferReport:
+def check_transfer_inequality(ps: ParisianScale, policy: ImpulsePolicy) -> TransferReport:
     """v(x) - v(y) >= x - y - beta for 0 <= y <= x on a grid.
 
     Any policy value function must beat an immediate transfer from x down to
-    y net of the fixed cost; the worst grid margin certifies it.
+    y net of the fixed cost; the worst margin over the ordered pairs of
+    ``TRANSFER_GRID_N`` points on [0, 2*upper] certifies it.
     """
     beta = ps.spec.beta
-    hi = x_max if x_max is not None else 2.0 * policy.upper
-    xs = np.linspace(0.0, hi, grid_n)
-    gain = ps.value(policy.upper) - ps.value(policy.lower)
-    factor = (policy.upper - policy.lower - beta) / gain
-    v_below = factor * ps.positive_pair.value(np.minimum(xs, policy.upper))
-    v = np.where(
-        xs <= policy.upper,
-        v_below,
-        xs - policy.lower - beta + factor * ps.value(policy.lower),
-    )
+    xs = np.linspace(0.0, 2.0 * policy.upper, TRANSFER_GRID_N)
+    v = value_function(ps, policy, xs)
     margin = v[:, None] - v[None, :] - (xs[:, None] - xs[None, :] - beta)
     margin[xs[:, None] < xs[None, :]] = np.inf  # only ordered pairs y <= x
     flat = int(np.argmin(margin))
     i, j = np.unravel_index(flat, margin.shape)
     worst = float(margin[i, j])
     return TransferReport(
-        passed=worst >= -tol, worst_margin=worst, worst_x=float(xs[i]), worst_y=float(xs[j])
+        passed=worst >= -TRANSFER_TOL,
+        worst_margin=worst,
+        worst_x=float(xs[i]),
+        worst_y=float(xs[j]),
     )
 
 

@@ -212,7 +212,6 @@ class ParisianScale:
         self.spec = spec
         self.coefficient_set = compute_coefficients(spec)
         self.surplus_scale = ScaleFunction.for_surplus(spec)
-        self.refracted_scale_fn = ScaleFunction.for_refracted(spec)
         self._is_cl = isinstance(spec.model, CramerLundberg)
         self.series_constant: Optional[float] = None
         try:

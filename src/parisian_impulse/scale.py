@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import OverflowRangeError, UndefinedDerivativeError
+from .errors import DomainError, OverflowRangeError
 from .models import (
     CoefficientSet,
     ProblemSpec,
@@ -115,10 +115,6 @@ class ScaleFunction:
     def for_surplus(cls, spec: ProblemSpec) -> "ScaleFunction":
         return cls(compute_coefficients(spec).surplus, spec.q)
 
-    @classmethod
-    def for_refracted(cls, spec: ProblemSpec) -> "ScaleFunction":
-        return cls(compute_coefficients(spec).refracted, spec.q)
-
     def value(self, x: ArrayLike) -> ArrayLike:
         xx = np.asarray(x, dtype=float)
         out = np.where(xx < 0.0, 0.0, self.pair.value(np.maximum(xx, 0.0)))
@@ -149,11 +145,11 @@ def refracted_pair(cs: CoefficientSet, depth: ArrayLike) -> ExponentialPair:
     array of depths gives arrays ``a`` and ``b``, one entry per depth.
     """
     if isinstance(depth, np.ndarray):
-        negative, exp = bool((depth < 0.0).any()), np.exp
+        admissible, exp = bool((depth >= 0.0).all()), np.exp
     else:
-        negative, exp = depth < 0.0, math.exp
-    if negative:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+        admissible, exp = depth >= 0.0, math.exp
+    if not admissible:  # NaN included
+        raise DomainError(f"depth must be nonnegative, got {depth}")
     X, Y = cs.surplus, cs.refracted
     delta = cs.spec.delta
     _check_exp_range(X.rate_plus, depth)
@@ -187,28 +183,3 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     below = ScaleFunction(cs.surplus, cs.spec.q).value(np.minimum(xx, 0.0) + depth)
     above = refracted_pair(cs, depth).value(np.maximum(xx, 0.0))
     return np.where(xx < 0.0, below, above)
-
-
-def refracted_scale_derivative(cs: CoefficientSet, x: float, depth: float) -> float:
-    """d/dx of ``w(x; -depth)``.
-
-    For the bounded-variation model the derivative jumps at 0 and is left
-    undefined there (``UndefinedDerivativeError``); for Brownian motion the
-    two one-sided limits agree.
-    """
-    if x == 0.0 and cs.is_bounded_variation:
-        raise UndefinedDerivativeError(
-            "refracted scale derivative jumps at 0 for the bounded-variation model"
-        )
-    if x < 0.0:
-        return ScaleFunction(cs.surplus, cs.spec.q).derivative(x + depth)
-    return refracted_pair(cs, depth).derivative(x)
-
-
-def refracted_derivative_argmin(cs: CoefficientSet, depth: float) -> float:
-    """Argmin over [0, inf) of the refracted scale derivative in x.
-
-    Closed form from the two-exponential representation; 0 when the
-    decreasing component is absent.
-    """
-    return refracted_pair(cs, depth).derivative_argmin()

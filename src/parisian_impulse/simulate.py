@@ -77,10 +77,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ConfigError("dt must be positive")
-        if self.t_max is not None and not self.t_max > 0.0:
-            raise ConfigError("t_max must be positive")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
 
     def resolve(self, spec: ProblemSpec) -> tuple[float, float]:
         """Concrete (dt, t_max) for a problem; enforces t_max > r."""
@@ -391,6 +391,8 @@ def estimate_exit_functional(spec: ProblemSpec, x: float, a: float,
     which needs ``a >= 0``: below 0 the excursion clock still runs at the
     passage time.
     """
+    if not (math.isfinite(x) and math.isfinite(a)):
+        raise DomainError(f"start {x} and barrier {a} must be finite")
     if a < 0.0:
         raise DomainError(f"barrier {a} must be nonnegative")
     if x > a:
@@ -407,6 +409,8 @@ def estimate_policy_npv(spec: ProblemSpec, policy: ImpulsePolicy, x: float,
     ``spec.beta`` each; the stream stops at Parisian ruin.  The analytic
     counterpart is :func:`parisian_impulse.optimizer.value_function`.
     """
+    if not (math.isfinite(x) and math.isfinite(policy.upper)):
+        raise DomainError(f"start {x} and trigger {policy.upper} must be finite")
     if x < 0.0:
         raise DomainError(f"initial surplus {x} must be nonnegative")
     policy.validate(spec.beta)

@@ -9,6 +9,11 @@ than a tautology.  The one exception is ``brute_force_payout_grid``, which
 checks the optimizer's search rather than V: it takes V from the package and
 only replaces the root solves with an exhaustive lattice.
 
+The certificate grids check the package's closed-form certificates: they
+scan V' on a fine grid, as the package did before it used the
+two-exponential structure.  ``refracted_scale_derivative`` and
+``refracted_derivative_argmin`` check the refracted scale function's shape.
+
 ``regularized_lower_gamma`` evaluates ``P(order, x)`` one scalar at a time,
 term by term; it checks the package's vectorized incomplete gamma terms.
 
@@ -27,9 +32,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from parisian_impulse.errors import DomainError, SeriesConvergenceError
-from parisian_impulse.models import BrownianMotion, CramerLundberg, Model, ProblemSpec
+from parisian_impulse.errors import (
+    DomainError,
+    OverflowRangeError,
+    SeriesConvergenceError,
+    UndefinedDerivativeError,
+)
+from parisian_impulse.models import (
+    BrownianMotion,
+    CoefficientSet,
+    CramerLundberg,
+    Model,
+    ProblemSpec,
+)
+from parisian_impulse.optimizer import SufficiencyReport
 from parisian_impulse.parisian import ParisianScale
+from parisian_impulse.scale import ScaleFunction, refracted_pair
 from parisian_impulse.simulate import (
     SimulationConfig,
     _block_size,
@@ -313,6 +331,72 @@ def brute_force_payout_grid(
         if g[i, j] < best[0]:
             best = (float(g[i, j]), float(grid[start + i]), float(grid[lo + j]))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Certificate grids and the refracted scale derivative
+# ---------------------------------------------------------------------------
+
+
+def check_sufficiency_pair_by_grid(
+    ps: ParisianScale, upper: float, tol: float = 1e-9, grid_n: int = 2000
+) -> SufficiencyReport:
+    """V' nondecreasing on [upper, far], scanned on ``grid_n`` points.
+
+    The closed form gives the exact argmin of V'; the grid double-checks the
+    monotonicity numerically out to where V' has grown far past its minimum.
+    """
+    pair = ps.positive_pair
+    a_star = pair.derivative_argmin()
+    far = max(upper + 10.0, 3.0 * max(a_star, 1.0))
+    xs = np.linspace(upper, far, grid_n)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a typed error below
+        dv = pair.derivative(xs)
+    if not np.all(np.isfinite(dv)):
+        raise OverflowRangeError(
+            f"V' is not finite on the certificate grid [{upper:.6g}, {far:.6g}]"
+        )
+    worst = float(np.min(np.diff(dv)))
+    passed = upper >= a_star - 1e-12 and worst >= -tol
+    return SufficiencyReport(passed=passed, worst_slack=worst, derivative_argmin=a_star)
+
+
+def check_unimodal_by_grid(ps: ParisianScale, hi: float = 20.0, n: int = 2000) -> tuple[bool, str]:
+    """V' falls before its argmin and rises after it, scanned on (0, hi]."""
+    a_star = ps.derivative_argmin()
+    xs = np.linspace(1e-6, hi, n)
+    vals = ps.positive_pair.derivative(xs)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
+    left = xs <= a_star
+    worst_left = float(np.max(np.diff(vals[left]))) if np.count_nonzero(left) > 1 else 0.0
+    worst_right = float(np.min(np.diff(vals[~left]))) if np.count_nonzero(~left) > 1 else 0.0
+    ok = worst_left <= tol and worst_right >= -tol
+    return ok, f"argmin={a_star:.6g} worst_rise_before={worst_left:.2e} worst_drop_after={worst_right:.2e}"
+
+
+def refracted_scale_derivative(cs: CoefficientSet, x: float, depth: float) -> float:
+    """d/dx of ``w(x; -depth)``.
+
+    For the bounded-variation model the derivative jumps at 0 and is left
+    undefined there (``UndefinedDerivativeError``); for Brownian motion the
+    two one-sided limits agree.
+    """
+    if x == 0.0 and isinstance(cs.spec.model, CramerLundberg):
+        raise UndefinedDerivativeError(
+            "refracted scale derivative jumps at 0 for the bounded-variation model"
+        )
+    if x < 0.0:
+        return ScaleFunction(cs.surplus, cs.spec.q).derivative(x + depth)
+    return refracted_pair(cs, depth).derivative(x)
+
+
+def refracted_derivative_argmin(cs: CoefficientSet, depth: float) -> float:
+    """Argmin over [0, inf) of the refracted scale derivative in x.
+
+    Closed form from the two-exponential representation; 0 when the
+    decreasing component is absent.
+    """
+    return refracted_pair(cs, depth).derivative_argmin()
 
 
 # ---------------------------------------------------------------------------

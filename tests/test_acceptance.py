@@ -239,7 +239,7 @@ def test_criterion_7_derivative_shape_certificates(capsys, optimum):
         result = optimum(spec)
         ps = parisian_scale(spec)
         suff = check_sufficiency_pair(ps, result.policy.upper)
-        transfer = check_transfer_inequality(ps, result.policy, grid_n=200)
+        transfer = check_transfer_inequality(ps, result.policy)
         ok &= suff.passed and transfer.passed and transfer.worst_margin >= -1e-9
         parts.append(
             f"beta={spec.beta:g} {type(spec.model).__name__[:2].lower()}: "

@@ -69,8 +69,10 @@ def test_bad_grid_reports_config_error(grid, capsys):
 
 
 def test_negative_depth_rejected(capsys):
-    rc = cli.main(["eval", "--config", BM_CFG, "--grid=0:1:5", "--depth", "-1"])
-    assert rc == 2
+    for depth in ("-1", "nan", "inf"):
+        rc = cli.main(["eval", "--config", BM_CFG, "--grid=0:1:5", "--depth", depth])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +277,17 @@ def test_simulate_start_above_barrier_is_domain_error(capsys):
                    "--x", "4", "--barrier", "3", "--paths", "100"])
     assert rc == 2
     assert "domain error" in capsys.readouterr().err
+
+
+def test_simulate_non_finite_inputs_rejected(capsys):
+    base = ["simulate", "--config", BM_CFG, "--functional", "exit", "--paths", "100"]
+    for extra, kind in ((["--x", "nan", "--barrier", "3"], "domain error"),
+                        (["--x", "0", "--barrier", "nan"], "domain error"),
+                        (["--x", "0", "--barrier", "3", "--t-max", "inf"], "config error"),
+                        (["--x", "0", "--barrier", "3", "--dt", "inf"], "config error")):
+        rc = cli.main(base + extra)
+        assert rc == 2
+        assert kind in capsys.readouterr().err
 
 
 def test_simulate_npv_needs_both_levels(capsys):

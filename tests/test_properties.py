@@ -13,7 +13,9 @@ from parisian_impulse import (
     DomainError,
     ImpulsePolicy,
     NumericalError,
+    OverflowRangeError,
     ProblemSpec,
+    check_sufficiency_pair,
     check_transfer_inequality,
     compute_coefficients,
     find_optimal_policy,
@@ -77,6 +79,45 @@ def test_optimizer_certified_or_typed_error(spec):
     # no pair of a lattice spanning twice the trigger beats the root solve
     g_brute, _, _ = oracles.brute_force_payout_grid(ps, 2.0 * policy.upper + 1.0, step=1e-2)
     assert g_brute >= result.payout_ratio * (1.0 - 1e-12)
+
+
+def _verdict(check):
+    """check()'s verdict, or "overflow" for a typed range error."""
+    try:
+        return check()
+    except OverflowRangeError:
+        return "overflow"
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=specs())
+# V(0) = e^{697} is finite but V' overflows past it: both checks must raise
+@example(spec=ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076, q=3.63,
+                          r=191.9, beta=0.677))
+def test_sufficiency_closed_form_matches_grid(spec):
+    # the closed form (a > 0 and upper >= a*) against the 2000-point V' scan,
+    # at the optimal trigger and on both sides of the argmin of V'
+    try:
+        ps = parisian_scale(spec)
+    except NumericalError:
+        return
+    a_star = ps.derivative_argmin()
+    uppers = [a_star, 0.5 * a_star, a_star + 1e-3, a_star + 1.0]
+    try:
+        uppers.append(find_optimal_policy(ps).policy.upper)
+    except NumericalError:
+        pass
+    for upper in uppers:
+        closed = _verdict(lambda: check_sufficiency_pair(ps, upper).passed)
+        grid = _verdict(lambda: oracles.check_sufficiency_pair_by_grid(ps, upper).passed)
+        assert closed == grid, (upper, a_star, closed, grid)
+    # verify's derivative_unimodal reads the closed form at a* itself.  The
+    # scan of V' on (0, 20] has its own reach: it raises where kp*20 leaves
+    # the exp range, and reads an overflowing V' as a failure, not an error.
+    closed = _verdict(lambda: check_sufficiency_pair(ps, a_star).passed)
+    grid = _verdict(lambda: oracles.check_unimodal_by_grid(ps)[0])
+    if "overflow" not in (closed, grid):
+        assert closed == grid
 
 
 @given(model=models, a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0),

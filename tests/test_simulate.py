@@ -45,6 +45,11 @@ def test_config_validation():
         SimulationConfig(dt=0.0)
     with pytest.raises(ConfigError):
         SimulationConfig(t_max=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            SimulationConfig(dt=bad)
+        with pytest.raises(ConfigError):
+            SimulationConfig(t_max=bad)
 
 
 def test_config_defaults(bm_spec, cl_spec):
@@ -69,6 +74,15 @@ def test_domain_checks(bm_spec, cl_spec):
         estimate_policy_npv(cl_spec, ImpulsePolicy(0.0, 4.0), -0.5, cfg)
     with pytest.raises(DomainError):
         estimate_policy_npv(cl_spec, ImpulsePolicy(0.0, 0.5), 1.0, cfg)  # gap < beta
+    for spec in (bm_spec, cl_spec):
+        for x, a in ((math.nan, 2.0), (0.0, math.nan), (-math.inf, 2.0), (0.0, math.inf)):
+            with pytest.raises(DomainError):
+                estimate_exit_functional(spec, x, a, cfg)
+        for x in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                estimate_policy_npv(spec, ImpulsePolicy(0.0, 4.0), x, cfg)
+        with pytest.raises(DomainError):
+            estimate_policy_npv(spec, ImpulsePolicy(0.0, math.inf), 1.0, cfg)
 
 
 # ---------------------------------------------------------------------------
