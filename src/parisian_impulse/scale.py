@@ -177,6 +177,8 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     """
     if not isinstance(x, np.ndarray):
         if x < 0.0:
+            if not np.all(np.asarray(depth) >= 0.0):  # NaN included, as in refracted_pair
+                raise DomainError(f"depth must be nonnegative, got {depth}")
             return ScaleFunction(cs.surplus, cs.spec.q).value(x + depth)
         return refracted_pair(cs, depth).value(x)
     xx = np.asarray(x, dtype=float)

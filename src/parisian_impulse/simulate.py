@@ -31,14 +31,17 @@ Conventions of both kernels:
   Censoring beyond 0.1% of paths attaches a warning to the estimate.
 
 Estimates are reproducible bit for bit: paths are split over a fixed number of
-seeded substreams and block moments are combined in a fixed order.  The
-Brownian kernel steps all substreams in one array, each drawing its normals
-in the order it would alone.
+seeded substreams and block moments are combined in a fixed order.  Both
+kernels step the substreams' paths as one array, each substream drawing in the
+order it would alone.  The exact kernel's event rounds hold about twenty
+path-length temporaries, so it steps whole substreams in groups of at most
+``GROUP_PATHS`` paths, and its memory stays that of one large substream.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -49,6 +52,7 @@ from .models import BrownianMotion, CramerLundberg, ProblemSpec
 from .optimizer import ImpulsePolicy
 
 N_BLOCKS = 8
+GROUP_PATHS = 2**14  # most paths the exact kernel steps as one array
 CENSOR_WARN_FRACTION = 1e-3
 
 # uniforms are clipped away from {0, 1} so inverse transforms stay finite
@@ -75,8 +79,11 @@ class SimulationConfig:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be at least 1")
+        for name, least in (("n_paths", 1), ("seed", 0)):
+            value = getattr(self, name)  # NumPy integers pass; floats and bools do not
+            if (isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__")
+                    or operator.index(value) < least):
+                raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.t_max is not None and not 0.0 < self.t_max < math.inf:
@@ -154,21 +161,6 @@ def _pair_average(payoffs: np.ndarray, antithetic: bool) -> np.ndarray:
     return 0.5 * (payoffs[:half] + payoffs[half:])
 
 
-def _draw_uniform_pair(gen: np.random.Generator, n_pairs: int, antithetic: bool,
-                       n_plain: int) -> np.ndarray:
-    """One round of uniforms: mirrored across the half-blocks when antithetic.
-
-    Antithetic draws cover the full block every round (dead paths included) so
-    the two halves stay aligned event for event.
-    """
-    if antithetic:
-        u = gen.random(n_pairs)
-        u = np.concatenate([u, 1.0 - u])
-    else:
-        u = gen.random(n_plain)
-    return np.clip(u, _U_LO, _U_HI)
-
-
 def _block_size(n_paths: int, antithetic: bool) -> tuple[int, int]:
     """(mirrored pairs, simulated paths) for one block."""
     n_pairs = (n_paths + 1) // 2 if antithetic else 0
@@ -187,6 +179,43 @@ def _start_payment(spec: ProblemSpec, x: float, upper: float, lower: float | Non
     return np.zeros(n) + first, lower
 
 
+class _Layout:
+    """The blocks' paths laid out block after block in one array: block ``b``
+    holds ``offsets[b]:offsets[b + 1]``, its ``pairs[b]`` mirrors last when
+    antithetic, and draws from its own generator in the order it would alone."""
+
+    def __init__(self, counts: list[int], antithetic: bool) -> None:
+        self.antithetic = antithetic
+        self.pairs, sizes = zip(*(_block_size(count, antithetic) for count in counts))
+        self.offsets = [0, *itertools.accumulate(sizes)]
+
+    def groups(self) -> list[tuple[int, int]]:
+        """``(first, stop)`` runs of whole blocks with at most ``GROUP_PATHS``
+        paths each, unless one block alone has more."""
+        per = max(1, GROUP_PATHS // int(np.diff(self.offsets).max()))
+        return [(b, min(b + per, len(self.pairs))) for b in range(0, len(self.pairs), per)]
+
+    def draw_slices(self, idx: np.ndarray) -> list[tuple[int, slice, slice]]:
+        """``(block, head, tail)`` per block with live paths in ``idx``: a
+        plain block fills its live paths' slice of ``buffer[:idx.size]`` and
+        has an empty tail; an antithetic one fills its whole layout, dead paths
+        included, with draws and their mirrors, and the buffer is read at ``idx``."""
+        bounds = np.searchsorted(idx, self.offsets).tolist()
+        live = [b for b in range(len(self.pairs)) if bounds[b + 1] > bounds[b]]
+        if not self.antithetic:
+            return [(b, slice(bounds[b], bounds[b + 1]), slice(0)) for b in live]
+        mid = [lo + n_pairs for lo, n_pairs in zip(self.offsets, self.pairs)]
+        return [(b, slice(self.offsets[b], mid[b]), slice(mid[b], self.offsets[b + 1]))
+                for b in live]
+
+    def blocks(self, value: np.ndarray, censored: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
+        """``(payoffs, n_raw, n_censored)`` per block, given the sorted
+        indices of the censored paths."""
+        n_censored = np.diff(np.searchsorted(censored, self.offsets)).tolist()
+        return [(_pair_average(value[lo:hi], self.antithetic), hi - lo, c)
+                for lo, hi, c in zip(self.offsets, self.offsets[1:], n_censored)]
+
+
 # ---------------------------------------------------------------------------
 # Brownian kernel (Euler-Maruyama, per-step Parisian clock)
 # ---------------------------------------------------------------------------
@@ -197,18 +226,14 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
                     counts: list[int], antithetic: bool) -> list[tuple[np.ndarray, int, int]]:
     """Payoffs of every block, with its raw and censored path counts.
 
-    The blocks' paths are stepped as one array, laid out block after block;
-    block ``b`` draws its normals from ``gens[b]`` in the order it would on
-    its own, so each block's payoffs do not depend on the others.  With
-    ``lower`` None a touch of ``upper`` pays ``exp(-q t)`` and absorbs the
+    With ``lower`` None a touch of ``upper`` pays ``exp(-q t)`` and absorbs the
     path (exit functional); otherwise it pays the surplus down to ``lower`` at
     cost ``spec.beta`` and the path goes on (impulse policy NPV).
     """
     model = spec.model
     assert isinstance(model, BrownianMotion)
-    pairs, sizes = zip(*(_block_size(count, antithetic) for count in counts))
-    offsets = [0, *itertools.accumulate(sizes)]
-    n = offsets[-1]
+    layout = _Layout(counts, antithetic)
+    n = layout.offsets[-1]
     value, x0 = _start_payment(spec, x, upper, lower, n)
     absorbed = lower is None and x0 >= upper
     if absorbed:
@@ -227,24 +252,14 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
         if idx.size == 0:
             break
         if fills is None:
-            bounds = np.searchsorted(idx, offsets).tolist()
-            live = [b for b in range(len(counts)) if bounds[b + 1] > bounds[b]]
-            if antithetic:
-                # n_pairs draws and their negation over the block's full layout
-                fills = [(gens[b], z_all[offsets[b]:offsets[b] + pairs[b]],
-                          z_all[offsets[b] + pairs[b]:offsets[b + 1]]) for b in live]
-            else:
-                fills = [(gens[b], z_all[bounds[b]:bounds[b + 1]]) for b in live]
+            fills = [(gens[b], z_all[head], z_all[tail])
+                     for b, head, tail in layout.draw_slices(idx)]
         t = (step + 1) * dt
-        if antithetic:
-            for gen, head, tail in fills:
-                gen.standard_normal(out=head)
+        for gen, head, tail in fills:
+            gen.standard_normal(out=head)
+            if antithetic:
                 np.negative(head, out=tail)
-            z = z_all[idx]
-        else:
-            for gen, out in fills:
-                gen.standard_normal(out=out)
-            z = z_all[:idx.size]
+        z = z_all[idx] if antithetic else z_all[:idx.size]
         # drift indicator from the step start, barrier and clock at step end
         u += (mu - delta * (u > 0.0)) * dt + sig_dt * z
         pay = u >= upper
@@ -266,9 +281,7 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
             keep = ~done
             u, exc, idx = u[keep], exc[keep], idx[keep]
             fills = None
-    censored = np.diff(np.searchsorted(idx, offsets)).tolist()
-    return [(_pair_average(value[lo:hi], antithetic), hi - lo, c)
-            for lo, hi, c in zip(offsets, offsets[1:], censored)]
+    return layout.blocks(value, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +289,10 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
 # ---------------------------------------------------------------------------
 
 
-def _cl_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
-              t_max: float, gen: np.random.Generator, n_paths: int,
-              antithetic: bool) -> tuple[np.ndarray, int, int]:
-    """Payoffs of one block of paths, with the raw and censored path counts.
+def _cl_paths(spec: ProblemSpec, x: float, upper: float, lower: float | None,
+              t_max: float, gens: list[np.random.Generator], counts: list[int],
+              antithetic: bool) -> list[tuple[np.ndarray, int, int]]:
+    """Payoffs of every block, with its raw and censored path counts.
 
     ``lower`` selects the functional as in :func:`_brownian_paths`.  A payment
     returns the path to ``lower``, from where it may reach ``upper`` again
@@ -287,7 +300,8 @@ def _cl_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
     """
     model = spec.model
     assert isinstance(model, CramerLundberg)
-    n_pairs, n = _block_size(n_paths, antithetic)
+    layout = _Layout(counts, antithetic)
+    n = layout.offsets[-1]
     p, lam, mu_c = model.p, model.lam, model.mu_claim
     slope_up = p - spec.delta
     q, r = spec.q, spec.r
@@ -302,16 +316,18 @@ def _cl_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
     # time at which the running excursion turns into ruin; inf while at or above 0
     deadline = np.where(u < 0.0, r, np.inf)
     idx = np.arange(n)
-    n_censored = 0
+    cut = np.zeros(n, dtype=bool)  # censored at the horizon
+    draws = np.empty((2, n))  # uniforms for the claim times, then the sizes
 
     while idx.size:
-        live = idx.size
-        ue = _draw_uniform_pair(gen, n_pairs, antithetic, live)
-        uc = _draw_uniform_pair(gen, n_pairs, antithetic, live)
-        if antithetic:
-            ue, uc = ue[idx], uc[idx]
-        t_claim = t - np.log(ue) / lam
-        claim = -np.log(uc) / mu_c
+        for b, head, tail in layout.draw_slices(idx):
+            for row in draws:
+                gens[b].random(out=row[head])
+                if antithetic:
+                    np.subtract(1.0, row[head], out=row[tail])
+        logs = np.log(np.clip(draws[:, idx] if antithetic else draws[:, :idx.size], _U_LO, _U_HI))
+        t_claim = t - logs[0] / lam
+        claim = -logs[1] / mu_c
         t_stop = np.minimum(t_claim, t_max)
 
         below = u < 0.0
@@ -340,7 +356,7 @@ def _cl_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
             t_eff[pays] = t_hit[pays] + (k - 1) * tau
 
         censored = ~done & (t_claim > t_max)
-        n_censored += int(np.count_nonzero(censored))
+        cut[idx[censored]] = True
         done = done | censored
 
         cont = ~done
@@ -356,7 +372,7 @@ def _cl_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
             np.where(went_below, deadline[cont], np.inf),
         )
         u, t, deadline, idx = u_new, t_claim[cont], deadline_new, idx[cont]
-    return _pair_average(value, antithetic), n, n_censored
+    return layout.blocks(value, np.flatnonzero(cut))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +390,9 @@ def _estimate(spec: ProblemSpec, x: float, upper: float, lower: float | None,
         blocks = _brownian_paths(spec, x, upper, lower, dt, t_max, gens, counts,
                                  config.antithetic)
     else:
-        blocks = (_cl_block(spec, x, upper, lower, t_max, gen, count, config.antithetic)
-                  for count, gen in zip(counts, gens))
+        blocks = itertools.chain.from_iterable(
+            _cl_paths(spec, x, upper, lower, t_max, gens[lo:hi], counts[lo:hi], config.antithetic)
+            for lo, hi in _Layout(counts, config.antithetic).groups())
     acc = _Accumulator()
     for count, block in zip(counts, blocks):
         if count:

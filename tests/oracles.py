@@ -20,8 +20,10 @@ term by term; it checks the package's vectorized incomplete gamma terms.
 The single-path simulators at the end follow one refracted path at a time in
 plain Python; they check the vectorized Monte Carlo kernels' conventions
 (excursion clock, barrier ties, drift per step) path by path.
-``brownian_block`` steps one seeded substream's Euler paths on their own; the
-package steps all substreams in one array and must give the same estimates
+``brownian_block`` steps one seeded substream's Euler paths on their own, and
+``cl_block`` one substream's exact compound Poisson paths, claim round by
+claim round; the package steps the substreams together in one array (the
+exact kernel in groups of whole substreams) and must give the same estimates
 bit for bit.
 """
 from __future__ import annotations
@@ -49,6 +51,8 @@ from parisian_impulse.optimizer import SufficiencyReport
 from parisian_impulse.parisian import ParisianScale
 from parisian_impulse.scale import ScaleFunction, refracted_pair
 from parisian_impulse.simulate import (
+    _U_HI,
+    _U_LO,
     SimulationConfig,
     _block_size,
     _pair_average,
@@ -580,3 +584,101 @@ def brownian_block(spec: ProblemSpec, x: float, upper: float, lower: float | Non
             keep = ~done
             u, exc, idx = u[keep], exc[keep], idx[keep]
     return _pair_average(value, antithetic), n, idx.size
+
+
+def _draw_uniform_pair(gen: np.random.Generator, n_pairs: int, antithetic: bool,
+                       n_plain: int) -> np.ndarray:
+    """One round of uniforms: mirrored across the half-blocks when antithetic.
+
+    Antithetic draws cover the full block every round (dead paths included) so
+    the two halves stay aligned event for event.
+    """
+    if antithetic:
+        u = gen.random(n_pairs)
+        u = np.concatenate([u, 1.0 - u])
+    else:
+        u = gen.random(n_plain)
+    return np.clip(u, _U_LO, _U_HI)
+
+
+def cl_block(spec: ProblemSpec, x: float, upper: float, lower: float | None,
+             t_max: float, gen: np.random.Generator, n_paths: int,
+             antithetic: bool) -> tuple[np.ndarray, int, int]:
+    """Payoffs of one block of paths, with the raw and censored path counts.
+
+    ``lower`` selects the functional as in :func:`brownian_block`.  A payment
+    returns the path to ``lower``, from where it may reach ``upper`` again
+    before the next claim, so payments come in evenly spaced chains.
+    """
+    model = spec.model
+    assert isinstance(model, CramerLundberg)
+    n_pairs, n = _block_size(n_paths, antithetic)
+    p, lam, mu_c = model.p, model.lam, model.mu_claim
+    slope_up = p - spec.delta
+    q, r = spec.q, spec.r
+    value, x0 = _start_payment(spec, x, upper, lower, n)
+    if lower is not None:
+        net = upper - lower - spec.beta
+        tau = (upper - lower) / slope_up  # spacing of back-to-back payments
+        disc_tau = math.expm1(-q * tau)
+
+    u = np.full(n, x0)
+    t = np.zeros(n)
+    # time at which the running excursion turns into ruin; inf while at or above 0
+    deadline = np.where(u < 0.0, r, np.inf)
+    idx = np.arange(n)
+    n_censored = 0
+
+    while idx.size:
+        live = idx.size
+        ue = _draw_uniform_pair(gen, n_pairs, antithetic, live)
+        uc = _draw_uniform_pair(gen, n_pairs, antithetic, live)
+        if antithetic:
+            ue, uc = ue[idx], uc[idx]
+        t_claim = t - np.log(ue) / lam
+        claim = -np.log(uc) / mu_c
+        t_stop = np.minimum(t_claim, t_max)
+
+        below = u < 0.0
+        t_rec = np.where(below, t + (0.0 - u) / p, t)
+        ruined = below & (deadline < t_rec) & (deadline <= t_stop)
+        recovers = below & ~ruined & (t_rec <= t_stop)
+
+        # paths at or above zero, plus the ones that recover this round
+        u_eff = np.where(recovers, 0.0, u)
+        t_eff = np.where(recovers, t_rec, t)
+        upper_track = ~below | recovers
+        t_hit = np.where(upper_track, t_eff + (upper - u_eff) / slope_up, np.inf)
+        pays = upper_track & (t_hit <= t_stop)  # payment wins claim-time ties
+        done = ruined
+        if lower is None:
+            if pays.any():
+                value[idx[pays]] = np.exp(-q * t_hit[pays])
+            done = done | pays
+        elif pays.any():
+            assert lower >= 0.0 and net > 0.0
+            # whole chain of evenly spaced payments inside this claim interval
+            k = np.floor((t_stop[pays] - t_hit[pays]) / tau).astype(np.int64) + 1
+            chain = np.exp(-q * t_hit[pays]) * np.expm1(-q * tau * k) / disc_tau
+            value[idx[pays]] += net * chain
+            u_eff[pays] = lower
+            t_eff[pays] = t_hit[pays] + (k - 1) * tau
+
+        censored = ~done & (t_claim > t_max)
+        n_censored += int(np.count_nonzero(censored))
+        done = done | censored
+
+        cont = ~done
+        if not cont.any():
+            break
+        still_below = below[cont] & ~recovers[cont]
+        drift = np.where(still_below, p, slope_up)
+        u_new = u_eff[cont] + drift * (t_claim[cont] - t_eff[cont]) - claim[cont]
+        went_below = u_new < 0.0
+        # a fresh excursion starts at the claim; an ongoing one keeps its deadline
+        deadline_new = np.where(
+            went_below & ~still_below, t_claim[cont] + r,
+            np.where(went_below, deadline[cont], np.inf),
+        )
+        u, t, deadline, idx = u_new, t_claim[cont], deadline_new, idx[cont]
+    return _pair_average(value, antithetic), n, n_censored

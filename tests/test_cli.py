@@ -290,6 +290,13 @@ def test_simulate_non_finite_inputs_rejected(capsys):
         assert kind in capsys.readouterr().err
 
 
+def test_simulate_bad_seed_or_path_count_is_config_error(capsys):
+    base = ["simulate", "--config", CL_CFG, "--functional", "exit", "--x", "1", "--barrier", "3"]
+    for extra in (["--seed", "-1"], ["--paths", "0"]):
+        assert cli.main(base + extra) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_simulate_npv_needs_both_levels(capsys):
     rc = cli.main(["simulate", "--config", CL_CFG, "--functional", "npv",
                    "--x", "1", "--c1", "0", "--paths", "100"])

@@ -143,6 +143,8 @@ def test_refracted_scale_rejects_negative_depth():
     for depth in (-0.1, math.nan):
         with pytest.raises(DomainError):
             refracted_pair(cs, depth)
+        with pytest.raises(DomainError):
+            refracted_scale(cs, -1.0, depth)  # scalar start below zero
 
 
 def test_refracted_derivative_smooth_for_diffusion():

@@ -20,10 +20,17 @@ from parisian_impulse import (
     find_optimal_policy,
     value_function,
 )
-from parisian_impulse.models import CramerLundberg, ProblemSpec
-from parisian_impulse.simulate import _Accumulator, _block_counts, _substreams
+from parisian_impulse.models import BrownianMotion, CramerLundberg, ProblemSpec
+from parisian_impulse.simulate import (
+    GROUP_PATHS,
+    N_BLOCKS,
+    _Accumulator,
+    _block_counts,
+    _Layout,
+    _substreams,
+)
 
-from oracles import brownian_block, parisian_clock, simulate_refracted_path
+from oracles import brownian_block, cl_block, parisian_clock, simulate_refracted_path
 from params import brownian_spec, cramer_lundberg_spec
 
 
@@ -50,6 +57,14 @@ def test_config_validation():
             SimulationConfig(dt=bad)
         with pytest.raises(ConfigError):
             SimulationConfig(t_max=bad)
+    # counts and seeds are integers: floats and bools are refused, NumPy integers pass
+    for bad in (1.5, 2.0, True, np.float64(3.0), np.True_, "3", None):
+        with pytest.raises(ConfigError, match="n_paths"):
+            SimulationConfig(n_paths=bad)
+    for bad in (-1, 1.5, 2.0, True, np.float64(3.0), np.int64(-2), "3", None):
+        with pytest.raises(ConfigError, match="seed"):
+            SimulationConfig(seed=bad)
+    SimulationConfig(n_paths=np.int64(5), seed=np.uint32(0))
 
 
 def test_config_defaults(bm_spec, cl_spec):
@@ -190,9 +205,13 @@ def _per_block_estimate(spec, x, upper, lower, cfg):
     dt, t_max = cfg.resolve(spec)
     acc = _Accumulator()
     for count, gen in zip(_block_counts(cfg.n_paths), _substreams(cfg.seed)):
-        if count:
-            acc.add_block(*brownian_block(spec, x, upper, lower, dt, t_max, gen, count,
-                                          cfg.antithetic))
+        if not count:
+            continue
+        if isinstance(spec.model, BrownianMotion):
+            block = brownian_block(spec, x, upper, lower, dt, t_max, gen, count, cfg.antithetic)
+        else:
+            block = cl_block(spec, x, upper, lower, t_max, gen, count, cfg.antithetic)
+        acc.add_block(*block)
     return acc.estimate(0.0)
 
 
@@ -212,7 +231,7 @@ def _assert_matches_per_block(spec, functional, x, arg, cfg):
 
 # starts below zero, at zero, mid-band, on the trigger (the exit paid at the
 # start) and above it
-BROWNIAN_STARTS = [
+KERNEL_STARTS = [
     ("exit", -1.0, 3.0), ("exit", 0.0, 3.0), ("exit", 1.5, 3.0), ("exit", 3.0, 3.0),
     ("npv", 0.0, (0.5, 3.0)), ("npv", 1.5, (0.5, 3.0)), ("npv", 3.0, (0.5, 3.0)),
     ("npv", 4.0, (0.5, 3.0)),
@@ -220,7 +239,7 @@ BROWNIAN_STARTS = [
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("functional, x, arg", BROWNIAN_STARTS)
+@pytest.mark.parametrize("functional, x, arg", KERNEL_STARTS)
 def test_brownian_kernel_matches_per_block_oracle(functional, x, arg, antithetic):
     # 1, 3 and 7 paths leave some of the eight substreams empty
     spec = brownian_spec()
@@ -244,6 +263,57 @@ def test_brownian_kernel_matches_per_block_oracle_censored(antithetic):
     est = _assert_matches_per_block(brownian_spec(), "exit", -1.0, 3.0, cfg)
     assert 0.0 < est.censored_fraction < 1.0
     assert est.warning is not None
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("functional, x, arg", KERNEL_STARTS)
+def test_cl_kernel_matches_per_block_oracle(functional, x, arg, antithetic):
+    # 1, 3 and 7 paths leave some of the eight substreams empty
+    spec = cramer_lundberg_spec()
+    for n_paths in (1, 3, 7, 777):
+        cfg = SimulationConfig(n_paths=n_paths, seed=5, antithetic=antithetic, t_max=40.0)
+        _assert_matches_per_block(spec, functional, x, arg, cfg)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_cl_kernel_matches_per_block_oracle_several_groups(antithetic):
+    n_paths = 3 * GROUP_PATHS + 5
+    assert len(_Layout(_block_counts(n_paths), antithetic).groups()) > 1
+    cfg = SimulationConfig(n_paths=n_paths, seed=6, antithetic=antithetic, t_max=2.5)
+    _assert_matches_per_block(cramer_lundberg_spec(), "exit", 1.0, 3.0, cfg)
+    _assert_matches_per_block(cramer_lundberg_spec(), "npv", 1.0, (0.5, 3.0), cfg)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_cl_kernel_matches_per_block_oracle_all_paths_die(antithetic):
+    cfg = SimulationConfig(n_paths=777, seed=8, antithetic=antithetic, t_max=200.0)
+    est = _assert_matches_per_block(cramer_lundberg_spec(), "exit", 0.5, 3.0, cfg)
+    assert est.censored_fraction == 0.0
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_cl_kernel_matches_per_block_oracle_censored(antithetic):
+    # from -1 some paths are ruined, some reach 3 and the rest are cut at t_max
+    cfg = SimulationConfig(n_paths=777, seed=8, antithetic=antithetic, t_max=2.5)
+    est = _assert_matches_per_block(cramer_lundberg_spec(), "exit", -1.0, 3.0, cfg)
+    assert 0.0 < est.censored_fraction < 1.0
+    assert est.warning is not None
+
+
+def test_cl_groups_pack_whole_blocks():
+    for n_paths in (1, 7, 777, 10_000, GROUP_PATHS, 8 * GROUP_PATHS + 9, 3 * GROUP_PATHS + 5,
+                    100_000, 10**6):
+        for antithetic in (False, True):
+            layout = _Layout(_block_counts(n_paths), antithetic)
+            groups = layout.groups()
+            # consecutive runs covering every block once, in order
+            assert [lo for lo, _ in groups] == [0, *(hi for _, hi in groups[:-1])]
+            assert groups[-1][1] == N_BLOCKS and all(lo < hi for lo, hi in groups)
+            for lo, hi in groups:
+                assert hi - lo == 1 or layout.offsets[hi] - layout.offsets[lo] <= GROUP_PATHS
+    # the benchmark's exact NPV call is one group; its exit calls keep a block each
+    assert _Layout(_block_counts(10_000), False).groups() == [(0, N_BLOCKS)]
+    assert _Layout(_block_counts(100_000), True).groups() == [(b, b + 1) for b in range(N_BLOCKS)]
 
 
 @pytest.mark.parametrize("model", ["bm", "cl"])
