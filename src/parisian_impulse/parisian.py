@@ -10,10 +10,18 @@ over one delay window:
   normal CDF tails below 0 and a two-exponential branch above 0;
 * Cramer-Lundberg displaces by ``p*r`` minus a compound Poisson sum of
   exponential claims, and V needs one scalar series constant C plus a
-  bracketed incomplete-gamma series on the middle band ``[-p*r, 0)``.  Each
-  series is one NumPy term vector in log space: every ``P(m+1, x)`` comes
-  from a single Poisson pmf, so a point costs time linear in the number of
-  terms, and the term count follows from the series base.
+  bracketed incomplete-gamma series on the middle band ``[-p*r, 0)``.  Both
+  come from one expression over the window (``_window_sums``): the two
+  bracketed series and, for C, the window density at ``p*r``.  Each series
+  is one NumPy term vector in log space, with its prefactor
+  (``e^{-lam*r + rate*u}``, ``e^{-lam*r - mu*p*r}``) added to the term logs
+  before anything is exponentiated, so only a V that does not fit in a
+  double overflows.  Every ``P(m+1, x)`` comes from a single Poisson pmf,
+  so a point costs time linear in the number of terms, and the term count
+  follows from the series base.
+
+The band is evaluated point by point, arrays included: a term block over
+many points made each scalar ``V`` + ``V'`` call 2-3 times slower.
 
 The closed forms use NumPy and ``math`` only (the normal CDF tails come from
 ``math.erfc`` and the Mills-ratio expansion).
@@ -76,23 +84,20 @@ def _term_budget(peak: float) -> int:
 
 
 def _log_gamma_terms(x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``log P(m+1, x)`` and ``log(e^{-x} x^m / m!)`` for ``m = 0 .. n-1``.
+    """``log P(m+1, x)`` and ``log(e^{-x} x^m / m!)`` for ``m = 0 .. n-1``
+    and ``x >= 0``.
 
     ``P(m+1, x)`` is the Poisson tail ``sum_{k > m} e^{-x} x^k / k!``
     (DLMF 8.4.10): one pmf, summed from the far end, where it has fallen
     by ``e^{-50}`` below its mode.  A sum of positive terms has no
     cancellation on either side of ``m = x``; a ``P`` that underflows
-    gives ``-inf``.  Call inside ``np.errstate(divide="ignore")``.
+    gives ``-inf``.  Call inside ``np.errstate(divide="ignore",
+    invalid="ignore")``.
     """
-    if x <= 0.0:
-        log_p = np.full(n, -np.inf)
-        log_pmf = np.full(n, -np.inf)
-        if x == 0.0:
-            log_pmf[0] = 0.0
-        return log_p, log_pmf
     reach = max(n, math.ceil(x))
     k, log_k_factorial = _log_factorials(reach + 10 * math.isqrt(reach) + 10)
-    log_pmf = k * math.log(x) - x - log_k_factorial
+    log_pmf = k * np.log(x) - x - log_k_factorial
+    log_pmf[0] = -x  # not 0 * log(0) at x = 0
     tail = np.exp(log_pmf[:0:-1]).cumsum()[::-1]
     return np.log(tail[:n]), log_pmf[:n]
 
@@ -183,23 +188,6 @@ class CompoundPoissonWindow:
         return out
 
 
-def _bessel_like_series(w: float) -> float:
-    """``sum_{m>=0} w^{m+1} / (m! (m+1)!)`` for w > 0."""
-    term = w
-    total = term
-    small = 0
-    # the term ratio w / (m (m+1)) falls below 1 near m = sqrt(w)
-    for m in range(1, _term_budget(math.sqrt(w)) + 1):
-        term *= w / (m * (m + 1))
-        total += term
-        if total == math.inf:
-            raise OverflowRangeError("window series leaves the double range")
-        small = small + 1 if term < SERIES_RTOL * total else 0
-        if small >= 2:
-            return total
-    raise SeriesConvergenceError("window series did not converge")
-
-
 class ParisianScale:
     """Closed-form Parisian refracted scale function for one problem spec.
 
@@ -278,101 +266,87 @@ class ParisianScale:
 
     # ---------- Cramer-Lundberg series machinery ----------
 
-    def _bracket_series(self, u: float, plus_variant: bool, with_derivative: bool):
-        """The bracketed incomplete-gamma series and (optionally) its u-derivative.
+    def _bracket_series(self, u: float, with_derivative: bool):
+        """The two bracketed incomplete-gamma series, each times its prefactor
+        ``e^{-lam*r + rate*u}``, and (optionally) their u-derivatives.
 
-        plus_variant:  base = p*r*(q_minus + mu), c = q_plus + mu
-        minus_variant: base = p*r*(q_plus + mu),  c = q_minus + mu
-        S(u)  = sum_m base^m / (m! (m+1)!) * gamma(m+1, u*c) * [p*r*c - (m+1)]
+        For ``(rate, other)`` = ``(q_plus, q_minus)``, then ``(q_minus, q_plus)``:
+        base = p*r*(other + mu), c = rate + mu, and
+        S(u)  = sum_m base^m / (m! (m+1)!) * gamma(m+1, u*c) * [p*r*c - (m+1)].
 
-        One term vector per call, combined in log space so a huge
-        ``base^m / (m+1)!`` can meet a tiny ``P(m+1, u*c)``.
+        Each term is exponentiated once, from the sum of its logs and the
+        prefactor's, so a huge ``base^m / (m+1)!`` meets a tiny
+        ``P(m+1, u*c)`` or ``e^{-lam*r}`` before either leaves the double
+        range: the folded sums are of the size of V itself.
         """
         spec = self.spec
         X = self.coefficient_set.surplus
         pr = spec.model.p * spec.r
         mu = spec.model.mu_claim
-        if plus_variant:
-            base = pr * (X.rate_minus + mu)
-            c = X.rate_plus + mu
-        else:
-            base = pr * (X.rate_plus + mu)
-            c = X.rate_minus + mu
-        # terms peak near m = base where P ~ 1, and near sqrt(base*u*c) below
-        n = _term_budget(max(base, math.sqrt(base * pr * c)))
-        m, log_m_factorial = _log_factorials(n + 1)
-        # log(base^m / (m+1)!) and the bracket, m = 0 .. n-1
-        log_a = m[:-1] * math.log(base) - log_m_factorial[1:]
-        bracket = pr * c - m[1:]
+        log_elr = -spec.model.lam * spec.r
+        sums = []
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_p, log_pmf = _log_gamma_terms(u * c, n)
-            terms = np.exp(log_a + log_p) * bracket
-            total = float(terms.sum())
-            last = max(abs(terms[-1]), abs(terms[-2]))
-            total_d = 0.0
-            if with_derivative:
-                # d/du P(m+1, u*c) = c * e^{-uc} (uc)^m / m!
-                terms_d = np.exp(log_a + log_pmf) * (c * bracket)
-                total_d = float(terms_d.sum())
-                last = max(last, abs(terms_d[-1]), abs(terms_d[-2]))
-        if not (math.isfinite(total) and math.isfinite(total_d)):
-            raise OverflowRangeError(
-                f"bracketed gamma series leaves the double range (base {base:.6g})"
-            )
-        if last >= SERIES_RTOL * max(abs(total), abs(total_d), 1e-300):
-            raise SeriesConvergenceError(
-                f"bracketed gamma series did not converge within {n} terms"
-            )
-        return total, total_d
+            for rate, other in ((X.rate_plus, X.rate_minus), (X.rate_minus, X.rate_plus)):
+                base = pr * (other + mu)
+                c = rate + mu
+                # terms peak near m = base where P ~ 1, and near sqrt(base*u*c) below
+                n = _term_budget(max(base, math.sqrt(base * pr * c)))
+                m, log_m_factorial = _log_factorials(n + 1)
+                # log(e^{-lam*r + rate*u} base^m / (m+1)!) and the bracket, m = 0 .. n-1
+                log_a = m[:-1] * math.log(base) + (rate * u + log_elr - log_m_factorial[1:])
+                bracket = pr * c - m[1:]
+                log_p, log_pmf = _log_gamma_terms(u * c, n)
+                terms = np.exp(log_a + log_p) * bracket
+                total = float(terms.sum())
+                last = max(abs(terms[-1]), abs(terms[-2]))
+                total_d = 0.0
+                if with_derivative:
+                    # d/du P(m+1, u*c) = c * e^{-uc} (uc)^m / m!
+                    terms_d = np.exp(log_a + log_pmf) * (c * bracket)
+                    total_d = float(terms_d.sum())
+                    last = max(last, abs(terms_d[-1]), abs(terms_d[-2]))
+                if not (math.isfinite(total) and math.isfinite(total_d)):
+                    raise OverflowRangeError(
+                        f"bracketed gamma series leaves the double range (base {base:.6g})"
+                    )
+                if last >= SERIES_RTOL * max(abs(total), abs(total_d), 1e-300):
+                    raise SeriesConvergenceError(
+                        f"bracketed gamma series did not converge within {n} terms"
+                    )
+                sums.append((total, total_d))
+        return sums
+
+    def _window_sums(self, u: float, with_derivative: bool):
+        """V on the band at ``x = u - p*r``, the part of V' there without the
+        series' own u-derivatives, and that part (0.0 unless
+        ``with_derivative``).  At ``u = p*r`` the middle one is C without its
+        claim-sum term."""
+        spec = self.spec
+        m = spec.model
+        X = self.coefficient_set.surplus
+        (f_plus, d_plus), (f_minus, d_minus) = self._bracket_series(u, with_derivative)
+        e_p = math.exp(X.rate_plus * u - m.lam * spec.r)
+        e_m = math.exp(X.rate_minus * u - m.lam * spec.r)
+        a_plus = m.p * X.weight_plus
+        a_minus = m.p * X.weight_minus
+        # e^{-lam*r} p W(u) = a_plus*e_p - a_minus*e_m, on floats
+        value = a_plus * e_p - a_minus * e_m + a_minus * f_plus - a_plus * f_minus
+        slope = (X.rate_plus * (a_plus * e_p + a_minus * f_plus)
+                 - X.rate_minus * (a_minus * e_m + a_plus * f_minus))
+        return value, slope, a_minus * d_plus - a_plus * d_minus
 
     def _constant(self) -> float:
         """The scalar constant feeding the positive branch: the integral of the
-        surplus scale derivative against the window displacement law."""
-        spec = self.spec
-        m = spec.model
-        X = self.coefficient_set.surplus
-        pr = m.p * spec.r
-        mu = m.mu_claim
-        a_plus = m.p * X.weight_plus
-        a_minus = m.p * X.weight_minus
-        s_plus, _ = self._bracket_series(pr, plus_variant=True, with_derivative=False)
-        s_minus, _ = self._bracket_series(pr, plus_variant=False, with_derivative=False)
-        tail = _bessel_like_series(m.p * m.lam * mu * spec.r**2)
-        e_p = math.exp(X.rate_plus * pr)
-        e_m = math.exp(X.rate_minus * pr)
-        # the surplus scale derivative W'(p*r), on floats
-        w_slope = X.weight_plus * X.rate_plus * e_p - X.weight_minus * X.rate_minus * e_m
-        return math.exp(-m.lam * spec.r) * (
-            m.p * w_slope
-            + a_minus * X.rate_plus * e_p * s_plus
-            - a_plus * X.rate_minus * e_m * s_minus
-            + math.exp(-mu * pr) / pr * tail
-        )
+        surplus scale derivative against the window displacement law.  Its
+        claim-sum term is the window density at ``p*r``."""
+        pr = self.spec.model.p * self.spec.r
+        slope = self._window_sums(pr, with_derivative=False)[1]
+        return slope + self.compound_window().density(pr)
 
     def _middle_cl(self, x: float, with_derivative: bool):
-        spec = self.spec
-        m = spec.model
-        X = self.coefficient_set.surplus
-        u = x + m.p * spec.r
-        a_plus = m.p * X.weight_plus
-        a_minus = m.p * X.weight_minus
-        s_plus, sd_plus = self._bracket_series(u, True, with_derivative)
-        s_minus, sd_minus = self._bracket_series(u, False, with_derivative)
-        elr = math.exp(-m.lam * spec.r)
-        e_p = math.exp(X.rate_plus * u)
-        e_m = math.exp(X.rate_minus * u)
-        # the surplus scale W and W' at u >= 0, on floats
-        w_value = X.weight_plus * e_p - X.weight_minus * e_m
-        value = elr * (m.p * w_value + a_minus * e_p * s_plus - a_plus * e_m * s_minus)
-        if not with_derivative:
-            return value, None
-        w_slope = X.weight_plus * X.rate_plus * e_p - X.weight_minus * X.rate_minus * e_m
-        deriv = elr * (
-            m.p * w_slope
-            + a_minus * e_p * (X.rate_plus * s_plus + sd_plus)
-            - a_plus * e_m * (X.rate_minus * s_minus + sd_minus)
-        )
-        return value, deriv
+        u = x + self.spec.model.p * self.spec.r
+        value, slope, series_slope = self._window_sums(u, with_derivative)
+        return value, (slope + series_slope if with_derivative else None)
 
     # ---------- Brownian negative branch ----------
 

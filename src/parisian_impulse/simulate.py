@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -84,10 +85,14 @@ class SimulationConfig:
             if (isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__")
                     or operator.index(value) < least):
                 raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
-        if self.dt is not None and not 0.0 < self.dt < math.inf:
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
-            raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
+        for name in ("dt", "t_max"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, (bool, np.bool_))
+                                      or not isinstance(value, numbers.Real)
+                                      or not 0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+        if not isinstance(self.antithetic, (bool, np.bool_)):
+            raise ConfigError(f"antithetic must be a bool, got {self.antithetic!r}")
 
     def resolve(self, spec: ProblemSpec) -> tuple[float, float]:
         """Concrete (dt, t_max) for a problem; enforces t_max > r."""

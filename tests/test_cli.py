@@ -198,6 +198,16 @@ def test_verify_analytic_battery(capsys):
     assert "FAIL" not in out
 
 
+def test_long_window_optimize_and_verify(capsys):
+    # p*r = 600: the window series once left the double range here (exit 3)
+    for command in ("optimize", "verify"):
+        assert cli.main([command, "--config", CL_CFG, "--set", "r=200"]) == 0
+    out = capsys.readouterr().out
+    assert "sufficiency_pass: true" in out
+    assert "all 9 checks passed" in out
+    assert "FAIL" not in out
+
+
 def test_verify_with_monte_carlo(capsys):
     rc = cli.main(["verify", "--config", CL_CFG, "--with-mc",
                    "--paths", "6000", "--seed", "3"])

@@ -340,27 +340,40 @@ def test_spec_caches_stay_bounded():
     assert parisian_scale.cache_info().currsize == limit
 
 
-def test_series_constant_overflow_is_typed():
-    # a long window with a fast discount: the series constant overflows, and
-    # V on x >= 0 would come out as inf - inf = nan
-    spec = ProblemSpec(
+@pytest.mark.parametrize("spec", [
+    # q*r = 131, p*r = 270: the window series of the series constant passed
+    # the double range in linear space
+    ProblemSpec(
         CramerLundberg(p=2.68956546879706, lam=2.747048294530684, mu_claim=1.7277246454377586),
         delta=0.4294724124360556,
         q=1.30526300043215,
         r=100.40425596173607,
         beta=0.4775314543234669,
-    )
-    with pytest.raises(OverflowRangeError):
-        ParisianScale(spec)
+    ),
+    # q*r = 15.5, p*r = 586: the bracketed series term base^m / (m+1)! passed
+    # the double range before its prefactor e^{-lam*r + rate*u} joined it
+    ProblemSpec(CramerLundberg(p=3.78, lam=2.37, mu_claim=1.61),
+                delta=0.43, q=0.10, r=155.0, beta=0.5),
+], ids=["series_constant", "cl_long_window"])
+def test_long_window_matches_window_oracle(spec):
+    # V(0) = e^{qr} fits, so only intermediate sums ever left the double range
+    mpmath = pytest.importorskip("mpmath")
+    ps = ParisianScale(spec)
+    result = find_optimal_policy(ps)
+    assert result.sufficiency_pass
+    m = spec.model
+    oracle = CramerLundbergWindowOracle(m.p, m.lam, m.mu_claim, spec.delta, spec.q, spec.r, dps=20)
+    for x in (result.policy.upper, -0.5 * m.p * spec.r):
+        with mpmath.workdps(30):
+            assert float(abs(ps.value(x) / oracle.value(x) - 1)) <= 1e-10, x
 
 
 @pytest.mark.parametrize("spec", [
-    # window p*r = 586: the series term base^m / (m+1)! leaves the double range
-    ProblemSpec(CramerLundberg(p=3.78, lam=2.37, mu_claim=1.61),
-                delta=0.43, q=0.10, r=155.0, beta=0.5),
-    # q*r = 823: V(0) = e^{qr} itself is not a finite double
+    # q*r = 720: V(0) = e^{qr} itself is not a finite double
+    ProblemSpec(CramerLundberg(p=3.0, lam=2.0, mu_claim=1.5), delta=0.3, q=4.0, r=180.0, beta=0.5),
+    # q*r = 823
     ProblemSpec(BrownianMotion(mu=0.5, sigma=0.75), delta=0.05, q=4.2, r=196.0, beta=0.5),
-], ids=["cl_long_window", "bm_large_qr"])
+], ids=["cl_large_qr", "bm_large_qr"])
 def test_exp_overflow_in_construction_is_typed(spec):
     with pytest.raises(OverflowRangeError, match="double range"):
         ParisianScale(spec)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ models = st.one_of(brownian_models, cl_models)
 
 
 @st.composite
-def specs(draw):
+def specs(draw, q_max=0.5, r_max=4.0):
     model = draw(models)
     if isinstance(model, BrownianMotion):
         delta = draw(st.floats(0.01, 1.0))
@@ -58,15 +59,17 @@ def specs(draw):
     return ProblemSpec(
         model=model,
         delta=delta,
-        q=draw(st.floats(0.01, 0.5)),
-        r=draw(st.floats(0.2, 4.0)),
+        q=draw(st.floats(0.01, q_max)),
+        r=draw(st.floats(0.2, r_max)),
         beta=draw(st.floats(0.01, 2.0)),
     )
 
 
+# the failure census box of the benchmark: q up to 5 and r up to 200 reach
+# compound Poisson windows p*r up to 1000 and V(0) = e^{qr} past the double range
 @settings(max_examples=40, deadline=None)
-@given(spec=specs())
-def test_optimizer_certified_or_typed_error(spec):
+@given(spec=specs(q_max=5.0, r_max=200.0))
+def certified_or_typed_property(spec):
     try:
         ps = parisian_scale(spec)
         result = find_optimal_policy(ps)
@@ -79,6 +82,23 @@ def test_optimizer_certified_or_typed_error(spec):
     # no pair of a lattice spanning twice the trigger beats the root solve
     g_brute, _, _ = oracles.brute_force_payout_grid(ps, 2.0 * policy.upper + 1.0, step=1e-2)
     assert g_brute >= result.payout_ratio * (1.0 - 1e-12)
+
+
+def test_optimizer_certified_or_typed_error(bounded_python):
+    # every spec solves with its certificates or raises a typed error, and the
+    # whole property runs in a subprocess, so a hang fails at its timeout
+    code = f"""
+import traceback
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+import test_properties
+try:
+    test_properties.certified_or_typed_property()
+    print("ok")
+except Exception:
+    traceback.print_exc(file=sys.stdout)
+"""
+    out = bounded_python(code, timeout=120.0)
+    assert out == "ok\n", out
 
 
 def _verdict(check):

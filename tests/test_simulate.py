@@ -65,6 +65,16 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="seed"):
             SimulationConfig(seed=bad)
     SimulationConfig(n_paths=np.int64(5), seed=np.uint32(0))
+    # lengths are real numbers and antithetic a bool, not anything comparable or truthy
+    for bad in ("0.1", [1], True, b"1"):
+        with pytest.raises(ConfigError, match="dt"):
+            SimulationConfig(dt=bad)
+        with pytest.raises(ConfigError, match="t_max"):
+            SimulationConfig(t_max=bad)
+    for bad in ("no", 1, 0, None):
+        with pytest.raises(ConfigError, match="antithetic"):
+            SimulationConfig(antithetic=bad)
+    SimulationConfig(dt=np.float64(0.1), t_max=3, antithetic=np.True_)
 
 
 def test_config_defaults(bm_spec, cl_spec):
