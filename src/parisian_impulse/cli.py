@@ -407,46 +407,22 @@ def cmd_verify(args) -> int:
         worst = max(worst, abs(closed - quad) / max(1.0, abs(quad)))
     checks.append(("closed_vs_quadrature", worst <= 1e-6, f"worst rel gap {worst:.2e} (tol 1e-6)"))
 
-    # V' falls to its argmin a* and rises beyond it exactly when the
-    # sufficiency certificate holds at a* itself (closed form, see optimizer)
-    unimodal = check_sufficiency_pair(ps, ps.derivative_argmin())
-    checks.append(
-        (
-            "derivative_unimodal",
-            unimodal.passed,
-            f"argmin={unimodal.derivative_argmin:.6g} least V'' beyond it "
-            f"{unimodal.worst_slack:.2e}",
-        )
-    )
-
     result = find_optimal_policy(ps)
-    checks.append(
-        (
-            "first_order_residual",
-            result.fo_residual <= 1e-8,
-            f"case={result.case} residual {result.fo_residual:.2e} (tol 1e-8 rel)",
-        )
-    )
+    detail = f"case={result.case} residual {result.fo_residual:.2e} (tol 1e-8 rel)"
+    checks.append(("first_order_residual", result.fo_residual <= 1e-8, detail))
 
     transfer = check_transfer_inequality(ps, result.policy)
-    checks.append(
-        (
-            "transfer_inequality",
-            transfer.passed,
-            f"worst margin {transfer.worst_margin:.2e} at x={transfer.worst_x:.4g} "
-            f"y={transfer.worst_y:.4g} (tol -1e-9)",
-        )
-    )
+    detail = (f"worst margin {transfer.worst_margin:.2e} at x={transfer.worst_x:.4g} "
+              f"y={transfer.worst_y:.4g} (tol -1e-9)")
+    checks.append(("transfer_inequality", transfer.passed, detail))
 
-    checks.append(
-        (
-            "sufficiency_condition",
-            result.sufficiency_pass,
-            f"c2*={result.policy.upper:.6g} vs argmin {result.derivative_argmin:.6g}",
-        )
-    )
-
+    # V' nondecreasing on [c2*, inf): a > 0 and c2* >= a* (closed form, see optimizer)
     c2 = result.policy.upper
+    suff = check_sufficiency_pair(ps, c2)
+    detail = (f"c2*={c2:.6g} argmin={suff.derivative_argmin:.6g} "
+              f"least V'' beyond c2* {suff.worst_slack:.2e}")
+    checks.append(("sufficiency_condition", suff.passed, detail))
+
     worst_in = 0.0
     for x in np.linspace(0.1 * c2, 0.9 * c2, 10):
         v = value_function(ps, result.policy, float(x))

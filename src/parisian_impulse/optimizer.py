@@ -30,9 +30,15 @@ form too.  With ``V = a*e^{kp x} - b*e^{km x}``, ``a > 0`` and ``km < 0``:
 if ``b >= 0``, ``V''' = a*kp^3*e^{kp x} - b*km^3*e^{km x} > 0``, so V' is
 convex with its minimum at ``a*``; if ``b < 0``, both terms of V'' are
 positive, so V' increases throughout and ``a* = 0``.  Either way the
-certificate holds on all of [upper, inf) exactly when ``upper >= a*``.  The
-transfer inequality has no reduction that simple: its margin is checked on a
-200 x 200 table of ordered pairs on [0, 2*upper].
+certificate holds on all of [upper, inf) exactly when ``upper >= a*``.
+
+The transfer inequality is exact too.  With ``F(t) = v(t) - t`` its margin is
+``F(x) - F(y) + beta``.  F is constant above ``upper`` and ``V/g - t`` below
+it, where g is the policy's payout ratio.  So the least margin over
+``0 <= y <= x`` is beta (the diagonal) or sits at a pair ``y < x`` with x
+either upper or in L and y either 0 or in L, where L is the level set
+``V' = g`` on [0, upper]: at most one root on each side of ``a*``, found by
+the same Newton-bisection.
 """
 from __future__ import annotations
 
@@ -56,8 +62,7 @@ SEARCH_DERIVATIVE_FACTOR = 10.0  # search_bound: V' grown this far past its mini
 ROOT_RTOL = 1e-12
 ROOT_MAX_ITER = 200
 ARGMIN_TOL = 1e-12  # a trigger this close below a* counts as at it
-TRANSFER_GRID_N = 200  # points per axis of the transfer table on [0, 2*upper]
-TRANSFER_TOL = 1e-9  # least margin the transfer table accepts
+TRANSFER_TOL = 1e-9  # least margin the transfer check accepts
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,17 @@ def _find_root(
     raise SolverFailureError(f"root search did not converge in {ROOT_MAX_ITER} steps")
 
 
+def _level_point(pair: ExponentialPair, level: float, lo: float, hi: float, sign: float) -> float:
+    """The point of (lo, hi] where V' = level, on a piece where ``sign * V'``
+    rises and ``sign * (V'(lo) - level) < 0``."""
+
+    def f(x: float) -> tuple[float, float]:
+        _, d1, d2 = _derivatives(pair, x)
+        return sign * (d1 - level), sign * d2
+
+    return _find_root(f, lo, hi, 1.0 / pair.kp)[0]
+
+
 def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
     """Minimize the payout ratio g over admissible (lower, upper) pairs.
 
@@ -186,14 +202,7 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
 
     def preimage(level: float) -> float:
         """The point c >= a* with V'(c) = level, for level >= V'(a*)."""
-        if level <= d_min:
-            return a_star
-
-        def f(x: float) -> tuple[float, float]:
-            _, d1, d2 = _derivatives(pair, x)
-            return d1 - level, d2
-
-        return _find_root(f, a_star, cap, width)[0]
+        return a_star if level <= d_min else _level_point(pair, level, a_star, cap, 1.0)
 
     def G(c1: float) -> tuple[float, float]:
         v1, d1, d2 = _derivatives(pair, c1)
@@ -283,26 +292,37 @@ def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport
 
 
 def check_transfer_inequality(ps: ParisianScale, policy: ImpulsePolicy) -> TransferReport:
-    """v(x) - v(y) >= x - y - beta for 0 <= y <= x on a grid.
+    """v(x) - v(y) >= x - y - beta for all 0 <= y <= x, exactly.
 
     Any policy value function must beat an immediate transfer from x down to
-    y net of the fixed cost; the worst margin over the ordered pairs of
-    ``TRANSFER_GRID_N`` points on [0, 2*upper] certifies it.
+    y net of the fixed cost.  The least margin is beta or sits at a candidate
+    pair built from the level set ``V' = g`` (see the module docstring).
     """
     beta = ps.spec.beta
-    xs = np.linspace(0.0, 2.0 * policy.upper, TRANSFER_GRID_N)
-    v = value_function(ps, policy, xs)
-    margin = v[:, None] - v[None, :] - (xs[:, None] - xs[None, :] - beta)
-    margin[xs[:, None] < xs[None, :]] = np.inf  # only ordered pairs y <= x
-    flat = int(np.argmin(margin))
-    i, j = np.unravel_index(flat, margin.shape)
-    worst = float(margin[i, j])
-    return TransferReport(
-        passed=worst >= -TRANSFER_TOL,
-        worst_margin=worst,
-        worst_x=float(xs[i]),
-        worst_y=float(xs[j]),
-    )
+    policy.validate(beta)
+    lo, up = policy.lower, policy.upper
+    pair = ps.positive_pair
+    v_up, d_up, _ = _derivatives(pair, up) if pair.kp * up <= EXP_ARG_MAX else (math.inf,) * 3
+    if not math.isfinite(v_up + d_up):
+        raise OverflowRangeError(f"V or V' leaves the double range at the trigger {up:.6g}")
+    g = (v_up - _derivatives(pair, lo)[0]) / (up - lo - beta)
+    # V' is monotone on each side of a*, so V' - g has at most one root on each
+    a_star = pair.derivative_argmin()
+    knots = [0.0, a_star, up] if 0.0 < a_star < up else [0.0, up]
+    slopes = [_derivatives(pair, t)[1] for t in knots[:-1]] + [d_up]
+    level = [
+        _level_point(pair, g, s, e, 1.0 if de > ds else -1.0)
+        for s, e, ds, de in zip(knots, knots[1:], slopes, slopes[1:])
+        if min(ds, de) < g < max(ds, de)
+    ]
+    v = {t: _derivatives(pair, t)[0] for t in [0.0, *level]}
+    v[up] = v_up
+    margins = [
+        ((v[x] - v[y]) / g - (x - y - beta), x, y)
+        for x in [up, *level] for y in [0.0, *level] if y < x
+    ]
+    worst, x, y = min([(beta, 0.0, 0.0), *margins])  # beta on the diagonal
+    return TransferReport(passed=worst >= -TRANSFER_TOL, worst_margin=worst, worst_x=x, worst_y=y)
 
 
 def generator_residual(

@@ -10,8 +10,10 @@ checks the optimizer's search rather than V: it takes V from the package and
 only replaces the root solves with an exhaustive lattice.
 
 The certificate grids check the package's closed-form certificates: they
-scan V' on a fine grid, as the package did before it used the
-two-exponential structure.  ``refracted_scale_derivative`` and
+scan V' on a fine grid, or the transfer margin on a table of point pairs, as
+the package did before it used the two-exponential structure.  A V' that
+leaves the double range on a grid is a typed ``OverflowRangeError``, as in
+the package.  ``refracted_scale_derivative`` and
 ``refracted_derivative_argmin`` check the refracted scale function's shape.
 
 ``regularized_lower_gamma`` evaluates ``P(order, x)`` one scalar at a time,
@@ -47,7 +49,13 @@ from parisian_impulse.models import (
     Model,
     ProblemSpec,
 )
-from parisian_impulse.optimizer import SufficiencyReport
+from parisian_impulse.optimizer import (
+    TRANSFER_TOL,
+    ImpulsePolicy,
+    SufficiencyReport,
+    TransferReport,
+    value_function,
+)
 from parisian_impulse.parisian import ParisianScale
 from parisian_impulse.scale import ScaleFunction, refracted_pair
 from parisian_impulse.simulate import (
@@ -180,19 +188,15 @@ class CramerLundbergWindowOracle:
 
     def _kernel(self, z):
         """(z / r) times the claims density at ``p r - z``, memoized because
-        every quadrature over [0, p r] reuses the same nodes."""
+        every quadrature over [0, p r] reuses the same nodes.  With
+        ``c = lam r mu`` the density's series is the Bessel function
+        ``sqrt(c / s) I_1(2 sqrt(c s))`` (DLMF 10.25.2), which tends to c as
+        s falls to 0."""
         if z not in self._kernel_cache:
             mp = self.mp
             s = self.p * self.r - z
             c = self.lam * self.r * self.mu
-            term = total = c
-            for n in range(1, 10_000):
-                term *= c * s / (n * (n + 1))
-                total += term
-                if abs(term) < mp.eps * total:
-                    break
-            else:
-                raise RuntimeError(f"claims density series did not converge at s={s}")
+            total = mp.sqrt(c / s) * mp.besseli(1, 2 * mp.sqrt(c * s)) if s > 0 else c
             density = mp.exp(-self.lam * self.r - self.mu * s) * total
             self._kernel_cache[z] = z / self.r * density
         return self._kernel_cache[z]
@@ -369,13 +373,42 @@ def check_unimodal_by_grid(ps: ParisianScale, hi: float = 20.0, n: int = 2000) -
     """V' falls before its argmin and rises after it, scanned on (0, hi]."""
     a_star = ps.derivative_argmin()
     xs = np.linspace(1e-6, hi, n)
-    vals = ps.positive_pair.derivative(xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as a typed error below
+        vals = ps.positive_pair.derivative(xs)
+    if not np.all(np.isfinite(vals)):
+        raise OverflowRangeError(f"V' is not finite on the unimodality grid (0, {hi:.6g}]")
     tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
     left = xs <= a_star
     worst_left = float(np.max(np.diff(vals[left]))) if np.count_nonzero(left) > 1 else 0.0
     worst_right = float(np.min(np.diff(vals[~left]))) if np.count_nonzero(~left) > 1 else 0.0
     ok = worst_left <= tol and worst_right >= -tol
     return ok, f"argmin={a_star:.6g} worst_rise_before={worst_left:.2e} worst_drop_after={worst_right:.2e}"
+
+
+TRANSFER_GRID_N = 200  # points per axis of the transfer table on [0, 2*upper]
+
+
+def check_transfer_inequality_by_grid(ps: ParisianScale, policy: ImpulsePolicy) -> TransferReport:
+    """v(x) - v(y) >= x - y - beta for 0 <= y <= x on a grid.
+
+    The worst margin over the ordered pairs of ``TRANSFER_GRID_N`` points on
+    [0, 2*upper]; the package takes the exact minimum over a few candidate
+    pairs instead.
+    """
+    beta = ps.spec.beta
+    xs = np.linspace(0.0, 2.0 * policy.upper, TRANSFER_GRID_N)
+    v = value_function(ps, policy, xs)
+    margin = v[:, None] - v[None, :] - (xs[:, None] - xs[None, :] - beta)
+    margin[xs[:, None] < xs[None, :]] = np.inf  # only ordered pairs y <= x
+    flat = int(np.argmin(margin))
+    i, j = np.unravel_index(flat, margin.shape)
+    worst = float(margin[i, j])
+    return TransferReport(
+        passed=worst >= -TRANSFER_TOL,
+        worst_margin=worst,
+        worst_x=float(xs[i]),
+        worst_y=float(xs[j]),
+    )
 
 
 def refracted_scale_derivative(cs: CoefficientSet, x: float, depth: float) -> float:

@@ -194,7 +194,7 @@ def test_verify_analytic_battery(capsys):
     out = capsys.readouterr().out
     assert "laplace_roots: PASS" in out
     assert "closed_vs_quadrature: PASS" in out
-    assert "all 9 checks passed" in out
+    assert "all 8 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -204,7 +204,7 @@ def test_long_window_optimize_and_verify(capsys):
         assert cli.main([command, "--config", CL_CFG, "--set", "r=200"]) == 0
     out = capsys.readouterr().out
     assert "sufficiency_pass: true" in out
-    assert "all 9 checks passed" in out
+    assert "all 8 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -216,7 +216,7 @@ def test_verify_with_monte_carlo(capsys):
     assert "mc_exit_mid: PASS" in out
     assert "mc_exit_zero: PASS" in out
     assert "mc_policy_npv: PASS" in out
-    assert "all 12 checks passed" in out
+    assert "all 11 checks passed" in out
 
 
 def test_verify_rejects_bad_refraction(capsys):

@@ -24,6 +24,7 @@ from parisian_impulse import (
 from parisian_impulse.config import build_problem_spec, parse_config_text
 from parisian_impulse.optimizer import result_record
 from parisian_impulse.parisian import parisian_scale
+from parisian_impulse.scale import EXP_ARG_MAX
 
 import oracles
 from params import brownian_spec, cramer_lundberg_spec
@@ -208,6 +209,21 @@ def test_transfer_inequality_detects_bad_policy(bm_scale):
     report = check_transfer_inequality(bm_scale, ImpulsePolicy(0.0, 20.0))
     assert not report.passed
     assert report.worst_margin < -1e-6
+
+
+def test_transfer_inequality_out_of_exp_range_is_typed(bm_scale):
+    # a trigger with kp*upper past EXP_ARG_MAX must not reach math.exp's
+    # untyped OverflowError
+    upper = 2.0 * EXP_ARG_MAX / bm_scale.positive_pair.kp
+    with pytest.raises(OverflowRangeError):
+        check_transfer_inequality(bm_scale, ImpulsePolicy(0.0, upper))
+    # V(0) = e^{697}: V itself leaves the double range at a trigger of 10,
+    # although kp*10 = 17 is well inside the exp range
+    ps = parisian_scale(ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076,
+                                    q=3.63, r=191.9, beta=0.677))
+    assert ps.positive_pair.kp * 10.0 < EXP_ARG_MAX
+    with pytest.raises(OverflowRangeError):
+        check_transfer_inequality(ps, ImpulsePolicy(0.0, 10.0))
 
 
 def test_generator_residual(bm_scale, cl_scale, optimum):

@@ -84,21 +84,26 @@ def certified_or_typed_property(spec):
     assert g_brute >= result.payout_ratio * (1.0 - 1e-12)
 
 
-def test_optimizer_certified_or_typed_error(bounded_python):
-    # every spec solves with its certificates or raises a typed error, and the
-    # whole property runs in a subprocess, so a hang fails at its timeout
+def _run_property(bounded_python, name: str) -> None:
+    """Run a property of this module in a subprocess, so that a hang fails at
+    the timeout instead of stalling the suite."""
     code = f"""
 import traceback
 sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 import test_properties
 try:
-    test_properties.certified_or_typed_property()
+    test_properties.{name}()
     print("ok")
 except Exception:
     traceback.print_exc(file=sys.stdout)
 """
     out = bounded_python(code, timeout=120.0)
     assert out == "ok\n", out
+
+
+def test_optimizer_certified_or_typed_error(bounded_python):
+    # every spec solves with its certificates or raises a typed error
+    _run_property(bounded_python, "certified_or_typed_property")
 
 
 def _verdict(check):
@@ -110,11 +115,11 @@ def _verdict(check):
 
 
 @settings(max_examples=40, deadline=None)
-@given(spec=specs())
+@given(spec=specs(q_max=5.0, r_max=200.0))
 # V(0) = e^{697} is finite but V' overflows past it: both checks must raise
 @example(spec=ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076, q=3.63,
                           r=191.9, beta=0.677))
-def test_sufficiency_closed_form_matches_grid(spec):
+def sufficiency_closed_form_matches_grid_property(spec):
     # the closed form (a > 0 and upper >= a*) against the 2000-point V' scan,
     # at the optimal trigger and on both sides of the argmin of V'
     try:
@@ -131,13 +136,52 @@ def test_sufficiency_closed_form_matches_grid(spec):
         closed = _verdict(lambda: check_sufficiency_pair(ps, upper).passed)
         grid = _verdict(lambda: oracles.check_sufficiency_pair_by_grid(ps, upper).passed)
         assert closed == grid, (upper, a_star, closed, grid)
-    # verify's derivative_unimodal reads the closed form at a* itself.  The
-    # scan of V' on (0, 20] has its own reach: it raises where kp*20 leaves
-    # the exp range, and reads an overflowing V' as a failure, not an error.
+    # at a* itself the closed form says that V' falls to a* and rises beyond
+    # it.  The scan of V' on (0, 20] reaches points the closed form never
+    # evaluates, so either may raise where the other does not.
     closed = _verdict(lambda: check_sufficiency_pair(ps, a_star).passed)
     grid = _verdict(lambda: oracles.check_unimodal_by_grid(ps)[0])
     if "overflow" not in (closed, grid):
         assert closed == grid
+
+
+def test_sufficiency_closed_form_matches_grid(bounded_python):
+    _run_property(bounded_python, "sufficiency_closed_form_matches_grid_property")
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=specs(q_max=5.0, r_max=200.0))
+# interior optima, where the worst margin sits at (c2*, c1*) with c1* in the
+# level set, not at the edge y = 0
+@example(spec=brownian_spec(beta=0.05))
+@example(spec=cramer_lundberg_spec(beta=0.02))
+def transfer_closed_form_matches_table_property(spec):
+    # the exact minimum over the candidate pairs against the 200 x 200 table,
+    # at the optimum and at two admissible policies that are not optimal
+    try:
+        ps = parisian_scale(spec)
+        optimum = find_optimal_policy(ps).policy
+    except NumericalError:
+        return
+    c2, beta = optimum.upper, spec.beta
+    for policy in (optimum, ImpulsePolicy(0.0, 10.0 * c2 + beta),
+                   ImpulsePolicy(0.5 * c2, 0.5 * c2 + 2.0 * beta + 0.1)):
+        try:
+            table = oracles.check_transfer_inequality_by_grid(ps, policy)
+        except OverflowRangeError:
+            continue
+        try:
+            closed = check_transfer_inequality(ps, policy)
+        except OverflowRangeError:
+            # V overflows to inf at the trigger: the table's margins are NaN
+            assert not table.passed, (policy, table)
+            continue
+        assert table.passed or not closed.passed, (policy, closed, table)
+        assert closed.worst_margin <= table.worst_margin + 1e-12, (policy, closed, table)
+
+
+def test_transfer_closed_form_matches_table(bounded_python):
+    _run_property(bounded_python, "transfer_closed_form_matches_table_property")
 
 
 @given(model=models, a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0),
