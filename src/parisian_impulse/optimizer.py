@@ -254,6 +254,8 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> Ar
     lo, up = policy.lower, policy.upper
     policy.validate(beta)
     gain = ps.value(up) - ps.value(lo)
+    if not math.isfinite(gain):  # V(up) overflowed although kp*up passed the exp-range check
+        raise OverflowRangeError(f"V({up:.6g}) - V({lo:.6g}) leaves the double range")
     factor = (up - lo - beta) / gain
     if isinstance(x, np.ndarray):
         below = factor * ps.value(np.minimum(x, up))

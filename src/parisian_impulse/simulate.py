@@ -34,8 +34,9 @@ Estimates are reproducible bit for bit: paths are split over a fixed number of
 seeded substreams and block moments are combined in a fixed order.  Both
 kernels step the substreams' paths as one array, each substream drawing in the
 order it would alone.  The exact kernel's event rounds hold about twenty
-path-length temporaries, so it steps whole substreams in groups of at most
-``GROUP_PATHS`` paths, and its memory stays that of one large substream.
+path-length temporaries, so it keeps a working set of at most ``GROUP_PATHS``
+live paths, which whole substreams join in order as soon as they fit.  Paths
+keep their own clocks, so when a substream joins does not change its draws.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from .models import BrownianMotion, CramerLundberg, ProblemSpec
 from .optimizer import ImpulsePolicy
 
 N_BLOCKS = 8
-GROUP_PATHS = 2**14  # most paths the exact kernel steps as one array
+GROUP_PATHS = 2**14  # most live paths in the exact kernel's working set
 CENSOR_WARN_FRACTION = 1e-3
 
 # uniforms are clipped away from {0, 1} so inverse transforms stay finite
@@ -191,27 +192,25 @@ class _Layout:
 
     def __init__(self, counts: list[int], antithetic: bool) -> None:
         self.antithetic = antithetic
-        self.pairs, sizes = zip(*(_block_size(count, antithetic) for count in counts))
-        self.offsets = [0, *itertools.accumulate(sizes)]
+        self.pairs, self.sizes = zip(*(_block_size(count, antithetic) for count in counts))
+        self.offsets = [0, *itertools.accumulate(self.sizes)]
 
-    def groups(self) -> list[tuple[int, int]]:
-        """``(first, stop)`` runs of whole blocks with at most ``GROUP_PATHS``
-        paths each, unless one block alone has more."""
-        per = max(1, GROUP_PATHS // int(np.diff(self.offsets).max()))
-        return [(b, min(b + per, len(self.pairs))) for b in range(0, len(self.pairs), per)]
-
-    def draw_slices(self, idx: np.ndarray) -> list[tuple[int, slice, slice]]:
-        """``(block, head, tail)`` per block with live paths in ``idx``: a
-        plain block fills its live paths' slice of ``buffer[:idx.size]`` and
+    def draw_slices(self, idx: np.ndarray) -> tuple[list, slice | np.ndarray, int]:
+        """``(block, head, tail)`` per block with live paths in ``idx``, the
+        buffer columns holding the live paths' draws, and the columns in use.
+        A plain block fills its live paths' slice of ``buffer[:idx.size]`` and
         has an empty tail; an antithetic one fills its whole layout, dead paths
-        included, with draws and their mirrors, and the buffer is read at ``idx``."""
+        included, with draws and their mirrors, in columns of its own."""
         bounds = np.searchsorted(idx, self.offsets).tolist()
         live = [b for b in range(len(self.pairs)) if bounds[b + 1] > bounds[b]]
         if not self.antithetic:
-            return [(b, slice(bounds[b], bounds[b + 1]), slice(0)) for b in live]
-        mid = [lo + n_pairs for lo, n_pairs in zip(self.offsets, self.pairs)]
-        return [(b, slice(self.offsets[b], mid[b]), slice(mid[b], self.offsets[b + 1]))
-                for b in live]
+            fills = [(b, slice(bounds[b], bounds[b + 1]), slice(0)) for b in live]
+            return fills, slice(idx.size), idx.size
+        cols = [0, *itertools.accumulate(self.sizes[b] for b in live)]
+        shift = [self.offsets[b] - lo for b, lo in zip(live, cols)]
+        return ([(b, slice(lo, lo + self.pairs[b]), slice(lo + self.pairs[b], hi))
+                 for b, lo, hi in zip(live, cols, cols[1:])],
+                idx - np.repeat(shift, [bounds[b + 1] - bounds[b] for b in live]), cols[-1])
 
     def blocks(self, value: np.ndarray, censored: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
         """``(payoffs, n_raw, n_censored)`` per block, given the sorted
@@ -245,46 +244,53 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
         value += 1.0
 
     u = np.full(n, x0)
-    exc = np.zeros(n)  # current excursion length; starts counting at time zero
     idx = np.arange(0 if absorbed else n)
     z_all = np.empty(n)
     fills = None  # per live block: its generator and the slices its draws fill
     sig_dt = model.sigma * math.sqrt(dt)
     mu, delta, q, r = model.mu, spec.delta, spec.q, spec.r
     n_steps = int(math.ceil(t_max / dt))
+    # the excursion clock is a running float sum of dt: ruin on the m_r-th step below zero
+    m_r, exc = 0, 0.0
+    while not exc >= r and m_r <= n_steps:
+        exc, m_r = exc + dt, m_r + 1
+    began = np.zeros(n, dtype=np.int64)  # step the running excursion began in; time zero counts
+    oldest = 0  # no live excursion began before this step
 
     for step in range(n_steps):
         if idx.size == 0:
             break
         if fills is None:
-            fills = [(gens[b], z_all[head], z_all[tail])
-                     for b, head, tail in layout.draw_slices(idx)]
+            slices, cols, _ = layout.draw_slices(idx)
+            fills = [(gens[b], z_all[head], z_all[tail]) for b, head, tail in slices]
         t = (step + 1) * dt
         for gen, head, tail in fills:
             gen.standard_normal(out=head)
             if antithetic:
                 np.negative(head, out=tail)
-        z = z_all[idx] if antithetic else z_all[:idx.size]
         # drift indicator from the step start, barrier and clock at step end
-        u += (mu - delta * (u > 0.0)) * dt + sig_dt * z
-        pay = u >= upper
-        if pay.any():
+        inc = np.where(u > 0.0, (mu - delta) * dt, mu * dt)
+        inc += sig_dt * z_all[cols]
+        u += inc
+        done = False
+        if u.max() >= upper:
+            pay = u >= upper
             if lower is None:
                 value[idx[pay]] = math.exp(-q * t)
+                done = pay
             else:
                 # the Euler step can overshoot the trigger; pay the whole excess
                 net = u[pay] - lower - spec.beta
                 assert lower >= 0.0 and float(net.min()) > 0.0
                 value[idx[pay]] += math.exp(-q * t) * net
                 u[pay] = lower
-        # an absorbed path is dropped below before its clock is read again
-        exc = np.where(u < 0.0, exc + dt, 0.0)
-        done = exc >= r
-        if lower is None:
-            done |= pay
-        if done.any():
+        began = np.where(u < 0.0, began, step + 1)
+        if step + 1 - m_r >= oldest:  # the oldest excursion may have lasted r
+            done = done | (began <= step + 1 - m_r)
+            oldest = int(np.min(began, where=~done, initial=step + 1))
+        if done is not False and done.any():
             keep = ~done
-            u, exc, idx = u[keep], exc[keep], idx[keep]
+            u, began, idx = u[keep], began[keep], idx[keep]
             fills = None
     return layout.blocks(value, idx)
 
@@ -306,78 +312,79 @@ def _cl_paths(spec: ProblemSpec, x: float, upper: float, lower: float | None,
     model = spec.model
     assert isinstance(model, CramerLundberg)
     layout = _Layout(counts, antithetic)
-    n = layout.offsets[-1]
     p, lam, mu_c = model.p, model.lam, model.mu_claim
     slope_up = p - spec.delta
     q, r = spec.q, spec.r
-    value, x0 = _start_payment(spec, x, upper, lower, n)
+    value, x0 = _start_payment(spec, x, upper, lower, layout.offsets[-1])
     if lower is not None:
         net = upper - lower - spec.beta
         tau = (upper - lower) / slope_up  # spacing of back-to-back payments
         disc_tau = math.expm1(-q * tau)
 
-    u = np.full(n, x0)
-    t = np.zeros(n)
-    # time at which the running excursion turns into ruin; inf while at or above 0
-    deadline = np.where(u < 0.0, r, np.inf)
-    idx = np.arange(n)
-    cut = np.zeros(n, dtype=bool)  # censored at the horizon
-    draws = np.empty((2, n))  # uniforms for the claim times, then the sizes
-
-    while idx.size:
-        for b, head, tail in layout.draw_slices(idx):
+    cut = np.zeros(value.size, dtype=bool)  # censored at the horizon
+    # uniforms for the claim times, then the sizes, of the working set
+    draws = np.empty((2, min(value.size, max(GROUP_PATHS, *layout.sizes))))
+    idx, joined = np.arange(0), 0  # the working set's paths, and the blocks that joined it
+    # time at which the running excursion turns into ruin; read only while below 0
+    u = t = deadline = np.empty(0)
+    while True:
+        fills, cols, width = layout.draw_slices(idx)
+        if joined < len(counts) and (not idx.size or width + layout.sizes[joined] <= GROUP_PATHS):
+            # whole blocks join in order, as soon as they fit beside the live paths
+            new = np.arange(layout.offsets[joined], layout.offsets[joined + 1])
+            idx, u = np.append(idx, new), np.append(u, np.full(new.size, x0))
+            t = np.append(t, np.zeros(new.size))
+            deadline = np.append(deadline, np.full(new.size, r))
+            joined += 1
+            continue
+        if not idx.size:
+            return layout.blocks(value, np.flatnonzero(cut))
+        for b, head, tail in fills:
             for row in draws:
                 gens[b].random(out=row[head])
                 if antithetic:
                     np.subtract(1.0, row[head], out=row[tail])
-        logs = np.log(np.clip(draws[:, idx] if antithetic else draws[:, :idx.size], _U_LO, _U_HI))
+        logs = np.log(np.clip(draws[:, cols], _U_LO, _U_HI))
         t_claim = t - logs[0] / lam
-        claim = -logs[1] / mu_c
-        t_stop = np.minimum(t_claim, t_max)
+        claim = logs[1] / -mu_c
+        late = t_claim.max() > t_max
+        t_stop = np.minimum(t_claim, t_max) if late else t_claim
 
-        below = u < 0.0
-        t_rec = np.where(below, t + (0.0 - u) / p, t)
-        ruined = below & (deadline < t_rec) & (deadline <= t_stop)
-        recovers = below & ~ruined & (t_rec <= t_stop)
-
-        # paths at or above zero, plus the ones that recover this round
-        u_eff = np.where(recovers, 0.0, u)
-        t_eff = np.where(recovers, t_rec, t)
-        upper_track = ~below | recovers
-        t_hit = np.where(upper_track, t_eff + (upper - u_eff) / slope_up, np.inf)
-        pays = upper_track & (t_hit <= t_stop)  # payment wins claim-time ties
-        done = ruined
+        # every path on the upper track first, then the ones below zero: ruined,
+        # recovering in time, or still below at the claim
+        t_hit = t + (upper - u) / slope_up
+        below = np.flatnonzero(u < 0.0)
+        t_rec = t[below] + (0.0 - u[below]) / p
+        ruined = (deadline[below] < t_rec) & (deadline[below] <= t_stop[below])
+        recovers = ~ruined & (t_rec <= t_stop[below])
+        t_hit[below] = np.where(recovers, t_rec + upper / slope_up, np.inf)
+        rec, stay = below[recovers], below[~(ruined | recovers)]
+        u[rec], t[rec] = 0.0, t_rec[recovers]
+        pays = np.flatnonzero(t_hit <= t_stop)  # payment wins claim-time ties
+        done = np.zeros(idx.size, dtype=bool)
+        done[below[ruined]] = True
         if lower is None:
-            if pays.any():
-                value[idx[pays]] = np.exp(-q * t_hit[pays])
-            done = done | pays
-        elif pays.any():
+            value[idx[pays]] = np.exp(-q * t_hit[pays])
+            done[pays] = True
+        elif pays.size:
             assert lower >= 0.0 and net > 0.0
             # whole chain of evenly spaced payments inside this claim interval
             k = np.floor((t_stop[pays] - t_hit[pays]) / tau).astype(np.int64) + 1
             chain = np.exp(-q * t_hit[pays]) * np.expm1(-q * tau * k) / disc_tau
             value[idx[pays]] += net * chain
-            u_eff[pays] = lower
-            t_eff[pays] = t_hit[pays] + (k - 1) * tau
+            u[pays], t[pays] = lower, t_hit[pays] + (k - 1) * tau
+        if late:
+            censored = ~done & (t_claim > t_max)
+            cut[idx[censored]] = True
+            done |= censored
 
-        censored = ~done & (t_claim > t_max)
-        cut[idx[censored]] = True
-        done = done | censored
-
-        cont = ~done
-        if not cont.any():
-            break
-        still_below = below[cont] & ~recovers[cont]
-        drift = np.where(still_below, p, slope_up)
-        u_new = u_eff[cont] + drift * (t_claim[cont] - t_eff[cont]) - claim[cont]
-        went_below = u_new < 0.0
-        # a fresh excursion starts at the claim; an ongoing one keeps its deadline
-        deadline_new = np.where(
-            went_below & ~still_below, t_claim[cont] + r,
-            np.where(went_below, deadline[cont], np.inf),
-        )
-        u, t, deadline, idx = u_new, t_claim[cont], deadline_new, idx[cont]
-    return layout.blocks(value, np.flatnonzero(cut))
+        u_new = u + slope_up * (t_claim - t) - claim
+        u_new[stay] = u[stay] + p * (t_claim[stay] - t[stay]) - claim[stay]
+        # an excursion starting at the claim would end at dl_new; an ongoing one keeps its own
+        dl_new = t_claim + r
+        dl_new[stay] = deadline[stay]
+        keep = np.flatnonzero(~done)
+        u, t, deadline, idx = u_new[keep], t_claim[keep], dl_new[keep], idx[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +402,7 @@ def _estimate(spec: ProblemSpec, x: float, upper: float, lower: float | None,
         blocks = _brownian_paths(spec, x, upper, lower, dt, t_max, gens, counts,
                                  config.antithetic)
     else:
-        blocks = itertools.chain.from_iterable(
-            _cl_paths(spec, x, upper, lower, t_max, gens[lo:hi], counts[lo:hi], config.antithetic)
-            for lo, hi in _Layout(counts, config.antithetic).groups())
+        blocks = _cl_paths(spec, x, upper, lower, t_max, gens, counts, config.antithetic)
     acc = _Accumulator()
     for count, block in zip(counts, blocks):
         if count:

@@ -25,8 +25,8 @@ plain Python; they check the vectorized Monte Carlo kernels' conventions
 ``brownian_block`` steps one seeded substream's Euler paths on their own, and
 ``cl_block`` one substream's exact compound Poisson paths, claim round by
 claim round; the package steps the substreams together in one array (the
-exact kernel in groups of whole substreams) and must give the same estimates
-bit for bit.
+exact kernel in a working set that whole substreams join as room frees up)
+and must give the same estimates bit for bit.
 """
 from __future__ import annotations
 

@@ -180,6 +180,16 @@ def test_value_function_rejects_bad_policies(bm_scale):
         value_function(bm_scale, ImpulsePolicy(1.0, 1.02), 0.5)
 
 
+def test_value_function_out_of_double_range_is_typed():
+    # V(0) = e^{697}, so V(10) overflows although kp*10 is inside the exp
+    # range; the scaling factor (10 - 0 - beta)/inf must not read as 0
+    ps = parisian_scale(ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076,
+                                    q=3.63, r=191.9, beta=0.677))
+    for x in (1.0, np.array([-1.0, 1.0, 20.0])):
+        with np.errstate(over="ignore"), pytest.raises(OverflowRangeError):
+            value_function(ps, ImpulsePolicy(0.0, 10.0), x)
+
+
 def test_sufficiency_certificate(bm_scale, cl_scale, optimum):
     for ps in (bm_scale, cl_scale):
         result = optimum(ps.spec)

@@ -21,14 +21,8 @@ from parisian_impulse import (
     value_function,
 )
 from parisian_impulse.models import BrownianMotion, CramerLundberg, ProblemSpec
-from parisian_impulse.simulate import (
-    GROUP_PATHS,
-    N_BLOCKS,
-    _Accumulator,
-    _block_counts,
-    _Layout,
-    _substreams,
-)
+from parisian_impulse import simulate
+from parisian_impulse.simulate import GROUP_PATHS, _Accumulator, _block_counts, _substreams
 
 from oracles import brownian_block, cl_block, parisian_clock, simulate_refracted_path
 from params import brownian_spec, cramer_lundberg_spec
@@ -276,6 +270,20 @@ def test_brownian_kernel_matches_per_block_oracle_censored(antithetic):
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("dt", [0.1, 0.01, 0.07])
+def test_brownian_clock_edge_matches_per_block_oracle(dt, antithetic):
+    # r = 3: summed in floating point, 30 steps of 0.1 reach 3.0000000000000013
+    # and ruin, while 300 steps of 0.01 reach 2.99999999999998 and do not
+    spec = brownian_spec()
+    cfg = SimulationConfig(n_paths=777, seed=9, antithetic=antithetic, dt=dt, t_max=60.0)
+    _assert_matches_per_block(spec, "exit", -1.0, 3.0, cfg)
+    # plain draws from the first substream: no path is censored and some are ruined
+    payoffs, _, n_censored = brownian_block(spec, -1.0, 3.0, None, dt, 60.0,
+                                            _substreams(cfg.seed)[0], 98, False)
+    assert n_censored == 0 and np.count_nonzero(payoffs == 0.0) > 0
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("functional, x, arg", KERNEL_STARTS)
 def test_cl_kernel_matches_per_block_oracle(functional, x, arg, antithetic):
     # 1, 3 and 7 paths leave some of the eight substreams empty
@@ -287,11 +295,43 @@ def test_cl_kernel_matches_per_block_oracle(functional, x, arg, antithetic):
 
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_cl_kernel_matches_per_block_oracle_several_groups(antithetic):
+    # more paths than the working set holds: later substreams join as room frees up
     n_paths = 3 * GROUP_PATHS + 5
-    assert len(_Layout(_block_counts(n_paths), antithetic).groups()) > 1
     cfg = SimulationConfig(n_paths=n_paths, seed=6, antithetic=antithetic, t_max=2.5)
     _assert_matches_per_block(cramer_lundberg_spec(), "exit", 1.0, 3.0, cfg)
     _assert_matches_per_block(cramer_lundberg_spec(), "npv", 1.0, (0.5, 3.0), cfg)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("functional, x, arg", KERNEL_STARTS)
+def test_cl_kernel_matches_per_block_oracle_joining_mid_flight(functional, x, arg, antithetic,
+                                                               monkeypatch):
+    # substreams of about 98 paths (or columns) in a working set of 100 or
+    # 250: each joins while an earlier one's tail is live, or once none is
+    for group_paths in (100, 250):
+        monkeypatch.setattr(simulate, "GROUP_PATHS", group_paths)
+        cfg = SimulationConfig(n_paths=777, seed=5, antithetic=antithetic, t_max=40.0)
+        _assert_matches_per_block(cramer_lundberg_spec(), functional, x, arg, cfg)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_cl_working_set_is_bounded(antithetic, monkeypatch):
+    # the draw columns in use never pass GROUP_PATHS, unless one substream of
+    # about 98 is larger on its own; with room for two, two run at once
+    draw_slices, widths = simulate._Layout.draw_slices, []
+
+    def recorded(layout, idx):
+        out = draw_slices(layout, idx)
+        widths.append(out[2])
+        return out
+
+    monkeypatch.setattr(simulate._Layout, "draw_slices", recorded)
+    cfg = SimulationConfig(n_paths=777, seed=5, antithetic=antithetic)
+    for group_paths, most in ((50, 98), (250, 250)):
+        monkeypatch.setattr(simulate, "GROUP_PATHS", group_paths)
+        widths.clear()
+        estimate_exit_functional(cramer_lundberg_spec(), 0.0, 3.0, cfg)
+        assert max(widths) <= most and (max(widths) > 98) == (group_paths == 250)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -308,22 +348,6 @@ def test_cl_kernel_matches_per_block_oracle_censored(antithetic):
     est = _assert_matches_per_block(cramer_lundberg_spec(), "exit", -1.0, 3.0, cfg)
     assert 0.0 < est.censored_fraction < 1.0
     assert est.warning is not None
-
-
-def test_cl_groups_pack_whole_blocks():
-    for n_paths in (1, 7, 777, 10_000, GROUP_PATHS, 8 * GROUP_PATHS + 9, 3 * GROUP_PATHS + 5,
-                    100_000, 10**6):
-        for antithetic in (False, True):
-            layout = _Layout(_block_counts(n_paths), antithetic)
-            groups = layout.groups()
-            # consecutive runs covering every block once, in order
-            assert [lo for lo, _ in groups] == [0, *(hi for _, hi in groups[:-1])]
-            assert groups[-1][1] == N_BLOCKS and all(lo < hi for lo, hi in groups)
-            for lo, hi in groups:
-                assert hi - lo == 1 or layout.offsets[hi] - layout.offsets[lo] <= GROUP_PATHS
-    # the benchmark's exact NPV call is one group; its exit calls keep a block each
-    assert _Layout(_block_counts(10_000), False).groups() == [(0, N_BLOCKS)]
-    assert _Layout(_block_counts(100_000), True).groups() == [(b, b + 1) for b in range(N_BLOCKS)]
 
 
 @pytest.mark.parametrize("model", ["bm", "cl"])
