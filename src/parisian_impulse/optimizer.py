@@ -73,11 +73,11 @@ class ImpulsePolicy:
     upper: float
 
     def validate(self, beta: float) -> None:
-        """Admissibility for a given transaction cost: lower >= 0 and a
-        strictly positive net payout."""
+        """Admissibility for a given transaction cost: lower >= 0 and a net
+        payout ``upper - lower - beta`` above 0, also in float arithmetic."""
         if not self.lower >= 0.0:
             raise DomainError(f"lower boundary must be nonnegative, got {self.lower}")
-        if not self.upper > self.lower + beta:
+        if not (self.upper > self.lower + beta and self.upper - self.lower - beta > 0.0):
             raise DomainError(
                 f"need upper > lower + beta, got upper={self.upper} "
                 f"lower={self.lower} beta={beta}"
@@ -260,9 +260,9 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> Ar
     if isinstance(x, np.ndarray):
         below = factor * ps.value(np.minimum(x, up))
         return np.where(x <= up, below, x - lo - beta + factor * ps.value(lo))
-    if x <= up:
-        return factor * ps.value(x)
-    return x - lo - beta + factor * ps.value(lo)
+    if x > up:
+        return x - lo - beta + factor * ps.value(lo)
+    return factor * ps.value(x)  # NaN lands here, and V raises
 
 
 def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport:

@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DomainError,
     OverflowRangeError,
     SeriesConvergenceError,
     UndefinedDerivativeError,
@@ -378,54 +379,51 @@ class ParisianScale:
     # ---------- public evaluation ----------
 
     def value(self, x: ArrayLike) -> ArrayLike:
-        """V at x.  Zero below ``-p*r`` for Cramer-Lundberg (with the value at
-        ``-p*r`` itself taken as the right limit).  Takes arrays too."""
+        """V at x.  Zero at ``-inf`` and, for Cramer-Lundberg, below ``-p*r``
+        (with the value at ``-p*r`` itself taken as the right limit).  Takes
+        arrays too; NaN raises ``DomainError``."""
         if isinstance(x, np.ndarray):
             return self._on_array(x.astype(float, copy=False), with_derivative=False)
         if x >= 0.0:
             return self.positive_pair.value(x)
-        if self._is_cl:
-            if x < -self.spec.model.p * self.spec.r:
-                return 0.0
-            return self._middle_cl(x, with_derivative=False)[0]
-        return self._neg_brownian(x, with_derivative=False)[0]
+        return self._below_zero(x, with_derivative=False)
 
     def derivative(self, x: ArrayLike) -> ArrayLike:
         """dV/dx.  Undefined at the Cramer-Lundberg kinks x = 0 and x = -p*r:
-        a scalar there raises, an array holds NaN there."""
+        a scalar there raises, an array holds NaN there.  As for :meth:`value`,
+        an input NaN raises ``DomainError`` and ``-inf`` gives 0."""
         if isinstance(x, np.ndarray):
             return self._on_array(x.astype(float, copy=False), with_derivative=True)
-        if self._is_cl:
-            boundary = -self.spec.model.p * self.spec.r
-            if x == 0.0 or x == boundary:
-                raise UndefinedDerivativeError(
-                    f"derivative does not exist at x={x} for the bounded-variation model"
-                )
-            if x < boundary:
-                return 0.0
-            if x < 0.0:
-                return self._middle_cl(x, with_derivative=True)[1]
-            return self.positive_pair.derivative(x)
+        if self._is_cl and (x == 0.0 or x == -self.spec.model.p * self.spec.r):
+            raise UndefinedDerivativeError(
+                f"derivative does not exist at x={x} for the bounded-variation model"
+            )
         if x >= 0.0:
             return self.positive_pair.derivative(x)
-        return self._neg_brownian(x, with_derivative=True)[1]
+        return self._below_zero(x, with_derivative=True)
+
+    def _below_zero(self, x: float, with_derivative: bool) -> float:
+        """V or V' at one point below 0, where NaN lands too and raises.  Both
+        vanish at ``-inf`` and, for Cramer-Lundberg, below ``-p*r``."""
+        if self._is_cl:
+            if x >= -self.spec.model.p * self.spec.r:
+                return self._middle_cl(x, with_derivative)[with_derivative]
+        elif x > -math.inf:
+            return self._neg_brownian(x, with_derivative)[with_derivative]
+        if math.isnan(x):  # NaN fails every comparison above
+            raise DomainError("V and V' are undefined at NaN")
+        return 0.0
 
     def _on_array(self, x: np.ndarray, with_derivative: bool) -> np.ndarray:
-        """V or V' on an array, one branch per mask.  The x >= 0 branch is one
-        array call; the band and the Brownian tails loop over their points."""
+        """V or V' on an array.  The x >= 0 branch is one array call; the
+        points below 0 (the band or the Brownian tails) are looped over."""
         pair = self.positive_pair
         out = np.zeros_like(x)
         pos = x >= 0.0
         out[pos] = (pair.derivative if with_derivative else pair.value)(x[pos])
-        if self._is_cl:
-            boundary = -self.spec.model.p * self.spec.r
-            below, point = (x < 0.0) & (x >= boundary), self._middle_cl
-        else:
-            below, point = x < 0.0, self._neg_brownian
-        part = int(with_derivative)
-        out[below] = [point(v, with_derivative)[part] for v in x[below].tolist()]
+        out[~pos] = [self._below_zero(v, with_derivative) for v in x[~pos].tolist()]
         if with_derivative and self._is_cl:
-            out[(x == 0.0) | (x == boundary)] = np.nan
+            out[(x == 0.0) | (x == -self.spec.model.p * self.spec.r)] = np.nan
         return out
 
     def derivative_argmin(self) -> float:

@@ -37,6 +37,10 @@ order it would alone.  The exact kernel's event rounds hold about twenty
 path-length temporaries, so it keeps a working set of at most ``GROUP_PATHS``
 live paths, which whole substreams join in order as soon as they fit.  Paths
 keep their own clocks, so when a substream joins does not change its draws.
+Under a policy only ruin removes a Brownian path, none before the oldest
+excursion can reach ``r``, so the Euler kernel draws each substream's steps up
+to then in one call, which yields the values of one call per step; the exit
+functional, whose barrier can remove a path at any step, draws step by step.
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ from .models import BrownianMotion, CramerLundberg, ProblemSpec
 from .optimizer import ImpulsePolicy
 
 N_BLOCKS = 8
-GROUP_PATHS = 2**14  # most live paths in the exact kernel's working set
+GROUP_PATHS = 2**14  # most live paths in the exact kernel's working set, most Euler draws held
 CENSOR_WARN_FRACTION = 1e-3
 
 # uniforms are clipped away from {0, 1} so inverse transforms stay finite
@@ -245,8 +249,10 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
 
     u = np.full(n, x0)
     idx = np.arange(0 if absorbed else n)
+    paid = value[idx]  # under a policy, the live paths' payoffs; value gets them as they leave
     z_all = np.empty(n)
     fills = None  # per live block: its generator and the slices its draws fill
+    draws, row = [], 0  # the live paths' sig_dt-scaled normals, a row per step drawn
     sig_dt = model.sigma * math.sqrt(dt)
     mu, delta, q, r = model.mu, spec.delta, spec.q, spec.r
     n_steps = int(math.ceil(t_max / dt))
@@ -256,21 +262,38 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
         exc, m_r = exc + dt, m_r + 1
     began = np.zeros(n, dtype=np.int64)  # step the running excursion began in; time zero counts
     oldest = 0  # no live excursion began before this step
+    # rounding is monotone, so every payment nets at least upper - lower - beta
+    assert lower is None or (lower >= 0.0 and upper - lower - spec.beta > 0.0)
 
     for step in range(n_steps):
         if idx.size == 0:
             break
-        if fills is None:
-            slices, cols, _ = layout.draw_slices(idx)
-            fills = [(gens[b], z_all[head], z_all[tail]) for b, head, tail in slices]
+        if row == len(draws):
+            if fills is None:
+                slices, cols, width = layout.draw_slices(idx)
+                fills = [(gens[b], z_all[head], z_all[tail]) for b, head, tail in slices]
+            # under a policy only ruin removes a path, none before step oldest + m_r - 1:
+            # one call per substream draws the steps up to it, as one fill per step would
+            k = 1 if lower is None else max(1, min(oldest + m_r - step, n_steps - step,
+                                                   GROUP_PATHS // width))
+            if k == 1:
+                for gen, head, tail in fills:
+                    gen.standard_normal(out=head)
+                    if antithetic:
+                        np.negative(head, out=tail)
+                draws, row = [sig_dt * z_all[cols]], 0
+            else:
+                z = np.empty((k, width))
+                for b, head, tail in slices:
+                    z[:, head] = gens[b].standard_normal((k, head.stop - head.start))
+                    if antithetic:
+                        z[:, tail] = -z[:, head]
+                draws, row = sig_dt * (np.take(z, cols, axis=1) if antithetic else z), 0
         t = (step + 1) * dt
-        for gen, head, tail in fills:
-            gen.standard_normal(out=head)
-            if antithetic:
-                np.negative(head, out=tail)
         # drift indicator from the step start, barrier and clock at step end
         inc = np.where(u > 0.0, (mu - delta) * dt, mu * dt)
-        inc += sig_dt * z_all[cols]
+        inc += draws[row]
+        row += 1
         u += inc
         done = False
         if u.max() >= upper:
@@ -280,9 +303,7 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
                 done = pay
             else:
                 # the Euler step can overshoot the trigger; pay the whole excess
-                net = u[pay] - lower - spec.beta
-                assert lower >= 0.0 and float(net.min()) > 0.0
-                value[idx[pay]] += math.exp(-q * t) * net
+                paid[pay] += math.exp(-q * t) * (u[pay] - lower - spec.beta)
                 u[pay] = lower
         began = np.where(u < 0.0, began, step + 1)
         if step + 1 - m_r >= oldest:  # the oldest excursion may have lasted r
@@ -290,8 +311,12 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
             oldest = int(np.min(began, where=~done, initial=step + 1))
         if done is not False and done.any():
             keep = ~done
+            if lower is not None:
+                value[idx[done]], paid = paid[done], paid[keep]
             u, began, idx = u[keep], began[keep], idx[keep]
             fills = None
+    if lower is not None:
+        value[idx] = paid
     return layout.blocks(value, idx)
 
 

@@ -147,9 +147,10 @@ class CramerLundbergWindowOracle:
     ``psi = q``; ``w(x; -z) = W(x + z) + delta int_0^x Wr(x - y) W'(y + z) dy``
     is convolved exponential by exponential; below 0, ``w(x; -z) = W(x + z)``
     vanishes for ``z < -x``, so the window integral starts at ``z = -x``.  The
-    integral is done by ``mpmath.quad``.  Takes plain numbers and shares no
-    code with the package.  Results are mpf values computed at ``dps + 10`` digits; compare
-    them inside ``mpmath.workdps``.
+    integral is done by ``mpmath.quad`` on an integrand scaled to a rough size
+    of the integral, which makes its error goal relative.  Takes plain numbers
+    and shares no code with the package.  Results are mpf values computed at
+    ``dps + 10`` digits; compare them inside ``mpmath.workdps``.
     """
 
     def __init__(self, p, lam, mu_claim, delta, q, r, dps: int = 30):
@@ -223,7 +224,18 @@ class CramerLundbergWindowOracle:
                     return self._surplus(x + z)
                 lo = -x
             atom = mp.exp(-self.lam * self.r) * self.p * w(x, pr)[part]
-            inner = mp.quad(lambda z: w(x, z)[part] * self._kernel(z), [lo, pr])
+
+            def integrand(z):
+                return w(x, z)[part] * self._kernel(z)
+
+            # mpmath.quad stops at an absolute error near 10^-(dps+10), which
+            # left a V as tiny as deep in the band right to a few digits only.
+            # Divided by 10^10 times a rough size of the integral (its largest
+            # sampled value times the length; 1 on an empty interval), the
+            # integrand meets a goal of about 10^-dps relative to the integral.
+            size = max(integrand(z) for z in mp.linspace(lo, pr, 9)) * (pr - lo)
+            scale = mp.mpf(10) ** 10 * size or 1
+            inner = scale * mp.quad(lambda z: integrand(z) / scale, [lo, pr])
             if part == 1 and x < 0:
                 # the moving lower limit z = -x contributes W(0) * kernel(-x)
                 inner += w(x, lo)[0] * self._kernel(lo)

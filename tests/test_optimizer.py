@@ -175,6 +175,32 @@ def test_value_function_on_arrays_matches_scalar_calls(bm_scale, cl_scale, optim
         assert got.tolist() == [value_function(ps, pol, float(x)) for x in xs]
 
 
+def test_value_function_nan_raises_and_minus_infinity_gives_zero(bm_scale, cl_scale, optimum):
+    # a scalar NaN failed x <= upper and took the linear branch above the trigger
+    for ps in (bm_scale, cl_scale):
+        pol = optimum(ps.spec).policy
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError, match="NaN"):
+                value_function(ps, pol, x)
+        assert value_function(ps, pol, -math.inf) == 0.0
+        assert value_function(ps, pol, np.array([-math.inf]))[0] == 0.0
+
+
+def test_policy_whose_net_payout_rounds_to_zero_is_rejected(bm_spec):
+    # upper > lower + beta holds, but the net payout upper - lower - beta that
+    # payments and payout ratios use is 0.0: payout_ratio divided by it
+    # (ZeroDivisionError) and value_function was 0 everywhere
+    spec = ProblemSpec(bm_spec.model, bm_spec.delta, bm_spec.q, bm_spec.r, 1.3041003989788345)
+    policy = ImpulsePolicy(0.5006457197522601, 1.8047461187310947)
+    assert policy.upper > policy.lower + spec.beta
+    assert policy.upper - policy.lower - spec.beta == 0.0
+    ps = parisian_scale(spec)
+    for call in (lambda: payout_ratio(ps, policy.lower, policy.upper),
+                 lambda: value_function(ps, policy, 1.0)):
+        with pytest.raises(DomainError, match="upper > lower \\+ beta"):
+            call()
+
+
 def test_value_function_rejects_bad_policies(bm_scale):
     with pytest.raises(DomainError):
         value_function(bm_scale, ImpulsePolicy(1.0, 1.02), 0.5)

@@ -13,6 +13,7 @@ from parisian_impulse import (
     BrownianMotion,
     CompoundPoissonWindow,
     CramerLundberg,
+    DomainError,
     OverflowRangeError,
     ProblemSpec,
     UndefinedDerivativeError,
@@ -120,6 +121,28 @@ def test_value_and_derivative_on_arrays_match_scalar_calls(which, bm_scale, cl_s
     got = ps.derivative(xs)
     assert np.array_equal(got, np.array(want), equal_nan=True)
     assert np.isnan(got).sum() == (2 if which == "cl" else 0)
+
+
+@pytest.mark.parametrize("which", ["bm", "cl"])
+@pytest.mark.parametrize("x", [math.nan, [math.nan], [1.0, math.nan], [-1.0, math.nan, 2.0]],
+                         ids=["scalar", "alone", "with_positive", "with_negative"])
+def test_nan_raises_domain_error(which, x, bm_scale, cl_scale):
+    # NaN fails every branch test: as a scalar it gave NaN (Brownian) or an
+    # untyped ValueError (compound Poisson V), and inside an array it gave 0.0
+    ps = bm_scale if which == "bm" else cl_scale
+    x = np.array(x) if isinstance(x, list) else x
+    for f in (ps.value, ps.derivative):
+        with pytest.raises(DomainError, match="NaN"):
+            f(x)
+
+
+@pytest.mark.parametrize("which", ["bm", "cl"])
+def test_minus_infinity_gives_the_limit_zero(which, bm_scale, cl_scale):
+    # the Brownian normal tails gave NaN at -inf: inf - inf in a log-space term
+    ps = bm_scale if which == "bm" else cl_scale
+    for f in (ps.value, ps.derivative):
+        assert f(-math.inf) == 0.0
+        assert f(np.array([-math.inf, -1.0, 1.0])).tolist() == [0.0, f(-1.0), f(1.0)]
 
 
 def test_derivative_undefined_at_compound_poisson_kinks(cl_scale):
@@ -364,7 +387,8 @@ def test_long_window_matches_window_oracle(spec):
     assert result.sufficiency_pass
     m = spec.model
     oracle = CramerLundbergWindowOracle(m.p, m.lam, m.mu_claim, spec.delta, spec.q, spec.r, dps=20)
-    for x in (result.policy.upper, -0.5 * m.p * spec.r):
+    # deep in the band V is tiny (about 1e-43 and 1e-40 at -0.9*p*r)
+    for x in (result.policy.upper, -0.5 * m.p * spec.r, -0.9 * m.p * spec.r):
         with mpmath.workdps(30):
             assert float(abs(ps.value(x) / oracle.value(x) - 1)) <= 1e-10, x
 

@@ -234,11 +234,12 @@ def _assert_matches_per_block(spec, functional, x, arg, cfg):
 
 
 # starts below zero, at zero, mid-band, on the trigger (the exit paid at the
-# start) and above it
+# start) and above it; a policy with lower = 0 pays paths down to exactly 0,
+# where neither the Euler drift test u > 0 nor its clock test u < 0 holds
 KERNEL_STARTS = [
     ("exit", -1.0, 3.0), ("exit", 0.0, 3.0), ("exit", 1.5, 3.0), ("exit", 3.0, 3.0),
     ("npv", 0.0, (0.5, 3.0)), ("npv", 1.5, (0.5, 3.0)), ("npv", 3.0, (0.5, 3.0)),
-    ("npv", 4.0, (0.5, 3.0)),
+    ("npv", 4.0, (0.5, 3.0)), ("npv", 0.0, (0.0, 2.0)),
 ]
 
 
@@ -273,14 +274,74 @@ def test_brownian_kernel_matches_per_block_oracle_censored(antithetic):
 @pytest.mark.parametrize("dt", [0.1, 0.01, 0.07])
 def test_brownian_clock_edge_matches_per_block_oracle(dt, antithetic):
     # r = 3: summed in floating point, 30 steps of 0.1 reach 3.0000000000000013
-    # and ruin, while 300 steps of 0.01 reach 2.99999999999998 and do not
+    # and ruin, while 300 steps of 0.01 reach 2.99999999999998 and do not;
+    # under a policy that step also ends each block of steps drawn at once,
+    # and from 0 some policy paths are ruined while the rest reach t_max
     spec = brownian_spec()
     cfg = SimulationConfig(n_paths=777, seed=9, antithetic=antithetic, dt=dt, t_max=60.0)
     _assert_matches_per_block(spec, "exit", -1.0, 3.0, cfg)
+    est = _assert_matches_per_block(spec, "npv", 0.0, (0.5, 3.0), cfg)
+    assert 0.0 < est.censored_fraction < 1.0
     # plain draws from the first substream: no path is censored and some are ruined
     payoffs, _, n_censored = brownian_block(spec, -1.0, 3.0, None, dt, 60.0,
                                             _substreams(cfg.seed)[0], 98, False)
     assert n_censored == 0 and np.count_nonzero(payoffs == 0.0) > 0
+
+
+class _RecordedStream:
+    """A substream that records ``(block, steps drawn, paths drawn)`` per call."""
+
+    def __init__(self, gen, block, calls):
+        self.gen, self.block, self.calls = gen, block, calls
+
+    def standard_normal(self, size=None, out=None):
+        shape = np.shape(out) if out is not None else size
+        self.calls.append((self.block, *((1, *shape) if len(shape) == 1 else shape)))
+        return self.gen.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_brownian_policy_draws_ahead_within_group_paths(antithetic, monkeypatch):
+    # under a policy each substream draws the steps up to the first one at
+    # which the oldest excursion can reach r in one call, holding at most
+    # GROUP_PATHS draws: for 777 paths, with room for 100 every step is drawn
+    # on its own, with room for 2000 two or more steps at once
+    calls = []
+    substreams = simulate._substreams
+    monkeypatch.setattr(simulate, "_substreams", lambda seed: [
+        _RecordedStream(gen, b, calls) for b, gen in enumerate(substreams(seed))])
+    for group_paths in (100, 2000):
+        monkeypatch.setattr(simulate, "GROUP_PATHS", group_paths)
+        calls.clear()
+        cfg = SimulationConfig(n_paths=777, seed=5, antithetic=antithetic, dt=0.05,
+                               t_max=30.0)
+        _assert_matches_per_block(brownian_spec(), "npv", 0.0, (0.5, 3.0), cfg)
+        # one call per live substream and draw, in substream order
+        draws = [[]]
+        for call in calls:
+            if draws[-1] and call[0] <= draws[-1][-1][0]:
+                draws.append([])
+            draws[-1].append(call)
+        steps = [{k for _, k, _ in draw} for draw in draws]
+        assert all(len(k) == 1 for k in steps)  # each substream draws as many steps
+        steps = [k.pop() for k in steps]
+        held = [(2 if antithetic else 1) * sum(k * m for _, k, m in draw) for draw in draws]
+        assert all(h <= group_paths for k, h in zip(steps, held) if k > 1)
+        assert (max(steps) > 1) == (group_paths == 2000)
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (2, 7), (30, 62), (5, 1000)])
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_standard_normal_block_equals_consecutive_fills(seed, k, n):
+    # the stream property the Euler kernel's draws ahead rely on: one
+    # (k, n) call gives the values of k fills of n, and leaves the stream
+    # where they would
+    whole, rows = _substreams(seed)[0], _substreams(seed)[0]
+    block, filled = whole.standard_normal((k, n)), np.empty((k, n))
+    for row in filled:
+        rows.standard_normal(out=row)
+    assert np.array_equal(block, filled)
+    assert whole.standard_normal() == rows.standard_normal()
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
