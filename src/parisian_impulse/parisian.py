@@ -9,19 +9,13 @@ over one delay window:
 * Brownian motion displaces by a Gaussian, and V has a closed form with
   normal CDF tails below 0 and a two-exponential branch above 0;
 * Cramer-Lundberg displaces by ``p*r`` minus a compound Poisson sum of
-  exponential claims, and V needs one scalar series constant C plus a
+  exponential claims, and V needs one scalar series constant C plus two
   bracketed incomplete-gamma series on the middle band ``[-p*r, 0)``.  Both
-  come from one expression over the window (``_window_sums``): the two
-  bracketed series and, for C, the window density at ``p*r``.  Each series
-  is one NumPy term vector in log space, with its prefactor
-  (``e^{-lam*r + rate*u}``, ``e^{-lam*r - mu*p*r}``) added to the term logs
-  before anything is exponentiated, so only a V that does not fit in a
-  double overflows.  Every ``P(m+1, x)`` comes from a single Poisson pmf,
-  so a point costs time linear in the number of terms, and the term count
-  follows from the series base.
-
-The band is evaluated point by point, arrays included: a term block over
-many points made each scalar ``V`` + ``V'`` call 2-3 times slower.
+  come from a table of log-space coefficients built once per spec
+  (``_band_table``): a band point costs one Poisson log-pmf row, one ``exp``
+  and one signed row sum, an array a few blocks of such rows (bit for bit
+  equal to scalar calls).  Every term is exponentiated from its logarithm,
+  prefactor included, so only a V that does not fit in a double overflows.
 
 The closed forms use NumPy and ``math`` only (the normal CDF tails come from
 ``math.erfc`` and the Mills-ratio expansion).
@@ -60,6 +54,8 @@ SERIES_RTOL = 1e-12
 QUAD_RTOL = 1e-11  # relative tolerance of the window integral
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SIDES = np.array([[1.0], [-1.0]])  # the q_plus and q_minus variants' signs
+_BAND_BLOCK = 2**14  # most band terms in one block of points: 128 KB an array ran fastest
 
 # (k, log k!) for k < its length; shared by every spec, grown on demand and
 # replaced as one tuple so a reader never pairs tables of different lengths
@@ -82,25 +78,6 @@ def _term_budget(peak: float) -> int:
     """Terms for a series whose terms peak near index ``peak`` and fall off
     like a Gaussian of width about ``sqrt(peak)`` beyond it."""
     return int(peak + 10.0 * math.sqrt(peak)) + 30
-
-
-def _log_gamma_terms(x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``log P(m+1, x)`` and ``log(e^{-x} x^m / m!)`` for ``m = 0 .. n-1``
-    and ``x >= 0``.
-
-    ``P(m+1, x)`` is the Poisson tail ``sum_{k > m} e^{-x} x^k / k!``
-    (DLMF 8.4.10): one pmf, summed from the far end, where it has fallen
-    by ``e^{-50}`` below its mode.  A sum of positive terms has no
-    cancellation on either side of ``m = x``; a ``P`` that underflows
-    gives ``-inf``.  Call inside ``np.errstate(divide="ignore",
-    invalid="ignore")``.
-    """
-    reach = max(n, math.ceil(x))
-    k, log_k_factorial = _log_factorials(reach + 10 * math.isqrt(reach) + 10)
-    log_pmf = k * np.log(x) - x - log_k_factorial
-    log_pmf[0] = -x  # not 0 * log(0) at x = 0
-    tail = np.exp(log_pmf[:0:-1]).cumsum()[::-1]
-    return np.log(tail[:n]), log_pmf[:n]
 
 
 def _mills_series(x: float) -> float:
@@ -205,7 +182,8 @@ class ParisianScale:
         self.series_constant: Optional[float] = None
         try:
             if self._is_cl:
-                self.series_constant = self._constant()
+                self._band_k, self._band_terms, slope = self._band_table()
+                self.series_constant = slope + self.compound_window().density(spec.model.p * spec.r)
                 self.positive_pair = self._positive_pair_cl()
             else:
                 self.positive_pair = self._positive_pair_brownian()
@@ -267,87 +245,93 @@ class ParisianScale:
 
     # ---------- Cramer-Lundberg series machinery ----------
 
-    def _bracket_series(self, u: float, with_derivative: bool):
-        """The two bracketed incomplete-gamma series, each times its prefactor
-        ``e^{-lam*r + rate*u}``, and (optionally) their u-derivatives.
+    def _band_table(self):
+        """``k``, the ``V`` and ``V'`` coefficient rows (log magnitudes, signs)
+        and C's slope part, the ``rate D_k`` rows summed at ``x = 0``.
 
-        For ``(rate, other)`` = ``(q_plus, q_minus)``, then ``(q_minus, q_plus)``:
-        base = p*r*(other + mu), c = rate + mu, and
-        S(u)  = sum_m base^m / (m! (m+1)!) * gamma(m+1, u*c) * [p*r*c - (m+1)].
-
-        Each term is exponentiated once, from the sum of its logs and the
-        prefactor's, so a huge ``base^m / (m+1)!`` meets a tiny
-        ``P(m+1, u*c)`` or ``e^{-lam*r}`` before either leaves the double
-        range: the folded sums are of the size of V itself.
+        With ``u = x + p*r``, base = p*r*(other + mu), c = rate + mu for
+        ``(rate, other)`` = ``(q_plus, q_minus)``, then ``(q_minus, q_plus)``,
+        ``A_m = base^m / (m+1)!`` and ``B_m = p*r*c - (m+1)``, a bracketed
+        series ``sum_m A_m B_m P(m+1, u*c)`` is ``sum_k pmf_k(u*c) C_k`` with
+        ``C_k = sum_{m < k} A_m B_m`` (DLMF 8.4.10: ``P(m+1, y)`` is a Poisson
+        tail); its u-derivative is ``sum_k pmf_k(u*c) c A_k B_k``.  As
+        ``sum_k pmf_k = 1`` carries ``e^{-lam*r} p W(u)`` too, a variant adds
+        ``pmf_k(u*c) e^{-lam*r + rate*u}`` times ``D_k = own + cross C_k`` to
+        ``V`` (weights ``p W_plus``, ``p W_minus``; the ``q_minus`` variant with
+        a minus sign) and times ``cross c A_k B_k`` and ``rate D_k`` to ``V'``;
+        a term's log is ``k log(u / (p*r)) - mu*x`` plus its entry.  ``C_k`` is
+        summed in log space, its two signs apart: under one common scale its
+        small-k entries underflow.  One K serves every u: ``u*c <= p*r*c``.
         """
-        spec = self.spec
-        X = self.coefficient_set.surplus
-        pr = spec.model.p * spec.r
-        mu = spec.model.mu_claim
-        log_elr = -spec.model.lam * spec.r
-        sums = []
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for rate, other in ((X.rate_plus, X.rate_minus), (X.rate_minus, X.rate_plus)):
-                base = pr * (other + mu)
-                c = rate + mu
-                # terms peak near m = base where P ~ 1, and near sqrt(base*u*c) below
-                n = _term_budget(max(base, math.sqrt(base * pr * c)))
-                m, log_m_factorial = _log_factorials(n + 1)
-                # log(e^{-lam*r + rate*u} base^m / (m+1)!) and the bracket, m = 0 .. n-1
-                log_a = m[:-1] * math.log(base) + (rate * u + log_elr - log_m_factorial[1:])
-                bracket = pr * c - m[1:]
-                log_p, log_pmf = _log_gamma_terms(u * c, n)
-                terms = np.exp(log_a + log_p) * bracket
-                total = float(terms.sum())
-                last = max(abs(terms[-1]), abs(terms[-2]))
-                total_d = 0.0
-                if with_derivative:
-                    # d/du P(m+1, u*c) = c * e^{-uc} (uc)^m / m!
-                    terms_d = np.exp(log_a + log_pmf) * (c * bracket)
-                    total_d = float(terms_d.sum())
-                    last = max(last, abs(terms_d[-1]), abs(terms_d[-2]))
-                if not (math.isfinite(total) and math.isfinite(total_d)):
-                    raise OverflowRangeError(
-                        f"bracketed gamma series leaves the double range (base {base:.6g})"
-                    )
-                if last >= SERIES_RTOL * max(abs(total), abs(total_d), 1e-300):
-                    raise SeriesConvergenceError(
-                        f"bracketed gamma series did not converge within {n} terms"
-                    )
-                sums.append((total, total_d))
-        return sums
-
-    def _window_sums(self, u: float, with_derivative: bool):
-        """V on the band at ``x = u - p*r``, the part of V' there without the
-        series' own u-derivatives, and that part (0.0 unless
-        ``with_derivative``).  At ``u = p*r`` the middle one is C without its
-        claim-sum term."""
         spec = self.spec
         m = spec.model
         X = self.coefficient_set.surplus
-        (f_plus, d_plus), (f_minus, d_minus) = self._bracket_series(u, with_derivative)
-        e_p = math.exp(X.rate_plus * u - m.lam * spec.r)
-        e_m = math.exp(X.rate_minus * u - m.lam * spec.r)
-        a_plus = m.p * X.weight_plus
-        a_minus = m.p * X.weight_minus
-        # e^{-lam*r} p W(u) = a_plus*e_p - a_minus*e_m, on floats
-        value = a_plus * e_p - a_minus * e_m + a_minus * f_plus - a_plus * f_minus
-        slope = (X.rate_plus * (a_plus * e_p + a_minus * f_plus)
-                 - X.rate_minus * (a_minus * e_m + a_plus * f_minus))
-        return value, slope, a_minus * d_plus - a_plus * d_minus
+        pr, mu = m.p * spec.r, m.mu_claim
+        rates, weights = (X.rate_plus, X.rate_minus), (m.p * X.weight_plus, m.p * X.weight_minus)
+        log_scale = m.lam * spec.r + mu * pr  # every term carries e^{-lam*r - mu*p*r}
+        # per variant: p*r*c, log base, log(p*r*c), log|rate|, and less
+        # log_scale: log own, log cross, log(c cross)
+        columns = np.array([
+            [pr * (rate + mu), math.log(pr * (other + mu)), math.log(pr * (rate + mu)),
+             math.log(abs(rate)), math.log(own) - log_scale, math.log(cross) - log_scale,
+             math.log((rate + mu) * cross) - log_scale]
+            for rate, other, own, cross in zip(rates, rates[::-1], weights, weights[::-1])
+        ]).T[:, :, None]
+        prc, _, _, log_rate, log_own, log_cross, log_c_cross = columns
+        n = _term_budget(float(prc[0, 0]))
+        k, log_k_factorial = _log_factorials(n + 1)
+        bracket = prc - k[1:]
+        k_logs = columns[1:3] * k[:-1]  # less log (k+1)!: k log base; less log k!: k log(p*r*c)
+        k_logs[0] -= log_k_factorial[1:]
+        k_logs[1] -= log_k_factorial[:-1]
+        log_coef, sign = np.empty((2, 6, n))  # rows D, c A B, rate D by variant
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # log(A_m B_m) where B_m > 0, then log(-A_m B_m) where B_m < 0, else -inf
+            log_ab = k_logs[0] + np.log(np.maximum(bracket * _SIDES[:, :, None], 0.0))
+            parts = np.full((2, 2, n), -np.inf)  # cross times the two parts of C_k
+            np.logaddexp.accumulate(log_ab[..., :-1], axis=2, out=parts[..., 1:])
+            parts += log_cross
+            # D_k = e^a - e^b, and log|e^a - e^b| = log(e^a + e^b) + log|tanh((a - b) / 2)|
+            pos = np.logaddexp(log_own, parts[0])
+            gap = pos - parts[1]
+            np.log(np.abs(np.tanh(0.5 * gap)), out=log_coef[:2])
+            log_coef[:2] += np.logaddexp(pos, parts[1])
+            np.add(log_c_cross, np.maximum(log_ab[0], log_ab[1]), out=log_coef[2:4])
+            by_kind = log_coef[:4].reshape(2, 2, n)
+            np.add(by_kind, k_logs[1], out=by_kind)
+            np.add(log_coef[:2], log_rate, out=log_coef[4:])
+            np.sign(gap, out=sign[4:])  # the variant's sign times its rate's is +1
+            np.multiply(sign[4:], _SIDES, out=sign[:2])
+            np.multiply(np.sign(bracket), _SIDES, out=sign[2:4])
+            slope = float(self._term_sums(log_coef[None, 4:], sign[4:])[0])  # at x = 0
+        return k[:-1], ((log_coef[:2], sign[:2]), (log_coef[2:], sign[2:])), slope
 
-    def _constant(self) -> float:
-        """The scalar constant feeding the positive branch: the integral of the
-        surplus scale derivative against the window displacement law.  Its
-        claim-sum term is the window density at ``p*r``."""
-        pr = self.spec.model.p * self.spec.r
-        slope = self._window_sums(pr, with_derivative=False)[1]
-        return slope + self.compound_window().density(pr)
+    def _window_sums(self, ratio: np.ndarray, shift: np.ndarray, kind: int) -> np.ndarray:
+        """``V`` or ``V'`` (``kind`` 0, 1) at band points x from ``(x + p*r) / (p*r)``
+        and ``mu*x``: one log-pmf row ``k log(ratio) - shift`` per point."""
+        log_coef, sign = self._band_terms[kind]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_pmf = np.log(ratio)[:, None] * self._band_k
+            log_pmf[:, 0] = 0.0  # u^0 = 1 at u = 0
+            log_pmf -= shift[:, None]
+            return self._term_sums(log_pmf[:, None, :] + log_coef, sign)
 
-    def _middle_cl(self, x: float, with_derivative: bool):
-        u = x + self.spec.model.p * self.spec.r
-        value, slope, series_slope = self._window_sums(u, with_derivative)
-        return value, (slope + series_slope if with_derivative else None)
+    def _term_sums(self, log_terms: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        """``sum sign * e^{log_terms}`` over rows and terms per point, from
+        ``(points, rows, K)``; a row sum out of the double range, or not
+        converged in its last two terms (floor 1e-300), raises."""
+        block = np.exp(log_terms)
+        tail = np.maximum(block[:, :, -1], block[:, :, -2])
+        block *= sign
+        sums = np.add.reduce(block, axis=2)
+        size = np.abs(sums)
+        if not math.isfinite(np.maximum.reduce(size, axis=None)):
+            pr = self.spec.model.p * self.spec.r
+            raise OverflowRangeError(f"band series leave the double range (p*r = {pr:.6g})")
+        if np.maximum.reduce(tail - SERIES_RTOL * size, axis=None) >= SERIES_RTOL * 1e-300:
+            raise SeriesConvergenceError(
+                f"band series did not converge within {log_terms.shape[-1]} terms")
+        return np.add.reduce(sums, axis=1)
 
     # ---------- Brownian negative branch ----------
 
@@ -406,8 +390,10 @@ class ParisianScale:
         """V or V' at one point below 0, where NaN lands too and raises.  Both
         vanish at ``-inf`` and, for Cramer-Lundberg, below ``-p*r``."""
         if self._is_cl:
-            if x >= -self.spec.model.p * self.spec.r:
-                return self._middle_cl(x, with_derivative)[with_derivative]
+            pr = self.spec.model.p * self.spec.r
+            if x >= -pr:  # a one-point block, its ratio and shift rounded as on arrays
+                ratio, shift = np.array([(x + pr) / pr]), np.array([self.spec.model.mu_claim * x])
+                return float(self._window_sums(ratio, shift, int(with_derivative))[0])
         elif x > -math.inf:
             return self._neg_brownian(x, with_derivative)[with_derivative]
         if math.isnan(x):  # NaN fails every comparison above
@@ -415,15 +401,28 @@ class ParisianScale:
         return 0.0
 
     def _on_array(self, x: np.ndarray, with_derivative: bool) -> np.ndarray:
-        """V or V' on an array.  The x >= 0 branch is one array call; the
-        points below 0 (the band or the Brownian tails) are looped over."""
+        """V or V' on an array.  The x >= 0 branch is one array call, the
+        compound Poisson band a few blocks of points; the other points below 0
+        (the Brownian tails) are looped over."""
         pair = self.positive_pair
         out = np.zeros_like(x)
         pos = x >= 0.0
         out[pos] = (pair.derivative if with_derivative else pair.value)(x[pos])
-        out[~pos] = [self._below_zero(v, with_derivative) for v in x[~pos].tolist()]
-        if with_derivative and self._is_cl:
-            out[(x == 0.0) | (x == -self.spec.model.p * self.spec.r)] = np.nan
+        below = ~pos
+        if self._is_cl:
+            pr = self.spec.model.p * self.spec.r
+            band = below & (x >= -pr)
+            below &= ~band
+            if with_derivative:  # V' is undefined at the kinks 0 and -p*r
+                out[(x == 0.0) | (x == -pr)] = np.nan
+                band &= x > -pr
+            xb = x[band]
+            ratio, shift = (xb + pr) / pr, self.spec.model.mu_claim * xb
+            step = max(1, _BAND_BLOCK // self._band_terms[with_derivative][0].size)
+            out[band] = np.concatenate([np.empty(0)] + [  # blocks of at most _BAND_BLOCK terms
+                self._window_sums(ratio[i:i + step], shift[i:i + step], int(with_derivative))
+                for i in range(0, xb.size, step)])
+        out[below] = [self._below_zero(v, with_derivative) for v in x[below].tolist()]
         return out
 
     def derivative_argmin(self) -> float:

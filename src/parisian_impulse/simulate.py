@@ -369,7 +369,8 @@ def _cl_paths(spec: ProblemSpec, x: float, upper: float, lower: float | None,
                 gens[b].random(out=row[head])
                 if antithetic:
                     np.subtract(1.0, row[head], out=row[tail])
-        logs = np.log(np.clip(draws[:, cols], _U_LO, _U_HI))
+        uniforms = np.take(draws, cols, axis=1) if antithetic else draws[:, cols]
+        logs = np.log(np.clip(uniforms, _U_LO, _U_HI))
         t_claim = t - logs[0] / lam
         claim = logs[1] / -mu_c
         late = t_claim.max() > t_max

@@ -17,7 +17,12 @@ the package.  ``refracted_scale_derivative`` and
 ``refracted_derivative_argmin`` check the refracted scale function's shape.
 
 ``regularized_lower_gamma`` evaluates ``P(order, x)`` one scalar at a time,
-term by term; it checks the package's vectorized incomplete gamma terms.
+term by term; it checks the vectorized incomplete gamma terms
+``_log_gamma_terms`` of ``band_sums_by_gamma_tail``: the compound Poisson
+band's two bracketed series summed term by term in ``P(m+1, u*c)`` (on the
+package's log-factorial table and term budget), as the package did before
+it read the band from a per-spec coefficient table (``band_by_gamma_tail``
+gives V and V' from them).
 
 The single-path simulators at the end follow one refracted path at a time in
 plain Python; they check the vectorized Monte Carlo kernels' conventions
@@ -56,7 +61,12 @@ from parisian_impulse.optimizer import (
     TransferReport,
     value_function,
 )
-from parisian_impulse.parisian import ParisianScale
+from parisian_impulse.parisian import (
+    SERIES_RTOL,
+    ParisianScale,
+    _log_factorials,
+    _term_budget,
+)
 from parisian_impulse.scale import ScaleFunction, refracted_pair
 from parisian_impulse.simulate import (
     _U_HI,
@@ -308,6 +318,98 @@ def regularized_lower_gamma(order: int, x: float) -> float:
         if term <= 1e-17 * tail:
             return tail
     raise SeriesConvergenceError(f"incomplete gamma tail P({order}, {x}) did not converge")
+
+
+def _log_gamma_terms(x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log P(m+1, x)`` and ``log(e^{-x} x^m / m!)`` for ``m = 0 .. n-1``
+    and ``x >= 0``.
+
+    ``P(m+1, x)`` is the Poisson tail ``sum_{k > m} e^{-x} x^k / k!``
+    (DLMF 8.4.10): one pmf, summed from the far end, where it has fallen
+    by ``e^{-50}`` below its mode.  A sum of positive terms has no
+    cancellation on either side of ``m = x``; a ``P`` that underflows
+    gives ``-inf``.  Call inside ``np.errstate(divide="ignore",
+    invalid="ignore")``.
+    """
+    reach = max(n, math.ceil(x))
+    k, log_k_factorial = _log_factorials(reach + 10 * math.isqrt(reach) + 10)
+    log_pmf = k * np.log(x) - x - log_k_factorial
+    log_pmf[0] = -x  # not 0 * log(0) at x = 0
+    tail = np.exp(log_pmf[:0:-1]).cumsum()[::-1]
+    return np.log(tail[:n]), log_pmf[:n]
+
+
+def band_sums_by_gamma_tail(ps: ParisianScale, u: float, with_derivative: bool):
+    """The two bracketed incomplete-gamma series, each times its prefactor
+    ``e^{-lam*r + rate*u}``, and (optionally) their u-derivatives.
+
+    For ``(rate, other)`` = ``(q_plus, q_minus)``, then ``(q_minus, q_plus)``:
+    base = p*r*(other + mu), c = rate + mu, and
+    S(u)  = sum_m base^m / (m! (m+1)!) * gamma(m+1, u*c) * [p*r*c - (m+1)].
+
+    Each term is exponentiated once, from the sum of its logs and the
+    prefactor's, so a huge ``base^m / (m+1)!`` meets a tiny
+    ``P(m+1, u*c)`` or ``e^{-lam*r}`` before either leaves the double
+    range: the folded sums are of the size of V itself.
+    """
+    spec = ps.spec
+    X = ps.coefficient_set.surplus
+    pr = spec.model.p * spec.r
+    mu = spec.model.mu_claim
+    log_elr = -spec.model.lam * spec.r
+    sums = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for rate, other in ((X.rate_plus, X.rate_minus), (X.rate_minus, X.rate_plus)):
+            base = pr * (other + mu)
+            c = rate + mu
+            # terms peak near m = base where P ~ 1, and near sqrt(base*u*c) below
+            n = _term_budget(max(base, math.sqrt(base * pr * c)))
+            m, log_m_factorial = _log_factorials(n + 1)
+            # log(e^{-lam*r + rate*u} base^m / (m+1)!) and the bracket, m = 0 .. n-1
+            log_a = m[:-1] * math.log(base) + (rate * u + log_elr - log_m_factorial[1:])
+            bracket = pr * c - m[1:]
+            log_p, log_pmf = _log_gamma_terms(u * c, n)
+            terms = np.exp(log_a + log_p) * bracket
+            total = float(terms.sum())
+            last = max(abs(terms[-1]), abs(terms[-2]))
+            total_d = 0.0
+            if with_derivative:
+                # d/du P(m+1, u*c) = c * e^{-uc} (uc)^m / m!
+                terms_d = np.exp(log_a + log_pmf) * (c * bracket)
+                total_d = float(terms_d.sum())
+                last = max(last, abs(terms_d[-1]), abs(terms_d[-2]))
+            if not (math.isfinite(total) and math.isfinite(total_d)):
+                raise OverflowRangeError(
+                    f"bracketed gamma series leaves the double range (base {base:.6g})"
+                )
+            if last >= SERIES_RTOL * max(abs(total), abs(total_d), 1e-300):
+                raise SeriesConvergenceError(
+                    f"bracketed gamma series did not converge within {n} terms"
+                )
+            sums.append((total, total_d))
+    return sums
+
+
+def band_by_gamma_tail(ps: ParisianScale, x: float, with_derivative: bool = False) -> float:
+    """V, or V', at a band point ``-p*r <= x < 0`` from
+    ``band_sums_by_gamma_tail``: the two series plus ``e^{-lam*r} p W(u)``,
+    ``u = x + p*r``, as the package evaluated the band before its per-spec
+    coefficient table."""
+    spec = ps.spec
+    m = spec.model
+    X = ps.coefficient_set.surplus
+    u = x + m.p * spec.r
+    (f_plus, d_plus), (f_minus, d_minus) = band_sums_by_gamma_tail(ps, u, with_derivative)
+    e_p = math.exp(X.rate_plus * u - m.lam * spec.r)
+    e_m = math.exp(X.rate_minus * u - m.lam * spec.r)
+    a_plus = m.p * X.weight_plus
+    a_minus = m.p * X.weight_minus
+    if not with_derivative:
+        # e^{-lam*r} p W(u) = a_plus*e_p - a_minus*e_m
+        return a_plus * e_p - a_minus * e_m + a_minus * f_plus - a_plus * f_minus
+    slope = (X.rate_plus * (a_plus * e_p + a_minus * f_plus)
+             - X.rate_minus * (a_minus * e_m + a_plus * f_minus))
+    return slope + a_minus * d_plus - a_plus * d_minus
 
 
 def brute_force_payout_grid(

@@ -20,15 +20,9 @@ from parisian_impulse import (
     find_optimal_policy,
 )
 from parisian_impulse.models import compute_coefficients
-from parisian_impulse.parisian import (
-    ParisianScale,
-    _log_gamma_terms,
-    _log_ndtr,
-    _ndtr,
-    parisian_scale,
-)
+from parisian_impulse.parisian import ParisianScale, _log_ndtr, _ndtr, parisian_scale
 
-from oracles import CramerLundbergWindowOracle, regularized_lower_gamma
+from oracles import CramerLundbergWindowOracle, _log_gamma_terms, regularized_lower_gamma
 from params import brownian_spec, cramer_lundberg_spec
 
 # Frozen from a 50-digit evaluation of the defining window integral
@@ -391,6 +385,24 @@ def test_long_window_matches_window_oracle(spec):
     for x in (result.policy.upper, -0.5 * m.p * spec.r, -0.9 * m.p * spec.r):
         with mpmath.workdps(30):
             assert float(abs(ps.value(x) / oracle.value(x) - 1)) <= 1e-10, x
+
+
+def test_deep_band_matches_window_oracle():
+    # p*r = 265.6: the terms A_m B_m of the q_minus series' C_k span e^838, more
+    # than the double range, so under one common scale C_k loses its small-k
+    # entries, which carry V deep in the band (about 1e-76 at -0.999*p*r)
+    mpmath = pytest.importorskip("mpmath")
+    spec = ProblemSpec(CramerLundberg(p=2.1270796045706537, lam=1.528179327336928,
+                                      mu_claim=1.8648678035272548),
+                       delta=0.4765025451616983, q=2.183171373368243, r=124.87391203189162,
+                       beta=0.5)
+    m = spec.model
+    ps = ParisianScale(spec)
+    oracle = CramerLundbergWindowOracle(m.p, m.lam, m.mu_claim, spec.delta, spec.q, spec.r, dps=20)
+    for depth in (0.999, 0.99, 0.5):
+        x = -depth * m.p * spec.r
+        with mpmath.workdps(30):
+            assert float(abs(ps.value(x) / oracle.value(x) - 1)) <= 1e-10, depth
 
 
 @pytest.mark.parametrize("spec", [

@@ -184,6 +184,36 @@ def test_transfer_closed_form_matches_table(bounded_python):
     _run_property(bounded_python, "transfer_closed_form_matches_table_property")
 
 
+@settings(max_examples=40, deadline=None)
+@given(spec=specs(q_max=5.0, r_max=200.0).filter(lambda s: isinstance(s.model, CramerLundberg)))
+def band_block_matches_scalar_calls_and_gamma_tail_property(spec):
+    # the band as one block equals the band point by point, bit for bit, and
+    # agrees with its two series summed term by term in P(m+1, u*c)
+    try:
+        ps = parisian_scale(spec)
+        xs = -spec.model.p * spec.r * np.array([1.0, 0.999, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01])
+        values, slopes = ps.value(xs), ps.derivative(xs)
+        point_values = [ps.value(x) for x in xs]
+        point_slopes = [ps.derivative(x) for x in xs[1:]]  # V' has a kink at -p*r
+        ref_values = [oracles.band_by_gamma_tail(ps, x) for x in xs]
+        ref_slopes = [oracles.band_by_gamma_tail(ps, x, with_derivative=True) for x in xs[1:]]
+    except NumericalError:
+        return
+    assert values.tolist() == point_values
+    assert math.isnan(slopes[0]) and slopes[1:].tolist() == point_slopes
+    assert np.all(np.diff(values) >= 0.0), values
+    # both routes round exponents of size k*log(u*c), so on long windows they
+    # part by up to about 1e-15 times the term count; a value that reaches the
+    # subnormal range agrees only absolutely
+    rel = max(1e-12, 1e-15 * len(ps._band_k))
+    assert values.tolist() == pytest.approx(ref_values, rel=rel, abs=1e-300)
+    assert slopes[1:].tolist() == pytest.approx(ref_slopes, rel=rel, abs=1e-300)
+
+
+def test_band_block_matches_scalar_calls_and_gamma_tail(bounded_python):
+    _run_property(bounded_python, "band_block_matches_scalar_calls_and_gamma_tail_property")
+
+
 @given(model=models, a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0),
        lam=st.floats(0.0, 1.0))
 def test_laplace_exponent_convex(model, a, b, lam):
