@@ -37,10 +37,13 @@ order it would alone.  The exact kernel's event rounds hold about twenty
 path-length temporaries, so it keeps a working set of at most ``GROUP_PATHS``
 live paths, which whole substreams join in order as soon as they fit.  Paths
 keep their own clocks, so when a substream joins does not change its draws.
-Under a policy only ruin removes a Brownian path, none before the oldest
-excursion can reach ``r``, so the Euler kernel draws each substream's steps up
-to then in one call, which yields the values of one call per step; the exit
-functional, whose barrier can remove a path at any step, draws step by step.
+Under a policy only ruin removes a Brownian path, and none before the oldest
+excursion can reach ``r``, so the Euler kernel steps up to then as one block.
+Each substream draws the block's steps in one call, which yields the values of
+one call per step.  The live paths keep their columns through the block, so a
+step only moves them and resets those that pay; the payments, in step order,
+and the excursion starts are read once from the block's record of levels.  The
+exit functional, whose barrier can remove a path at any step, steps one at a time.
 """
 from __future__ import annotations
 
@@ -249,10 +252,8 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
 
     u = np.full(n, x0)
     idx = np.arange(0 if absorbed else n)
-    paid = value[idx]  # under a policy, the live paths' payoffs; value gets them as they leave
     z_all = np.empty(n)
     fills = None  # per live block: its generator and the slices its draws fill
-    draws, row = [], 0  # the live paths' sig_dt-scaled normals, a row per step drawn
     sig_dt = model.sigma * math.sqrt(dt)
     mu, delta, q, r = model.mu, spec.delta, spec.q, spec.r
     n_steps = int(math.ceil(t_max / dt))
@@ -261,62 +262,74 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
     while not exc >= r and m_r <= n_steps:
         exc, m_r = exc + dt, m_r + 1
     began = np.zeros(n, dtype=np.int64)  # step the running excursion began in; time zero counts
-    oldest = 0  # no live excursion began before this step
+    step = oldest = 0  # steps taken; no live excursion began before step oldest
     # rounding is monotone, so every payment nets at least upper - lower - beta
     assert lower is None or (lower >= 0.0 and upper - lower - spec.beta > 0.0)
 
-    for step in range(n_steps):
-        if idx.size == 0:
-            break
-        if row == len(draws):
-            if fills is None:
-                slices, cols, width = layout.draw_slices(idx)
-                fills = [(gens[b], z_all[head], z_all[tail]) for b, head, tail in slices]
-            # under a policy only ruin removes a path, none before step oldest + m_r - 1:
-            # one call per substream draws the steps up to it, as one fill per step would
-            k = 1 if lower is None else max(1, min(oldest + m_r - step, n_steps - step,
-                                                   GROUP_PATHS // width))
-            if k == 1:
-                for gen, head, tail in fills:
-                    gen.standard_normal(out=head)
-                    if antithetic:
-                        np.negative(head, out=tail)
-                draws, row = [sig_dt * z_all[cols]], 0
-            else:
-                z = np.empty((k, width))
-                for b, head, tail in slices:
-                    z[:, head] = gens[b].standard_normal((k, head.stop - head.start))
-                    if antithetic:
-                        z[:, tail] = -z[:, head]
-                draws, row = sig_dt * (np.take(z, cols, axis=1) if antithetic else z), 0
-        t = (step + 1) * dt
-        # drift indicator from the step start, barrier and clock at step end
-        inc = np.where(u > 0.0, (mu - delta) * dt, mu * dt)
-        inc += draws[row]
-        row += 1
-        u += inc
+    while step < n_steps and idx.size:
+        if fills is None:
+            slices, cols, width = layout.draw_slices(idx)
+            fills = [(gens[b], z_all[head], z_all[tail]) for b, head, tail in slices]
+        # under a policy only ruin removes a path, none before step oldest + m_r - 1:
+        # one call per substream draws the steps up to it, as one fill per step would
+        k = 1 if lower is None else max(1, min(oldest + m_r - step, n_steps - step,
+                                               GROUP_PATHS // width))
         done = False
-        if u.max() >= upper:
-            pay = u >= upper
-            if lower is None:
-                value[idx[pay]] = math.exp(-q * t)
-                done = pay
-            else:
-                # the Euler step can overshoot the trigger; pay the whole excess
-                paid[pay] += math.exp(-q * t) * (u[pay] - lower - spec.beta)
-                u[pay] = lower
-        began = np.where(u < 0.0, began, step + 1)
-        if step + 1 - m_r >= oldest:  # the oldest excursion may have lasted r
-            done = done | (began <= step + 1 - m_r)
-            oldest = int(np.min(began, where=~done, initial=step + 1))
+        if k == 1:  # a step on its own, as the exit functional always takes
+            for gen, head, tail in fills:
+                gen.standard_normal(out=head)
+                if antithetic:
+                    np.negative(head, out=tail)
+            # drift indicator from the step start, barrier and clock at step end
+            inc = np.where(u > 0.0, (mu - delta) * dt, mu * dt)
+            inc += sig_dt * z_all[cols]
+            u += inc
+            if u.max() >= upper:
+                pay, disc = u >= upper, math.exp(-q * ((step + 1) * dt))
+                if lower is None:
+                    value[idx[pay]], done = disc, pay
+                else:
+                    # the Euler step can overshoot the trigger; pay the whole excess
+                    value[idx[pay]] += disc * (u[pay] - lower - spec.beta)
+                    u[pay] = lower
+        else:
+            z = np.empty((k, width))
+            for b, head, tail in slices:
+                z[:, head] = gens[b].standard_normal((k, head.stop - head.start))
+                if antithetic:
+                    z[:, tail] = -z[:, head]
+            # no path leaves inside the block, so each step's levels fill a row of
+            # its record, which starts as the step's scaled draws
+            levels = sig_dt * (np.take(z, cols, axis=1) if antithetic else z)
+            hits = np.empty(levels.shape, dtype=bool)
+            for lv, hit in zip(levels, hits):
+                lv += np.where(u > 0.0, (mu - delta) * dt, mu * dt)
+                lv += u
+                np.greater_equal(lv, upper, out=hit)
+                u = lv.copy()
+                u[hit] = lower
+            # each payment is the whole excess, as in a step on its own; add.at adds
+            # them in step order, so each path's one by one
+            flat = np.flatnonzero(hits)
+            rows, at = np.divmod(flat, idx.size)
+            disc = np.array([math.exp(-q * ((s + 1) * dt)) for s in range(step, step + k)])
+            np.add.at(value, idx[at], disc[rows] * (levels.take(flat) - lower - spec.beta))
+        step += k
+        neg = u < 0.0
+        began = np.where(neg, began, step)
+        if k > 1:
+            # a payment resets to lower >= 0, so a level has the sign of the path after
+            # it: a path that went below zero inside the block began its excursion
+            # after its last level >= 0, some steps back from the block's end
+            went = np.flatnonzero(neg & (levels[:-1].max(axis=0) >= 0.0))
+            began[went] = step - np.argmax(levels.take(went, axis=1)[::-1] >= 0.0, axis=0)
+        if step - m_r >= oldest:  # the oldest excursion may have lasted r
+            done = done | (began <= step - m_r)
+            oldest = int(np.min(began, where=~done, initial=step))
         if done is not False and done.any():
             keep = ~done
-            if lower is not None:
-                value[idx[done]], paid = paid[done], paid[keep]
             u, began, idx = u[keep], began[keep], idx[keep]
             fills = None
-    if lower is not None:
-        value[idx] = paid
     return layout.blocks(value, idx)
 
 

@@ -330,6 +330,19 @@ def test_brownian_policy_draws_ahead_within_group_paths(antithetic, monkeypatch)
         assert (max(steps) > 1) == (group_paths == 2000)
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("x", [0.55, 1.0])
+@pytest.mark.parametrize("group_paths", [GROUP_PATHS, 100, 2000])
+def test_brownian_dense_payments_match_per_block_oracle(group_paths, x, antithetic,
+                                                        monkeypatch):
+    # a 0.1-wide band nets 0.05 a payment: paths pay on consecutive steps and
+    # several times in one block of steps drawn at once, so a block settles
+    # many payments per path; with room for 100 draws every block is one step
+    monkeypatch.setattr(simulate, "GROUP_PATHS", group_paths)
+    cfg = SimulationConfig(n_paths=777, seed=6, antithetic=antithetic, dt=0.05, t_max=30.0)
+    _assert_matches_per_block(brownian_spec(), "npv", x, (0.5, 0.6), cfg)
+
+
 @pytest.mark.parametrize("k, n", [(1, 1), (2, 7), (30, 62), (5, 1000)])
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_standard_normal_block_equals_consecutive_fills(seed, k, n):
@@ -342,6 +355,27 @@ def test_standard_normal_block_equals_consecutive_fills(seed, k, n):
         rows.standard_normal(out=row)
     assert np.array_equal(block, filled)
     assert whole.standard_normal() == rows.standard_normal()
+
+
+@pytest.mark.parametrize("n_slots, n_adds", [(3, 5), (37, 5000)])
+def test_add_at_adds_repeated_indices_in_order(n_slots, n_adds):
+    # the NumPy property the Euler kernel's block settlement relies on:
+    # np.add.at adds repeated indices one by one in index order, as
+    # consecutive += of each value would
+    rng = np.random.default_rng(n_adds)
+    at = rng.integers(0, n_slots, n_adds)
+    at[:2] = 0  # a repeat even in the short case
+    adds = rng.standard_normal(n_adds) * 10.0 ** rng.integers(-8, 8, n_adds)
+    start = rng.standard_normal(n_slots)
+    whole, one_by_one, backwards = start.copy(), start.copy(), start.copy()
+    np.add.at(whole, at, adds)
+    for i, v in zip(at, adds):
+        one_by_one[i] += v
+    for i, v in zip(at[::-1], adds[::-1]):
+        backwards[i] += v
+    assert [float.hex(v) for v in whole] == [float.hex(v) for v in one_by_one]
+    if n_adds > 100:  # the order shows in the last bits
+        assert not np.array_equal(whole, backwards)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
