@@ -160,8 +160,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"grid {text!r} must look like MIN:MAX:N") from None
     if n < 2:
         raise ConfigError(f"grid needs at least 2 points, got {n}")
-    if not lo < hi:
-        raise ConfigError(f"grid needs MIN < MAX, got {lo} >= {hi}")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(f"grid {text!r} needs finite MIN < MAX with MAX - MIN finite")
     return lo, hi, n
 
 
@@ -332,15 +332,13 @@ def cmd_eval(args) -> int:
 
 def cmd_optimize(args) -> int:
     spec = _load_spec(args)
+    grid = _parse_grid(args.grid) if args.grid else None
     ps = parisian_scale(spec)
     result = find_optimal_policy(ps)
     sys.stdout.write(result_record(ps, result) + "\n")
     if args.out or args.svg:
         c1, c2 = result.policy.lower, result.policy.upper
-        if args.grid:
-            lo, hi, n = _parse_grid(args.grid)
-        else:
-            lo, hi, n = 0.0, 2.0 * c2, 401
+        lo, hi, n = grid or (0.0, 2.0 * c2, 401)
         rows = [(lo + i * (hi - lo) / (n - 1), "") for i in range(n)]
         rows += [(c1, "c1_star"), (c2, "c2_star")]
         rows.sort(key=lambda item: item[0])
@@ -370,6 +368,16 @@ def cmd_optimize(args) -> int:
 
 def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def _z_check(est: MonteCarloEstimate, target: float, digits: int) -> tuple[bool, str]:
+    """Within 3 standard errors of the target, and the detail; a zero stderr
+    (every path alike) passes only on an exact hit."""
+    gap, f = est.mean - target, f".{digits}f"
+    if not est.stderr > 0.0:
+        return gap == 0.0, f"zero stderr: est={est.mean:{f}} target={target:{f}}"
+    z = gap / est.stderr
+    return abs(z) <= 3.0, f"z={z:+.2f} est={est.mean:{f}}+-{est.stderr:{f}} target={target:{f}}"
 
 
 def _quadrature_points(spec: ProblemSpec) -> list[float]:
@@ -448,11 +456,7 @@ def cmd_verify(args) -> int:
                 # event-driven scheme is exact: compare against the closed form
                 est = estimate_exit_functional(spec, x, c2, mc_cfg)
                 target = ps.value(x) / ps.value(c2)
-                z = (est.mean - target) / est.stderr
-                checks.append(
-                    (label, abs(z) <= 3.0, f"z={z:+.2f} est={est.mean:.5f}+-{est.stderr:.5f} "
-                     f"target={target:.5f}")
-                )
+                checks.append((label, *_z_check(est, target, 5)))
             else:
                 # Euler scheme carries an O(sqrt(dt)) barrier bias, so the
                 # meaningful consistency check is step-size refinement
@@ -475,11 +479,7 @@ def cmd_verify(args) -> int:
         x = 0.5 * c2
         est = estimate_policy_npv(spec, result.policy, x, npv_cfg)
         target = value_function(ps, result.policy, x)
-        z = (est.mean - target) / est.stderr
-        checks.append(
-            ("mc_policy_npv", abs(z) <= 3.0, f"z={z:+.2f} est={est.mean:.4f}+-{est.stderr:.4f} "
-             f"target={target:.4f}")
-        )
+        checks.append(("mc_policy_npv", *_z_check(est, target, 4)))
 
     failures = 0
     for name, ok, detail in checks:

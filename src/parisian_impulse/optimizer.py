@@ -55,7 +55,6 @@ from .parisian import ParisianScale
 from .quadrature import integrate
 from .scale import EXP_ARG_MAX, ArrayLike, ExponentialPair
 
-SEARCH_DERIVATIVE_FACTOR = 10.0  # search_bound: V' grown this far past its minimum
 # Relative step at which a root counts as converged: a Newton step this
 # small leaves an error at rounding level, and a bisection step this small
 # bounds the error by itself.
@@ -63,6 +62,7 @@ ROOT_RTOL = 1e-12
 ROOT_MAX_ITER = 200
 ARGMIN_TOL = 1e-12  # a trigger this close below a* counts as at it
 TRANSFER_TOL = 1e-9  # least margin the transfer check accepts
+GENERATOR_STEP = 1e-4  # central-difference step of generator_residual
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,6 @@ class OptimalPolicyResult:
     case: str  # "interior" or "boundary"
     fo_residual: float  # relative first-order residual
     derivative_argmin: float
-    search_bound: float  # where V' reaches SEARCH_DERIVATIVE_FACTOR * V'(a*)
     sufficiency_pass: bool
     iterations: int  # evaluations of G (interior) or h (boundary)
 
@@ -216,7 +215,6 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
         v2, d1, d2 = _derivatives(pair, c2)
         return d1 * (c2 - beta) - (v2 - v0), d2 * (c2 - beta)
 
-    search_bound = preimage(SEARCH_DERIVATIVE_FACTOR * d_min)
     if a_star > 0.0 and G(0.0)[0] < 0.0:
         case = "interior"
         c1, iterations = _find_root(G, 0.0, a_star, width)
@@ -238,7 +236,6 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
         case=case,
         fo_residual=fo,
         derivative_argmin=a_star,
-        search_bound=search_bound,
         sufficiency_pass=sufficiency.passed,
         iterations=iterations,
     )
@@ -327,18 +324,17 @@ def check_transfer_inequality(ps: ParisianScale, policy: ImpulsePolicy) -> Trans
     return TransferReport(passed=worst >= -TRANSFER_TOL, worst_margin=worst, worst_x=x, worst_y=y)
 
 
-def generator_residual(
-    ps: ParisianScale, policy: ImpulsePolicy, x: float, h: float = 1e-4
-) -> float:
+def generator_residual(ps: ParisianScale, policy: ImpulsePolicy, x: float) -> float:
     """Residual of the discounted generator applied to the policy value.
 
     Zero (to discretization error) on (0, upper) where the value function is
     harmonic for the stopped process; nonpositive above upper where paying
-    out dominates.  Derivatives by central differences with step h; the
-    Cramer-Lundberg jump average by adaptive quadrature over the actual
-    piecewise value function.
+    out dominates.  Derivatives by central differences with step
+    ``GENERATOR_STEP``; the Cramer-Lundberg jump average by adaptive
+    quadrature over the actual piecewise value function.
     """
     spec = ps.spec
+    h = GENERATOR_STEP
     v = lambda y: value_function(ps, policy, y)
     vx = v(x)
     d1 = (v(x + h) - v(x - h)) / (2.0 * h)
@@ -393,7 +389,6 @@ def result_record(ps: ParisianScale, result: OptimalPolicyResult) -> str:
         f"case: {result.case}",
         f"fo_residual: {sig17(result.fo_residual)}",
         f"derivative_argmin: {sig17(result.derivative_argmin)}",
-        f"search_bound: {sig17(result.search_bound)}",
         f"sufficiency_pass: {str(result.sufficiency_pass).lower()}",
     ]
     return "\n".join(lines)

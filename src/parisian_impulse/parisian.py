@@ -52,6 +52,7 @@ from .scale import ArrayLike, ExponentialPair, ScaleFunction, refracted_scale
 
 SERIES_RTOL = 1e-12
 QUAD_RTOL = 1e-11  # relative tolerance of the window integral
+QUAD_ATOL = 1e-10  # absolute tolerance of the window integral
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SIDES = np.array([[1.0], [-1.0]])  # the q_plus and q_minus variants' signs
@@ -182,8 +183,7 @@ class ParisianScale:
         self.series_constant: Optional[float] = None
         try:
             if self._is_cl:
-                self._band_k, self._band_terms, slope = self._band_table()
-                self.series_constant = slope + self.compound_window().density(spec.model.p * spec.r)
+                self._band_k, self._band_terms, self.series_constant = self._band_table()
                 self.positive_pair = self._positive_pair_cl()
             else:
                 self.positive_pair = self._positive_pair_brownian()
@@ -247,7 +247,7 @@ class ParisianScale:
 
     def _band_table(self):
         """``k``, the ``V`` and ``V'`` coefficient rows (log magnitudes, signs)
-        and C's slope part, the ``rate D_k`` rows summed at ``x = 0``.
+        and the series constant C.
 
         With ``u = x + p*r``, base = p*r*(other + mu), c = rate + mu for
         ``(rate, other)`` = ``(q_plus, q_minus)``, then ``(q_minus, q_plus)``,
@@ -262,6 +262,11 @@ class ParisianScale:
         a term's log is ``k log(u / (p*r)) - mu*x`` plus its entry.  ``C_k`` is
         summed in log space, its two signs apart: under one common scale its
         small-k entries underflow.  One K serves every u: ``u*c <= p*r*c``.
+        C is the ``rate D_k`` rows at ``x = 0`` plus the window claims density
+        at ``p*r``, ``e^{-log_scale} c' sum_m (c'*p*r)^m / (m! (m+1)!)`` with
+        ``c' = lam*mu*r``: as ``(q_plus + mu)(q_minus + mu) = lam*mu/p``, its
+        term logs are ``log c'`` less log_scale plus the ``q_plus`` variant's
+        two ``k_logs``, one more row of the sum.
         """
         spec = self.spec
         m = spec.model
@@ -284,7 +289,7 @@ class ParisianScale:
         k_logs = columns[1:3] * k[:-1]  # less log (k+1)!: k log base; less log k!: k log(p*r*c)
         k_logs[0] -= log_k_factorial[1:]
         k_logs[1] -= log_k_factorial[:-1]
-        log_coef, sign = np.empty((2, 6, n))  # rows D, c A B, rate D by variant
+        log_coef, sign = np.empty((2, 7, n))  # rows D, c A B, rate D by variant, density
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             # log(A_m B_m) where B_m > 0, then log(-A_m B_m) where B_m < 0, else -inf
             log_ab = k_logs[0] + np.log(np.maximum(bracket * _SIDES[:, :, None], 0.0))
@@ -299,12 +304,14 @@ class ParisianScale:
             np.add(log_c_cross, np.maximum(log_ab[0], log_ab[1]), out=log_coef[2:4])
             by_kind = log_coef[:4].reshape(2, 2, n)
             np.add(by_kind, k_logs[1], out=by_kind)
-            np.add(log_coef[:2], log_rate, out=log_coef[4:])
-            np.sign(gap, out=sign[4:])  # the variant's sign times its rate's is +1
-            np.multiply(sign[4:], _SIDES, out=sign[:2])
+            np.add(log_coef[:2], log_rate, out=log_coef[4:6])
+            np.sign(gap, out=sign[4:6])  # the variant's sign times its rate's is +1
+            np.multiply(sign[4:6], _SIDES, out=sign[:2])
             np.multiply(np.sign(bracket), _SIDES, out=sign[2:4])
-            slope = float(self._term_sums(log_coef[None, 4:], sign[4:])[0])  # at x = 0
-        return k[:-1], ((log_coef[:2], sign[:2]), (log_coef[2:], sign[2:])), slope
+            log_coef[6] = math.log(m.lam * mu * spec.r) - log_scale + k_logs[0, 0] + k_logs[1, 0]
+            sign[6] = 1.0
+            constant = float(self._term_sums(log_coef[None, 4:], sign[4:])[0])  # at x = 0
+        return k[:-1], ((log_coef[:2], sign[:2]), (log_coef[2:6], sign[2:6])), constant
 
     def _window_sums(self, ratio: np.ndarray, shift: np.ndarray, kind: int) -> np.ndarray:
         """``V`` or ``V'`` (``kind`` 0, 1) at band points x from ``(x + p*r) / (p*r)``
@@ -425,10 +432,6 @@ class ParisianScale:
         out[below] = [self._below_zero(v, with_derivative) for v in x[below].tolist()]
         return out
 
-    def derivative_argmin(self) -> float:
-        """Argmin of dV/dx over (0, inf), closed form; 0 if V' is increasing."""
-        return self.positive_pair.derivative_argmin()
-
     def compound_window(self) -> Optional[CompoundPoissonWindow]:
         if not self._is_cl:
             return None
@@ -437,7 +440,7 @@ class ParisianScale:
 
     # ---------- quadrature oracle ----------
 
-    def quadrature_value(self, x: float, abs_tol: float = 1e-10) -> float:
+    def quadrature_value(self, x: float) -> float:
         """V at x via the defining integral of ``w(x; -z)`` against the
         one-window displacement law.  Independent of the closed forms."""
         if self._is_cl:
@@ -446,10 +449,10 @@ class ParisianScale:
                 return 0.0
             # at x = -p*r exactly the no-claim atom still counts (recovery exactly
             # at the deadline is recovery), matching the right limit convention
-            return self._quad_cl(x, abs_tol)
-        return self._quad_brownian(x, abs_tol)
+            return self._quad_cl(x)
+        return self._quad_brownian(x)
 
-    def _quad_cl(self, x: float, abs_tol: float) -> float:
+    def _quad_cl(self, x: float) -> float:
         spec = self.spec
         m = spec.model
         cs = self.coefficient_set
@@ -462,10 +465,10 @@ class ParisianScale:
             return refracted_scale(cs, x, z) * (z / spec.r) * window.density(pr - z)
 
         if lo < pr:
-            total += integrate(integrand, lo, pr, abs_tol, QUAD_RTOL)[0]
+            total += integrate(integrand, lo, pr, QUAD_ATOL, QUAD_RTOL)[0]
         return total
 
-    def _quad_brownian(self, x: float, abs_tol: float) -> float:
+    def _quad_brownian(self, x: float) -> float:
         spec = self.spec
         m = spec.model
         cs = self.coefficient_set
@@ -481,7 +484,7 @@ class ParisianScale:
         total = 0.0
         for a, b in ((lo, max(lo, mean)), (max(lo, mean), hi)):
             if a < b:
-                total += integrate(integrand, a, b, abs_tol, QUAD_RTOL)[0]
+                total += integrate(integrand, a, b, QUAD_ATOL, QUAD_RTOL)[0]
         return total
 
 

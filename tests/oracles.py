@@ -7,7 +7,9 @@ convolution evaluated with adaptive quadrature.  None of it shares code with
 the package's closed forms, so agreement is a genuine cross-check rather
 than a tautology.  The one exception is ``brute_force_payout_grid``, which
 checks the optimizer's search rather than V: it takes V from the package and
-only replaces the root solves with an exhaustive lattice.
+only replaces the root solves with an exhaustive lattice.  ``search_bound``,
+the right end of that lattice in acceptance criterion 6, is solved with the
+optimizer's own level-set root, as the optimizer once did on every solve.
 
 The certificate grids check the package's closed-form certificates: they
 scan V' on a fine grid, or the transfer margin on a table of point pairs, as
@@ -22,7 +24,9 @@ term by term; it checks the vectorized incomplete gamma terms
 band's two bracketed series summed term by term in ``P(m+1, u*c)`` (on the
 package's log-factorial table and term budget), as the package did before
 it read the band from a per-spec coefficient table (``band_by_gamma_tail``
-gives V and V' from them).
+gives V and V' from them).  ``series_constant_by_window`` builds the series
+constant C as the package did before it read C from the band table alone:
+the table's slope rows plus ``CompoundPoissonWindow.density`` at ``p*r``.
 
 The single-path simulators at the end follow one refracted path at a time in
 plain Python; they check the vectorized Monte Carlo kernels' conventions
@@ -59,6 +63,8 @@ from parisian_impulse.optimizer import (
     ImpulsePolicy,
     SufficiencyReport,
     TransferReport,
+    _derivatives,
+    _level_point,
     value_function,
 )
 from parisian_impulse.parisian import (
@@ -67,7 +73,7 @@ from parisian_impulse.parisian import (
     _log_factorials,
     _term_budget,
 )
-from parisian_impulse.scale import ScaleFunction, refracted_pair
+from parisian_impulse.scale import EXP_ARG_MAX, ScaleFunction, refracted_pair
 from parisian_impulse.simulate import (
     _U_HI,
     _U_LO,
@@ -412,6 +418,41 @@ def band_by_gamma_tail(ps: ParisianScale, x: float, with_derivative: bool = Fals
     return slope + a_minus * d_plus - a_plus * d_minus
 
 
+class WindowConstantScale(ParisianScale):
+    """A ``ParisianScale`` whose series constant C is the band table's two
+    ``rate D_k`` rows summed at ``x = 0`` plus the window claims density at
+    ``p*r`` from its own series: the build's one three-row sum (C) loses its
+    density row to ``CompoundPoissonWindow.density``."""
+
+    def _term_sums(self, log_terms: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        if log_terms.shape[1] != 3:  # V or V' at band points
+            return super()._term_sums(log_terms, sign)
+        slope = super()._term_sums(log_terms[:, :2], sign[:2])
+        return slope + self.compound_window().density(self.spec.model.p * self.spec.r)
+
+
+def series_constant_by_window(spec: ProblemSpec) -> float:
+    """C of a compound Poisson spec by the window density route; raises as
+    that route's build raises."""
+    return WindowConstantScale(spec).series_constant
+
+
+SEARCH_DERIVATIVE_FACTOR = 10.0
+
+
+def search_bound(ps: ParisianScale) -> float:
+    """The point ``c >= a*`` where V' has grown to ``SEARCH_DERIVATIVE_FACTOR``
+    times its least value ``V'(a*)`` on x >= 0: the right end of criterion
+    6's brute-force grid, by the optimizer's level-set root."""
+    pair = ps.positive_pair
+    a_star = pair.derivative_argmin()
+    d_min = _derivatives(pair, a_star)[1]
+    level = SEARCH_DERIVATIVE_FACTOR * d_min
+    if level <= d_min:
+        return a_star
+    return _level_point(pair, level, a_star, EXP_ARG_MAX / pair.kp, 1.0)
+
+
 def brute_force_payout_grid(
     ps: ParisianScale, x_max: float, step: float = 1e-3
 ) -> tuple[float, float, float]:
@@ -485,7 +526,7 @@ def check_sufficiency_pair_by_grid(
 
 def check_unimodal_by_grid(ps: ParisianScale, hi: float = 20.0, n: int = 2000) -> tuple[bool, str]:
     """V' falls before its argmin and rises after it, scanned on (0, hi]."""
-    a_star = ps.derivative_argmin()
+    a_star = ps.positive_pair.derivative_argmin()
     xs = np.linspace(1e-6, hi, n)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as a typed error below
         vals = ps.positive_pair.derivative(xs)

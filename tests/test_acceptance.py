@@ -177,7 +177,7 @@ def test_criterion_6_stationarity_and_classification(capsys, optimum):
     for _, spec, _ in problems:
         result = optimum(spec)
         ps = parisian_scale(spec)
-        g_brute, _, _ = oracles.brute_force_payout_grid(ps, result.search_bound, step=1e-3)
+        g_brute, _, _ = oracles.brute_force_payout_grid(ps, oracles.search_bound(ps), step=1e-3)
         brute_worst = max(brute_worst, result.payout_ratio - g_brute)
     brute_ok = brute_worst <= 1e-6
 
@@ -186,7 +186,7 @@ def test_criterion_6_stationarity_and_classification(capsys, optimum):
         result = optimum(spec)
         if result.case != expected:
             ps = parisian_scale(spec)
-            bound = result.search_bound
+            bound = oracles.search_bound(ps)
             best_boundary = minimize_scalar(
                 lambda c2: payout_ratio(ps, 0.0, c2),
                 bounds=(spec.beta + 1e-9, bound),

@@ -68,6 +68,20 @@ def test_bad_grid_reports_config_error(grid, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "optimize"])
+@pytest.mark.parametrize("grid", ["-inf:1:5", "0:inf:5", "-1e308:1e308:5"])
+def test_non_finite_grid_reports_config_error(command, grid, tmp_path, capsys):
+    # an infinite end or span would put NaN on the grid; optimize rejects the
+    # grid before it solves, so nothing is printed or written
+    out = tmp_path / "grid.csv"
+    rc = cli.main([command, "--config", CL_CFG, f"--grid={grid}", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: grid {grid!r}")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_negative_depth_rejected(capsys):
     for depth in ("-1", "nan", "inf"):
         rc = cli.main(["eval", "--config", BM_CFG, "--grid=0:1:5", "--depth", depth])
@@ -217,6 +231,22 @@ def test_verify_with_monte_carlo(capsys):
     assert "mc_exit_zero: PASS" in out
     assert "mc_policy_npv: PASS" in out
     assert "all 11 checks passed" in out
+
+
+def test_verify_zero_stderr_fails_the_check(capsys):
+    # two compound Poisson paths from 0 that both fall short of c2* give a
+    # zero standard error: the check fails with a message, not a division error
+    rc = cli.main(["verify", "--config", CL_CFG, "--with-mc", "--paths", "2", "--seed", "4"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "mc_exit_zero: FAIL (zero stderr: est=0.00000 target=0.49958)" in out
+
+
+def test_zero_stderr_passes_only_on_an_exact_hit():
+    hit = MonteCarloEstimate(mean=0.5, stderr=0.0, n_effective=2, elapsed_seconds=0.0,
+                             censored_fraction=0.0)
+    assert cli._z_check(hit, 0.5, 5) == (True, "zero stderr: est=0.50000 target=0.50000")
+    assert cli._z_check(hit, 0.25, 5)[0] is False
 
 
 def test_verify_rejects_bad_refraction(capsys):

@@ -89,7 +89,6 @@ def test_optimal_policy_frozen(kind, beta, optimum):
     assert result.payout_ratio == pytest.approx(g, rel=1e-9)
     assert result.fo_residual < 1e-8
     assert result.sufficiency_pass
-    assert result.search_bound > result.derivative_argmin
 
 
 def test_cl_beta1_interior_by_mpmath_window_oracle():
@@ -290,11 +289,26 @@ def test_result_record(cl_scale, optimum):
 
 
 # Compound Poisson with a steep discount: V' is increasing on x >= 0, and the
-# boundary optimum c2 = 1.414 lies past search_bound = 0.989, where V' is
-# already ten times V'(0+); search_bound does not limit the search.
+# boundary optimum c2 = 1.414 lies past oracles.search_bound = 0.989, where V'
+# is already ten times V'(0+); the optimizer's search has no such bound.
 CL_STEEP = ProblemSpec(
     CramerLundberg(p=3.0, lam=2.0, mu_claim=1.0), delta=0.25, q=5.0, r=2.0, beta=1.0
 )
+
+
+# search_bound as find_optimal_policy returned it while it solved for it on
+# every call: the oracle keeps criterion 6's brute-force grids unchanged
+SEARCH_BOUNDS = [
+    (brownian_spec(0.05), "0x1.7dddda567d278p+4"),
+    (brownian_spec(1.0), "0x1.7dddda567d278p+4"),
+    (cramer_lundberg_spec(1.0), "0x1.72cb77c3dab39p+5"),
+    (CL_STEEP, "0x1.fa548d248250cp-1"),
+]
+
+
+@pytest.mark.parametrize("spec,frozen", SEARCH_BOUNDS, ids=["bm-0.05", "bm-1", "cl-1", "cl-steep"])
+def test_search_bound_oracle_frozen(spec, frozen):
+    assert oracles.search_bound(parisian_scale(spec)).hex() == frozen
 
 
 def test_boundary_optimum_beyond_search_bound(optimum):
@@ -303,7 +317,7 @@ def test_boundary_optimum_beyond_search_bound(optimum):
     assert result.case == "boundary"
     assert result.derivative_argmin == 0.0
     assert result.policy.upper == pytest.approx(1.414, abs=1e-3)
-    assert result.policy.upper > result.search_bound
+    assert result.policy.upper > oracles.search_bound(ps)
     assert result.fo_residual < 1e-8
     assert result.sufficiency_pass
     assert check_transfer_inequality(ps, result.policy).passed
@@ -331,7 +345,6 @@ def test_result_fields_are_plain_floats(spec, case, optimum):
         result.payout_ratio,
         result.fo_residual,
         result.derivative_argmin,
-        result.search_bound,
     ):
         assert type(value) is float
 

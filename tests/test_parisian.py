@@ -1,6 +1,7 @@
 """The Parisian refracted scale function V, its series pieces and oracles."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -22,7 +23,12 @@ from parisian_impulse import (
 from parisian_impulse.models import compute_coefficients
 from parisian_impulse.parisian import ParisianScale, _log_ndtr, _ndtr, parisian_scale
 
-from oracles import CramerLundbergWindowOracle, _log_gamma_terms, regularized_lower_gamma
+from oracles import (
+    CramerLundbergWindowOracle,
+    _log_gamma_terms,
+    regularized_lower_gamma,
+    series_constant_by_window,
+)
 from params import brownian_spec, cramer_lundberg_spec
 
 # Frozen from a 50-digit evaluation of the defining window integral
@@ -163,10 +169,10 @@ def test_derivative_jump_at_zero_for_compound_poisson(cl_scale):
 
 
 def test_derivative_argmin(bm_scale, cl_scale):
-    assert bm_scale.derivative_argmin() == pytest.approx(1.222869037, rel=1e-8)
-    assert cl_scale.derivative_argmin() == pytest.approx(3.816323204, rel=1e-8)
+    assert bm_scale.positive_pair.derivative_argmin() == pytest.approx(1.222869037, rel=1e-8)
+    assert cl_scale.positive_pair.derivative_argmin() == pytest.approx(3.816323204, rel=1e-8)
     for ps in (bm_scale, cl_scale):
-        xm = ps.derivative_argmin()
+        xm = ps.positive_pair.derivative_argmin()
         dm = ps.derivative(xm)
         assert dm < ps.derivative(xm - 1e-3)
         assert dm < ps.derivative(xm + 1e-3)
@@ -331,6 +337,25 @@ def test_window_series_term_budget():
     window = CompoundPoissonWindow(lam=5000.0, mu_claim=1.0, r=1.0)
     assert window.density(100.0) == 0.0
     assert window.density(np.array([100.0])).tolist() == [0.0]
+
+
+def test_series_constant_from_band_table(cl_scale):
+    # the table's three-row sum at x = 0 and the slope plus window density
+    # give the shipped config's C bit for bit
+    assert cl_scale.series_constant == 0.12127515137402531
+    assert series_constant_by_window(cl_scale.spec) == 0.12127515137402531
+
+
+def test_compound_poisson_build_skips_window_density(monkeypatch):
+    # C takes its density part from the band table: the window's own series
+    # serves the quadrature route only
+    def refuse(self, y):
+        raise AssertionError("the build evaluated the window density series")
+
+    monkeypatch.setattr(CompoundPoissonWindow, "_density_block", refuse)
+    for r in (2.0, 50.0, 200.0):
+        ps = ParisianScale(dataclasses.replace(cramer_lundberg_spec(), r=r))
+        assert math.isfinite(ps.series_constant)
 
 
 def test_compound_window_accessor(bm_scale, cl_scale):

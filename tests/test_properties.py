@@ -126,7 +126,7 @@ def sufficiency_closed_form_matches_grid_property(spec):
         ps = parisian_scale(spec)
     except NumericalError:
         return
-    a_star = ps.derivative_argmin()
+    a_star = ps.positive_pair.derivative_argmin()
     uppers = [a_star, 0.5 * a_star, a_star + 1e-3, a_star + 1.0]
     try:
         uppers.append(find_optimal_policy(ps).policy.upper)
@@ -212,6 +212,30 @@ def band_block_matches_scalar_calls_and_gamma_tail_property(spec):
 
 def test_band_block_matches_scalar_calls_and_gamma_tail(bounded_python):
     _run_property(bounded_python, "band_block_matches_scalar_calls_and_gamma_tail_property")
+
+
+def _constant_or_error(build):
+    try:
+        return build()
+    except NumericalError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs(q_max=5.0, r_max=200.0).filter(lambda s: isinstance(s.model, CramerLundberg)))
+def series_constant_matches_window_route_property(spec):
+    # C as one sum of band table rows against the table's slope rows plus the
+    # window density from its own series: equal to rounding, or the same error
+    table = _constant_or_error(lambda: parisian_scale(spec).series_constant)
+    window = _constant_or_error(lambda: oracles.series_constant_by_window(spec))
+    if isinstance(window, float):
+        assert table == pytest.approx(window, rel=1e-13, abs=0.0)
+    else:
+        assert table is window
+
+
+def test_series_constant_matches_window_route(bounded_python):
+    _run_property(bounded_python, "series_constant_matches_window_route_property")
 
 
 @given(model=models, a=st.floats(0.0, 5.0), b=st.floats(0.0, 5.0),
