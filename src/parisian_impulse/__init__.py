@@ -17,9 +17,9 @@ from .models import (
     BrownianMotion,
     CoefficientSet,
     CramerLundberg,
+    ExponentialPair,
     Model,
     ProblemSpec,
-    ScaleCoefficients,
     compute_coefficients,
     drift_adjusted,
     laplace_exponent,
@@ -43,7 +43,6 @@ from .parisian import (
     parisian_scale,
 )
 from .scale import (
-    ExponentialPair,
     ScaleFunction,
     refracted_pair,
     refracted_scale,

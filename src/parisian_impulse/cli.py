@@ -400,7 +400,7 @@ def cmd_verify(args) -> int:
     ok = res_x <= 1e-12 * spec.q and res_y <= 1e-12 * spec.q
     checks.append(("laplace_roots", ok, f"residuals {res_x:.2e}, {res_y:.2e} (tol 1e-12 rel)"))
 
-    mass = ps.coefficient_set.surplus.mass_at_zero
+    mass = ps.coefficient_set.surplus.value(0.0)
     expected = 1.0 / spec.model.p if isinstance(spec.model, CramerLundberg) else 0.0
     ok = abs(mass - expected) <= 1e-12 * max(1.0, expected)
     checks.append(("scale_mass_at_zero", ok, f"W(0+)={mass:.12g} expected {expected:.12g}"))

@@ -12,9 +12,10 @@ A :class:`ProblemSpec` bundles a model with the refraction rate ``delta``
 ``q``, the Parisian delay ``r``, and the fixed transaction cost ``beta``.
 
 For either model the scale function restricted to ``x >= 0`` is a difference
-of two exponentials.  :func:`compute_coefficients` produces that
-representation for both the original surplus process and the refracted
-(drift-reduced) one; everything downstream works off these coefficients.
+of two exponentials, an :class:`ExponentialPair`; so are the refracted scale
+function and the Parisian ``V`` built from it.  :func:`compute_coefficients`
+produces the pairs of the original surplus process and of the refracted
+(drift-reduced) one; everything downstream works off these pairs.
 """
 from __future__ import annotations
 
@@ -23,9 +24,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .errors import ConfigError, DomainError, InvalidRefractionError
+import numpy as np
+
+from .errors import ConfigError, DomainError, InvalidRefractionError, OverflowRangeError
 
 SPEC_CACHE_SIZE = 128  # distinct specs kept by each per-spec cache
+# exp() overflows just above 709; refuse a margin earlier
+EXP_ARG_MAX = 700.0
+
+ArrayLike = Union[float, np.ndarray]
 
 
 def _check_fields(obj, finite: tuple[str, ...] = (), positive: tuple[str, ...] = ()) -> None:
@@ -154,45 +161,93 @@ def _roots(model: Model, q: float) -> tuple[float, float]:
     return max(r1, r2), min(r1, r2)
 
 
+def _check_exp_range(rate: float, x: ArrayLike) -> None:
+    hi = float(np.max(rate * np.asarray(x, dtype=float), initial=-math.inf))
+    if hi > EXP_ARG_MAX:
+        raise OverflowRangeError(
+            f"exponent {hi:.3g} exceeds the finite double range (limit {EXP_ARG_MAX})"
+        )
+
+
+def _match(out: ArrayLike) -> ArrayLike:
+    """A float for a scalar result, the array otherwise."""
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+
+
 @dataclass(frozen=True)
-class ScaleCoefficients:
-    """Two-exponential representation of a q-scale function on ``x >= 0``:
+class ExponentialPair:
+    """The function ``f(x) = a * exp(kp * x) - b * exp(km * x)`` with kp > km.
 
-    ``W(x) = weight_plus * exp(rate_plus * x) - weight_minus * exp(rate_minus * x)``
-
-    with ``rate_plus > 0 > rate_minus`` the two roots of ``psi = q`` and
-    positive weights.  ``W(0+) = weight_plus - weight_minus`` (zero for
-    Brownian motion, ``1/p`` for Cramer-Lundberg).
+    All scale-type functions in this package restrict to this shape on
+    ``x >= 0``.  Evaluations accept scalars or numpy arrays.  ``a`` and ``b``
+    may be arrays of one shape (``refracted_pair`` on an array of depths);
+    a scalar ``x`` then gives an array.
     """
 
-    rate_plus: float
-    rate_minus: float
-    weight_plus: float
-    weight_minus: float
+    a: float
+    b: float
+    kp: float
+    km: float
 
-    @property
-    def mass_at_zero(self) -> float:
-        return self.weight_plus - self.weight_minus
+    def value(self, x: ArrayLike) -> ArrayLike:
+        _check_exp_range(self.kp, x)
+        xx = np.asarray(x, dtype=float)
+        return _match(self.a * np.exp(self.kp * xx) - self.b * np.exp(self.km * xx))
+
+    def derivative(self, x: ArrayLike) -> ArrayLike:
+        _check_exp_range(self.kp, x)
+        xx = np.asarray(x, dtype=float)
+        return _match(
+            self.a * self.kp * np.exp(self.kp * xx)
+            - self.b * self.km * np.exp(self.km * xx),
+        )
+
+    def integral_from_zero(self, x: ArrayLike) -> ArrayLike:
+        """``int_0^x f(y) dy`` (kp, km are nonzero for every model here)."""
+        _check_exp_range(self.kp, x)
+        xx = np.asarray(x, dtype=float)
+        out = self.a / self.kp * (np.exp(self.kp * xx) - 1.0) - self.b / self.km * (
+            np.exp(self.km * xx) - 1.0
+        )
+        return _match(out)
+
+    def derivative_argmin(self) -> float:
+        """Location of the minimum of f' on [0, inf).
+
+        f' is a sum of an increasing and a decreasing exponential when
+        ``b > 0`` (unique interior minimum, clamped at 0); otherwise f' is
+        increasing and the minimum sits at 0.
+        """
+        if self.b <= 0.0 or self.a <= 0.0:
+            return 0.0
+        ratio = self.b * self.km**2 / (self.a * self.kp**2)
+        if ratio <= 1.0:
+            return 0.0
+        return math.log(ratio) / (self.kp - self.km)
 
 
-def _coefficients(model: Model, q: float) -> ScaleCoefficients:
+def _coefficients(model: Model, q: float) -> ExponentialPair:
+    """The q-scale function on ``x >= 0``: ``kp > 0 > km`` are the roots of
+    ``psi = q`` and ``a, b > 0``, so ``W(0+) = a - b`` (zero for Brownian
+    motion, ``1/p`` for Cramer-Lundberg)."""
     plus, minus = _roots(model, q)
     if isinstance(model, BrownianMotion):
         weight = 2.0 / (model.sigma**2 * (plus - minus))
-        return ScaleCoefficients(plus, minus, weight, weight)
+        return ExponentialPair(weight, weight, plus, minus)
     p, mu = model.p, model.mu_claim
     # weights (mu + root) / (plus - minus) / p; their difference is 1/p
     span = plus - minus
-    return ScaleCoefficients(plus, minus, (mu + plus) / (span * p), (mu + minus) / (span * p))
+    return ExponentialPair((mu + plus) / (span * p), (mu + minus) / (span * p), plus, minus)
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Scale coefficients for the surplus process and its refracted twin."""
+    """q-scale functions on ``x >= 0`` of the surplus process and its
+    refracted twin."""
 
     spec: ProblemSpec
-    surplus: ScaleCoefficients
-    refracted: ScaleCoefficients
+    surplus: ExponentialPair
+    refracted: ExponentialPair
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)

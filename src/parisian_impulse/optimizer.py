@@ -50,10 +50,9 @@ import numpy as np
 
 from .errors import DomainError, OverflowRangeError, SolverFailureError
 from .formatting import sig17
-from .models import BrownianMotion, CramerLundberg
+from .models import EXP_ARG_MAX, ArrayLike, BrownianMotion, CramerLundberg, ExponentialPair
 from .parisian import ParisianScale
 from .quadrature import integrate
-from .scale import EXP_ARG_MAX, ArrayLike, ExponentialPair
 
 # Relative step at which a root counts as converged: a Newton step this
 # small leaves an error at rounding level, and a bisection step this small

@@ -211,20 +211,20 @@ class ParisianScale:
         X = self.coefficient_set.surplus
         Y = self.coefficient_set.refracted
         s2 = m.sigma**2
-        disc = 0.5 * s2 * (X.rate_plus - X.rate_minus)  # sqrt(mu^2 + 2 q sigma^2)
+        disc = 0.5 * s2 * (X.kp - X.km)  # sqrt(mu^2 + 2 q sigma^2)
         eqr = math.exp(spec.q * spec.r)
         # integral of W' against the window displacement law
         i1 = (
             2.0 / math.sqrt(2.0 * math.pi * s2 * spec.r) * math.exp(-spec.r * m.mu**2 / (2.0 * s2))
-            + X.rate_plus * eqr
-            - (X.rate_plus - X.rate_minus) * eqr * _ndtr(-math.sqrt(spec.r) * disc / m.sigma)
+            + X.kp * eqr
+            - (X.kp - X.km) * eqr * _ndtr(-math.sqrt(spec.r) * disc / m.sigma)
         )
-        span = Y.rate_plus - Y.rate_minus
+        span = Y.kp - Y.km
         return ExponentialPair(
-            (i1 - eqr * Y.rate_minus) / span,
-            (i1 - eqr * Y.rate_plus) / span,
-            Y.rate_plus,
-            Y.rate_minus,
+            (i1 - eqr * Y.km) / span,
+            (i1 - eqr * Y.kp) / span,
+            Y.kp,
+            Y.km,
         )
 
     def _positive_pair_cl(self) -> ExponentialPair:
@@ -235,12 +235,12 @@ class ParisianScale:
         p_y = m.p - spec.delta
         eqr = math.exp(spec.q * spec.r)
         d = (spec.q + m.lam) * eqr - m.p * self.series_constant
-        g = d / (p_y * (Y.rate_plus - Y.rate_minus))
+        g = d / (p_y * (Y.kp - Y.km))
         return ExponentialPair(
-            eqr * p_y * Y.weight_plus - g,
-            eqr * p_y * Y.weight_minus - g,
-            Y.rate_plus,
-            Y.rate_minus,
+            eqr * p_y * Y.a - g,
+            eqr * p_y * Y.b - g,
+            Y.kp,
+            Y.km,
         )
 
     # ---------- Cramer-Lundberg series machinery ----------
@@ -272,7 +272,7 @@ class ParisianScale:
         m = spec.model
         X = self.coefficient_set.surplus
         pr, mu = m.p * spec.r, m.mu_claim
-        rates, weights = (X.rate_plus, X.rate_minus), (m.p * X.weight_plus, m.p * X.weight_minus)
+        rates, weights = (X.kp, X.km), (m.p * X.a, m.p * X.b)
         log_scale = m.lam * spec.r + mu * pr  # every term carries e^{-lam*r - mu*p*r}
         # per variant: p*r*c, log base, log(p*r*c), log|rate|, and less
         # log_scale: log own, log cross, log(c cross)
@@ -347,23 +347,23 @@ class ParisianScale:
         m = spec.model
         X = self.coefficient_set.surplus
         s2 = m.sigma**2
-        disc = 0.5 * s2 * (X.rate_plus - X.rate_minus)
+        disc = 0.5 * s2 * (X.kp - X.km)
         sr = m.sigma * math.sqrt(spec.r)
         qr = spec.q * spec.r
         alpha = (-x - spec.r * disc) / sr
         beta = (-x + spec.r * disc) / sr
-        # log-space tails keep exp(-rate_minus * x) * survival finite far below 0
-        t_plus = math.exp(qr + X.rate_plus * x + _log_ndtr(-alpha))
-        t_minus = math.exp(qr + X.rate_minus * x + _log_ndtr(-beta))
+        # log-space tails keep exp(-km * x) * survival finite far below 0
+        t_plus = math.exp(qr + X.kp * x + _log_ndtr(-alpha))
+        t_minus = math.exp(qr + X.km * x + _log_ndtr(-beta))
         value = t_plus + t_minus
         if not with_derivative:
             return value, None
         log_root = -0.5 * math.log(2.0 * math.pi)
-        d_plus = X.rate_plus * t_plus + math.exp(
-            qr + X.rate_plus * x - 0.5 * alpha * alpha + log_root
+        d_plus = X.kp * t_plus + math.exp(
+            qr + X.kp * x - 0.5 * alpha * alpha + log_root
         ) / sr
-        d_minus = X.rate_minus * t_minus + math.exp(
-            qr + X.rate_minus * x - 0.5 * beta * beta + log_root
+        d_minus = X.km * t_minus + math.exp(
+            qr + X.km * x - 0.5 * beta * beta + log_root
         ) / sr
         return value, d_plus + d_minus
 

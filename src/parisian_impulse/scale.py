@@ -3,99 +3,25 @@
 For both supported models the q-scale function restricted to ``x >= 0`` is a
 difference of two exponentials, and so is the refracted scale function
 ``w(x; -z)`` of the level-0 refracted process for a start pushed ``z`` below
-the refraction level.  :class:`ExponentialPair` is that shared shape; the
-refracted coefficients come out of a partial-fraction identity and avoid the
-catastrophic cancellation the naive two-product evaluation suffers from.
+the refraction level.  Both are the :class:`~parisian_impulse.models.ExponentialPair`
+of :mod:`models`, imported here too; the refracted coefficients come out of a
+partial-fraction identity and avoid the catastrophic cancellation the naive
+two-product evaluation suffers from.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 
-from .errors import DomainError, OverflowRangeError
+from .errors import DomainError
 from .models import (
+    ArrayLike,
     CoefficientSet,
+    ExponentialPair,
     ProblemSpec,
-    ScaleCoefficients,
+    _check_exp_range,
+    _match,
     compute_coefficients,
 )
-
-# exp() overflows just above 709; refuse a margin earlier
-EXP_ARG_MAX = 700.0
-
-ArrayLike = Union[float, np.ndarray]
-
-
-def _check_exp_range(rate: float, x: ArrayLike) -> None:
-    hi = float(np.max(rate * np.asarray(x, dtype=float), initial=-math.inf))
-    if hi > EXP_ARG_MAX:
-        raise OverflowRangeError(
-            f"exponent {hi:.3g} exceeds the finite double range (limit {EXP_ARG_MAX})"
-        )
-
-
-def _match(out: ArrayLike) -> ArrayLike:
-    """A float for a scalar result, the array otherwise."""
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class ExponentialPair:
-    """The function ``f(x) = a * exp(kp * x) - b * exp(km * x)`` with kp > km.
-
-    All scale-type functions in this package restrict to this shape on
-    ``x >= 0``.  Evaluations accept scalars or numpy arrays.  ``a`` and ``b``
-    may be arrays of one shape (``refracted_pair`` on an array of depths);
-    a scalar ``x`` then gives an array.
-    """
-
-    a: float
-    b: float
-    kp: float
-    km: float
-
-    def value(self, x: ArrayLike) -> ArrayLike:
-        _check_exp_range(self.kp, x)
-        xx = np.asarray(x, dtype=float)
-        return _match(self.a * np.exp(self.kp * xx) - self.b * np.exp(self.km * xx))
-
-    def derivative(self, x: ArrayLike) -> ArrayLike:
-        _check_exp_range(self.kp, x)
-        xx = np.asarray(x, dtype=float)
-        return _match(
-            self.a * self.kp * np.exp(self.kp * xx)
-            - self.b * self.km * np.exp(self.km * xx),
-        )
-
-    def integral_from_zero(self, x: ArrayLike) -> ArrayLike:
-        """``int_0^x f(y) dy`` (kp, km are nonzero for every model here)."""
-        _check_exp_range(self.kp, x)
-        xx = np.asarray(x, dtype=float)
-        out = self.a / self.kp * (np.exp(self.kp * xx) - 1.0) - self.b / self.km * (
-            np.exp(self.km * xx) - 1.0
-        )
-        return _match(out)
-
-    def derivative_argmin(self) -> float:
-        """Location of the minimum of f' on [0, inf).
-
-        f' is a sum of an increasing and a decreasing exponential when
-        ``b > 0`` (unique interior minimum, clamped at 0); otherwise f' is
-        increasing and the minimum sits at 0.
-        """
-        if self.b <= 0.0 or self.a <= 0.0:
-            return 0.0
-        ratio = self.b * self.km**2 / (self.a * self.kp**2)
-        if ratio <= 1.0:
-            return 0.0
-        return math.log(ratio) / (self.kp - self.km)
-
-
-def _pair(c: ScaleCoefficients) -> ExponentialPair:
-    return ExponentialPair(c.weight_plus, c.weight_minus, c.rate_plus, c.rate_minus)
 
 
 class ScaleFunction:
@@ -106,10 +32,9 @@ class ScaleFunction:
     ``1 + q * int_0^x value(y) dy``.
     """
 
-    def __init__(self, coefficients: ScaleCoefficients, q: float):
-        self.coefficients = coefficients
+    def __init__(self, pair: ExponentialPair, q: float):
+        self.pair = pair
         self.q = q
-        self.pair = _pair(coefficients)
 
     @classmethod
     def for_surplus(cls, spec: ProblemSpec) -> "ScaleFunction":
@@ -144,26 +69,25 @@ def refracted_pair(cs: CoefficientSet, depth: ArrayLike) -> ExponentialPair:
     for the growing part, so the evaluation stays cancellation-free.  An
     array of depths gives arrays ``a`` and ``b``, one entry per depth.
     """
-    if isinstance(depth, np.ndarray):
-        admissible, exp = bool((depth >= 0.0).all()), np.exp
-    else:
-        admissible, exp = depth >= 0.0, math.exp
-    if not admissible:  # NaN included
+    array = isinstance(depth, np.ndarray)
+    if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
         raise DomainError(f"depth must be nonnegative, got {depth}")
     X, Y = cs.surplus, cs.refracted
     delta = cs.spec.delta
-    _check_exp_range(X.rate_plus, depth)
-    e_p = exp(X.rate_plus * depth)
-    e_m = exp(X.rate_minus * depth)
-    tp = X.weight_plus * X.rate_plus * e_p
-    tm = X.weight_minus * X.rate_minus * e_m
-    a = -delta * Y.weight_plus * (
-        tp / (X.rate_plus - Y.rate_plus) - tm / (X.rate_minus - Y.rate_plus)
+    _check_exp_range(X.kp, depth)
+    # np.exp on a float equals its array result bit for bit; math.exp may not
+    e_p, e_m = np.exp(X.kp * depth), np.exp(X.km * depth)
+    if not array:
+        e_p, e_m = float(e_p), float(e_m)
+    tp = X.a * X.kp * e_p
+    tm = X.b * X.km * e_m
+    a = -delta * Y.a * (
+        tp / (X.kp - Y.kp) - tm / (X.km - Y.kp)
     )
-    b = -delta * Y.weight_minus * (
-        tp / (X.rate_plus - Y.rate_minus) - tm / (X.rate_minus - Y.rate_minus)
+    b = -delta * Y.b * (
+        tp / (X.kp - Y.km) - tm / (X.km - Y.km)
     )
-    return ExponentialPair(a, b, Y.rate_plus, Y.rate_minus)
+    return ExponentialPair(a, b, Y.kp, Y.km)
 
 
 def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> ArrayLike:

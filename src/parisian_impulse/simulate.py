@@ -78,7 +78,8 @@ class SimulationConfig:
     ``antithetic`` set, paths are simulated in mirrored pairs (negated normals
     for the Brownian scheme, reflected uniforms for the compound Poisson one)
     and each pair average counts as one observation; the requested path count
-    is rounded up to a whole number of pairs.
+    is rounded up to a whole number of pairs.  The estimators need at least
+    two paths, as one has no standard error.
     """
 
     n_paths: int = 100_000
@@ -151,11 +152,8 @@ class _Accumulator:
     def estimate(self, elapsed: float) -> MonteCarloEstimate:
         n = self.n_obs
         mean = self.s1 / n
-        if n > 1:
-            var = max(self.s2 - n * mean * mean, 0.0) / (n - 1)
-            stderr = math.sqrt(var / n)
-        else:
-            stderr = float("nan")
+        var = max(self.s2 - n * mean * mean, 0.0) / (n - 1)
+        stderr = math.sqrt(var / n)
         frac = self.n_censored / self.n_raw if self.n_raw else 0.0
         warning = None
         if frac > CENSOR_WARN_FRACTION:
@@ -434,6 +432,8 @@ def _cl_paths(spec: ProblemSpec, x: float, upper: float, lower: float | None,
 def _estimate(spec: ProblemSpec, x: float, upper: float, lower: float | None,
               config: SimulationConfig) -> MonteCarloEstimate:
     """Run the model's kernel over the seeded substreams and combine blocks."""
+    if config.n_paths < 2:  # one observation has no standard error
+        raise ConfigError(f"an estimate needs at least 2 paths, got {config.n_paths}")
     dt, t_max = config.resolve(spec)
     start = time.perf_counter()
     counts, gens = _block_counts(config.n_paths), _substreams(config.seed)

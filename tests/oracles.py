@@ -73,7 +73,8 @@ from parisian_impulse.parisian import (
     _log_factorials,
     _term_budget,
 )
-from parisian_impulse.scale import EXP_ARG_MAX, ScaleFunction, refracted_pair
+from parisian_impulse.models import EXP_ARG_MAX
+from parisian_impulse.scale import ScaleFunction, refracted_pair
 from parisian_impulse.simulate import (
     _U_HI,
     _U_LO,
@@ -365,7 +366,7 @@ def band_sums_by_gamma_tail(ps: ParisianScale, u: float, with_derivative: bool):
     log_elr = -spec.model.lam * spec.r
     sums = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rate, other in ((X.rate_plus, X.rate_minus), (X.rate_minus, X.rate_plus)):
+        for rate, other in ((X.kp, X.km), (X.km, X.kp)):
             base = pr * (other + mu)
             c = rate + mu
             # terms peak near m = base where P ~ 1, and near sqrt(base*u*c) below
@@ -406,15 +407,15 @@ def band_by_gamma_tail(ps: ParisianScale, x: float, with_derivative: bool = Fals
     X = ps.coefficient_set.surplus
     u = x + m.p * spec.r
     (f_plus, d_plus), (f_minus, d_minus) = band_sums_by_gamma_tail(ps, u, with_derivative)
-    e_p = math.exp(X.rate_plus * u - m.lam * spec.r)
-    e_m = math.exp(X.rate_minus * u - m.lam * spec.r)
-    a_plus = m.p * X.weight_plus
-    a_minus = m.p * X.weight_minus
+    e_p = math.exp(X.kp * u - m.lam * spec.r)
+    e_m = math.exp(X.km * u - m.lam * spec.r)
+    a_plus = m.p * X.a
+    a_minus = m.p * X.b
     if not with_derivative:
         # e^{-lam*r} p W(u) = a_plus*e_p - a_minus*e_m
         return a_plus * e_p - a_minus * e_m + a_minus * f_plus - a_plus * f_minus
-    slope = (X.rate_plus * (a_plus * e_p + a_minus * f_plus)
-             - X.rate_minus * (a_minus * e_m + a_plus * f_minus))
+    slope = (X.kp * (a_plus * e_p + a_minus * f_plus)
+             - X.km * (a_minus * e_m + a_plus * f_minus))
     return slope + a_minus * d_plus - a_plus * d_minus
 
 

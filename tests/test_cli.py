@@ -337,6 +337,17 @@ def test_simulate_bad_seed_or_path_count_is_config_error(capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_single_path_estimate_is_config_error(capsys):
+    # one path has no standard error: exit code 2, not a NaN stderr column
+    # or verify's exit checks failing as "zero stderr"
+    rc = cli.main(["simulate", "--config", CL_CFG, "--functional", "exit",
+                   "--x", "0", "--barrier", "3", "--paths", "1"])
+    assert rc == 2
+    assert "at least 2 paths" in capsys.readouterr().err
+    assert cli.main(["verify", "--config", CL_CFG, "--with-mc", "--paths", "1"]) == 2
+    assert "at least 2 paths" in capsys.readouterr().err
+
+
 def test_simulate_npv_needs_both_levels(capsys):
     rc = cli.main(["simulate", "--config", CL_CFG, "--functional", "npv",
                    "--x", "1", "--c1", "0", "--paths", "100"])

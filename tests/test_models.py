@@ -57,15 +57,15 @@ def test_right_inverse_rejects_negative_q():
 @pytest.mark.parametrize("model", MODELS)
 def test_both_scale_rates_solve_exponent(model):
     c = compute_coefficients(ProblemSpec(model, 0.01, 0.05, 1.0, 0.5)).surplus
-    assert c.rate_plus > 0.0 > c.rate_minus
-    assert laplace_exponent(model, c.rate_plus) == pytest.approx(0.05, rel=1e-10)
-    assert laplace_exponent(model, c.rate_minus) == pytest.approx(0.05, rel=1e-10)
-    assert c.weight_plus > 0.0 and c.weight_minus > 0.0
+    assert c.kp > 0.0 > c.km
+    assert laplace_exponent(model, c.kp) == pytest.approx(0.05, rel=1e-10)
+    assert laplace_exponent(model, c.km) == pytest.approx(0.05, rel=1e-10)
+    assert c.a > 0.0 and c.b > 0.0
 
 
 # Drift much larger than the discount rate: the textbook quadratic formula
-# cancels in the small root (Brownian rate_plus, compound Poisson rate_plus
-# for p*mu_claim >> lam + q, rate_minus for lam + q >> p*mu_claim) and is off
+# cancels in the small root (Brownian kp, compound Poisson kp
+# for p*mu_claim >> lam + q, km for lam + q >> p*mu_claim) and is off
 # by 3e-14 to 5e-12 relative on these specs.
 STEEP_SPECS = [
     ProblemSpec(BrownianMotion(2.274186884288196, 0.3), 0.01, 0.01, 1.0, 0.5),
@@ -91,9 +91,9 @@ def test_scale_rates_match_mpmath_on_steep_specs(spec):
     cs = compute_coefficients(spec)
     for model, coeffs in ((spec.model, cs.surplus), (drift_adjusted(spec), cs.refracted)):
         plus, minus = roots(model, spec.q)
-        assert coeffs.rate_plus == pytest.approx(float(plus), rel=1e-14, abs=0.0)
-        assert coeffs.rate_minus == pytest.approx(float(minus), rel=1e-14, abs=0.0)
-        assert right_inverse(model, spec.q) == coeffs.rate_plus
+        assert coeffs.kp == pytest.approx(float(plus), rel=1e-14, abs=0.0)
+        assert coeffs.km == pytest.approx(float(minus), rel=1e-14, abs=0.0)
+        assert right_inverse(model, spec.q) == coeffs.kp
 
 
 NON_FINITE = [
@@ -131,25 +131,25 @@ for expr in {NON_FINITE!r}:
 def test_compound_poisson_roots_frozen():
     # frozen from the quadratic formula at 50-digit precision
     X = compute_coefficients(cramer_lundberg_spec()).surplus
-    assert X.rate_plus == pytest.approx(0.0459608445355, rel=1e-11)
-    assert X.rate_minus == pytest.approx(-0.362627511202, rel=1e-11)
+    assert X.kp == pytest.approx(0.0459608445355, rel=1e-11)
+    assert X.km == pytest.approx(-0.362627511202, rel=1e-11)
     # the negative root stays above the claim-size pole
-    assert X.rate_minus > -1.0
+    assert X.km > -1.0
 
 
 def test_mass_at_zero():
-    assert compute_coefficients(brownian_spec()).surplus.mass_at_zero == 0.0
+    assert compute_coefficients(brownian_spec()).surplus.value(0.0) == 0.0
     cl = compute_coefficients(cramer_lundberg_spec()).surplus
-    assert cl.mass_at_zero == pytest.approx(1.0 / 3.0, rel=1e-13, abs=0.0)
+    assert cl.value(0.0) == pytest.approx(1.0 / 3.0, rel=1e-13, abs=0.0)
 
 
 def test_rate_plus_is_right_inverse():
     for spec in (brownian_spec(), cramer_lundberg_spec()):
         cs = compute_coefficients(spec)
-        assert cs.surplus.rate_plus == pytest.approx(
+        assert cs.surplus.kp == pytest.approx(
             right_inverse(spec.model, spec.q), rel=1e-13, abs=0.0
         )
-        assert cs.refracted.rate_plus == pytest.approx(
+        assert cs.refracted.kp == pytest.approx(
             right_inverse(drift_adjusted(spec), spec.q), rel=1e-13, abs=0.0
         )
 
@@ -170,7 +170,7 @@ def test_refraction_slows_growth():
     # removing drift lowers the dominant growth rate of the scale function
     for spec in (brownian_spec(), cramer_lundberg_spec()):
         cs = compute_coefficients(spec)
-        assert cs.refracted.rate_plus > cs.surplus.rate_plus
+        assert cs.refracted.kp > cs.surplus.kp
 
 
 @pytest.mark.parametrize(

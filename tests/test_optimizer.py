@@ -24,7 +24,7 @@ from parisian_impulse import (
 from parisian_impulse.config import build_problem_spec, parse_config_text
 from parisian_impulse.optimizer import result_record
 from parisian_impulse.parisian import parisian_scale
-from parisian_impulse.scale import EXP_ARG_MAX
+from parisian_impulse.models import EXP_ARG_MAX
 
 import oracles
 from params import brownian_spec, cramer_lundberg_spec

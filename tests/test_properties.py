@@ -261,16 +261,16 @@ def test_right_inverse_solves_and_is_monotone(model, q1, q2):
 def test_coefficient_invariants(spec):
     cs = compute_coefficients(spec)
     for coeffs in (cs.surplus, cs.refracted):
-        assert coeffs.rate_plus > 0.0 > coeffs.rate_minus
-        assert coeffs.weight_plus > 0.0
-        assert coeffs.weight_minus > 0.0
+        assert coeffs.kp > 0.0 > coeffs.km
+        assert coeffs.a > 0.0
+        assert coeffs.b > 0.0
     if isinstance(spec.model, CramerLundberg):
-        assert cs.surplus.mass_at_zero == pytest.approx(1.0 / spec.model.p, rel=1e-12, abs=0.0)
-        assert cs.surplus.rate_minus > -spec.model.mu_claim
+        assert cs.surplus.value(0.0) == pytest.approx(1.0 / spec.model.p, rel=1e-12, abs=0.0)
+        assert cs.surplus.km > -spec.model.mu_claim
     else:
-        assert cs.surplus.mass_at_zero == 0.0
+        assert cs.surplus.value(0.0) == 0.0
     # removing drift pushes the dominant growth rate up
-    assert cs.refracted.rate_plus > cs.surplus.rate_plus
+    assert cs.refracted.kp > cs.surplus.kp
 
 
 @given(spec=specs(), z=st.floats(0.0, 6.0))

@@ -6,6 +6,7 @@ Seeds are fixed; every z-test compares against the closed form at 3 sigma.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="antithetic"):
             SimulationConfig(antithetic=bad)
     SimulationConfig(dt=np.float64(0.1), t_max=3, antithetic=np.True_)
+
+
+def test_estimators_need_two_paths(bm_spec, cl_spec):
+    # one observation has no standard error: refused, never a NaN stderr; a
+    # one-path config stays valid for the single-path oracle
+    for antithetic in (False, True):
+        cfg = SimulationConfig(n_paths=1, seed=0, antithetic=antithetic, dt=0.05, t_max=12.0)
+        for spec in (bm_spec, cl_spec):
+            with pytest.raises(ConfigError, match="at least 2 paths"):
+                estimate_exit_functional(spec, 0.0, 3.0, cfg)
+            with pytest.raises(ConfigError, match="at least 2 paths"):
+                estimate_policy_npv(spec, ImpulsePolicy(0.5, 3.0), 1.0, cfg)
+            est = estimate_exit_functional(spec, 0.0, 3.0, replace(cfg, n_paths=2))
+            assert est.n_effective == 2 and math.isfinite(est.stderr)
 
 
 def test_config_defaults(bm_spec, cl_spec):
@@ -246,9 +261,9 @@ KERNEL_STARTS = [
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("functional, x, arg", KERNEL_STARTS)
 def test_brownian_kernel_matches_per_block_oracle(functional, x, arg, antithetic):
-    # 1, 3 and 7 paths leave some of the eight substreams empty
+    # 2, 3 and 7 paths leave some of the eight substreams empty
     spec = brownian_spec()
-    for n_paths in (1, 3, 7, 777):
+    for n_paths in (2, 3, 7, 777):
         cfg = SimulationConfig(n_paths=n_paths, seed=5, antithetic=antithetic, dt=0.05,
                                t_max=12.0)
         _assert_matches_per_block(spec, functional, x, arg, cfg)
@@ -381,9 +396,9 @@ def test_add_at_adds_repeated_indices_in_order(n_slots, n_adds):
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("functional, x, arg", KERNEL_STARTS)
 def test_cl_kernel_matches_per_block_oracle(functional, x, arg, antithetic):
-    # 1, 3 and 7 paths leave some of the eight substreams empty
+    # 2, 3 and 7 paths leave some of the eight substreams empty
     spec = cramer_lundberg_spec()
-    for n_paths in (1, 3, 7, 777):
+    for n_paths in (2, 3, 7, 777):
         cfg = SimulationConfig(n_paths=n_paths, seed=5, antithetic=antithetic, t_max=40.0)
         _assert_matches_per_block(spec, functional, x, arg, cfg)
 
