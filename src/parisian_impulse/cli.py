@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -188,18 +189,12 @@ def _svg_line_chart(
     vlines: list[tuple[float, str]] = (),
 ) -> None:
     width, height, pad = 640, 420, 54
-    pts = [
-        (x, y)
-        for ys in series.values()
-        for x, y in zip(xs, ys)
-        if y is not None and math.isfinite(y)
-    ]
+    finite = lambda p: p[1] is not None and math.isfinite(p[1])
+    pts = [p for ys in series.values() for p in zip(xs, ys) if finite(p)]
     if not pts:
         raise DomainError("nothing to plot: no finite values on the grid")
-    x_lo = min(p[0] for p in pts)
-    x_hi = max(p[0] for p in pts)
-    y_lo = min(p[1] for p in pts)
-    y_hi = max(p[1] for p in pts)
+    px, py = zip(*pts)
+    x_lo, x_hi, y_lo, y_hi = min(px), max(px), min(py), max(py)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -232,22 +227,11 @@ def _svg_line_chart(
     for color_i, (name, ys) in enumerate(series.items()):
         color = _PALETTE[color_i % len(_PALETTE)]
         # gaps (None / non-finite cells) split the trace into segments
-        segment: list[str] = []
-        chunks: list[list[str]] = []
-        for x, y in zip(xs, ys):
-            if y is None or not math.isfinite(y):
-                if segment:
-                    chunks.append(segment)
-                segment = []
-            else:
-                segment.append(f"{sx(x):.2f},{sy(y):.2f}")
-        if segment:
-            chunks.append(segment)
-        for chunk in chunks:
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{" ".join(chunk)}"/>'
-            )
+        for ok, run in itertools.groupby(zip(xs, ys), key=finite):
+            if ok:
+                points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in run)
+                parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                             f'points="{points}"/>')
         parts.append(
             f'<text x="{width - pad}" y="{pad + 14 * color_i}" text-anchor="end" '
             f'font-size="11" fill="{color}">{name}</text>'

@@ -220,6 +220,8 @@ class ExponentialPair:
         """
         if self.b <= 0.0 or self.a <= 0.0:
             return 0.0
+        if self.a * self.kp**2 == 0.0:  # a tiny q: the ratio below leaves the double range
+            raise OverflowRangeError(f"a * kp**2 underflows to 0 at kp = {self.kp:.3g}")
         ratio = self.b * self.km**2 / (self.a * self.kp**2)
         if ratio <= 1.0:
             return 0.0

@@ -111,9 +111,15 @@ class OptimalPolicyResult:
 
 def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
     """g(lower, upper); raises DomainError outside the admissible wedge."""
-    beta = ps.spec.beta
-    ImpulsePolicy(lower, upper).validate(beta)
-    return (ps.value(upper) - ps.value(lower)) / (upper - lower - beta)
+    ImpulsePolicy(lower, upper).validate(ps.spec.beta)
+    return _ratio(ps.value(upper) - ps.value(lower), lower, upper, ps.spec.beta)
+
+
+def _ratio(gain: float, lower: float, upper: float, beta: float) -> float:
+    """The payout ratio of a pair, which a tiny q can leave flat in double precision."""
+    if not (upper > lower + beta and upper - lower - beta > 0.0 and gain > 0.0):
+        raise SolverFailureError(f"V is flat in doubles across ({lower:.17g}, {upper:.17g})")
+    return gain / (upper - lower - beta)
 
 
 def _derivatives(pair: ExponentialPair, x: float) -> tuple[float, float, float]:
@@ -223,7 +229,7 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
         c1 = 0.0
         c2, iterations = _find_root(h, max(a_star, beta), cap, width)
     policy = ImpulsePolicy(c1, c2)
-    g_star = payout_ratio(ps, c1, c2)
+    g_star = _ratio(ps.value(c2) - ps.value(c1), c1, c2, beta)
 
     fo = abs(_derivatives(pair, c2)[1] - g_star) / g_star
     if case == "interior":
@@ -281,6 +287,8 @@ def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport
             f"V' is not finite on the certificate grid [{upper:.6g}, {far:.6g}]"
         )
     # V''' = a*kp^3*e^{kp x} - b*km^3*e^{km x} vanishes only where e^{(kp-km) x} = ratio
+    if pair.a > 0.0 and pair.a * pair.kp**3 == 0.0:  # a tiny q, as in derivative_argmin
+        raise OverflowRangeError(f"a * kp**3 underflows to 0 at kp = {pair.kp:.3g}")
     ratio = pair.b * pair.km**3 / (pair.a * pair.kp**3) if pair.a > 0.0 else 0.0
     at = max(upper, math.log(ratio) / (pair.kp - pair.km)) if ratio > 0.0 else upper
     passed = pair.a > 0.0 and upper >= a_star - ARGMIN_TOL
@@ -303,7 +311,7 @@ def check_transfer_inequality(ps: ParisianScale, policy: ImpulsePolicy) -> Trans
     v_up, d_up, _ = _derivatives(pair, up) if pair.kp * up <= EXP_ARG_MAX else (math.inf,) * 3
     if not math.isfinite(v_up + d_up):
         raise OverflowRangeError(f"V or V' leaves the double range at the trigger {up:.6g}")
-    g = (v_up - _derivatives(pair, lo)[0]) / (up - lo - beta)
+    g = _ratio(v_up - _derivatives(pair, lo)[0], lo, up, beta)
     # V' is monotone on each side of a*, so V' - g has at most one root on each
     a_star = pair.derivative_argmin()
     knots = [0.0, a_star, up] if 0.0 < a_star < up else [0.0, up]

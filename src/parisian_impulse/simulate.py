@@ -33,10 +33,10 @@ Conventions of both kernels:
 Estimates are reproducible bit for bit: paths are split over a fixed number of
 seeded substreams and block moments are combined in a fixed order.  Both
 kernels step the substreams' paths as one array, each substream drawing in the
-order it would alone.  The exact kernel's event rounds hold about twenty
-path-length temporaries, so it keeps a working set of at most ``GROUP_PATHS``
-live paths, which whole substreams join in order as soon as they fit.  Paths
-keep their own clocks, so when a substream joins does not change its draws.
+order it would alone.  The exact kernel keeps at most ``GROUP_PATHS`` live
+paths in rows allocated once per call; whole substreams join in order as soon as
+they fit, and those that join together share a payoff array until their last
+path leaves.  Paths keep their own clocks, so when one joins does not change its draws.
 Under a policy only ruin removes a Brownian path, and none before the oldest
 excursion can reach ``r``, so the Euler kernel steps up to then as one block.
 Each substream draws the block's steps in one call, which yields the values of
@@ -104,11 +104,13 @@ class SimulationConfig:
             raise ConfigError(f"antithetic must be a bool, got {self.antithetic!r}")
 
     def resolve(self, spec: ProblemSpec) -> tuple[float, float]:
-        """Concrete (dt, t_max) for a problem; enforces t_max > r."""
+        """Concrete (dt, t_max) for a problem; enforces t_max > r and at most 1e8 Euler steps."""
         dt = self.dt if self.dt is not None else 1e-3 * min(spec.r, 1.0)
         t_max = self.t_max if self.t_max is not None else 50.0 * spec.r
         if not t_max > spec.r:
             raise ConfigError(f"t_max {t_max} must exceed the Parisian delay {spec.r}")
+        if isinstance(spec.model, BrownianMotion) and not t_max / dt <= 1e8:
+            raise ConfigError(f"t_max {t_max} / dt {dt} exceeds 1e8 Euler steps")
         return dt, t_max
 
 
@@ -131,34 +133,34 @@ def _block_counts(total: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(N_BLOCKS)]
 
 
+def _moments(pay: np.ndarray, n_raw: int, n_censored: int) -> tuple:
+    """A block's payoff sum, sum of squares and count, and its raw and censored path counts."""
+    return float(np.sum(pay)), float(np.sum(pay * pay)), pay.size, n_raw, n_censored
+
+
 class _Accumulator:
     """Running moments; blocks are added in a fixed order so results are
     independent of any internal scheduling."""
 
     def __init__(self) -> None:
-        self.s1 = 0.0
-        self.s2 = 0.0
-        self.n_obs = 0
-        self.n_raw = 0
-        self.n_censored = 0
+        self.sums = (0.0, 0.0, 0, 0, 0)  # of the blocks' moments, in order
 
     def add_block(self, payoffs: np.ndarray, n_raw: int, n_censored: int) -> None:
-        self.s1 += float(np.sum(payoffs))
-        self.s2 += float(np.sum(payoffs * payoffs))
-        self.n_obs += payoffs.size
-        self.n_raw += n_raw
-        self.n_censored += n_censored
+        self.add_moments(_moments(payoffs, n_raw, n_censored))
+
+    def add_moments(self, moments: tuple) -> None:
+        self.sums = tuple(map(operator.add, self.sums, moments))
 
     def estimate(self, elapsed: float) -> MonteCarloEstimate:
-        n = self.n_obs
-        mean = self.s1 / n
-        var = max(self.s2 - n * mean * mean, 0.0) / (n - 1)
+        s1, s2, n, n_raw, n_censored = self.sums
+        mean = s1 / n
+        var = max(s2 - n * mean * mean, 0.0) / (n - 1)
         stderr = math.sqrt(var / n)
-        frac = self.n_censored / self.n_raw if self.n_raw else 0.0
+        frac = n_censored / n_raw if n_raw else 0.0
         warning = None
         if frac > CENSOR_WARN_FRACTION:
             warning = (
-                f"censored {self.n_censored} of {self.n_raw} paths "
+                f"censored {n_censored} of {n_raw} paths "
                 f"({100.0 * frac:.3f}%); estimate is biased low by at most the "
                 "discounted tail beyond the horizon"
             )
@@ -217,12 +219,11 @@ class _Layout:
                  for b, lo, hi in zip(live, cols, cols[1:])],
                 idx - np.repeat(shift, [bounds[b + 1] - bounds[b] for b in live]), cols[-1])
 
-    def blocks(self, value: np.ndarray, censored: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
-        """``(payoffs, n_raw, n_censored)`` per block, given the sorted
-        indices of the censored paths."""
-        n_censored = np.diff(np.searchsorted(censored, self.offsets)).tolist()
-        return [(_pair_average(value[lo:hi], self.antithetic), hi - lo, c)
-                for lo, hi, c in zip(self.offsets, self.offsets[1:], n_censored)]
+    def moments(self, value: np.ndarray, n_censored: list[int], first: int = 0) -> list[tuple]:
+        """Moments of blocks ``first`` on, one per censored count, with payoffs in ``value``."""
+        base = self.offsets[first]
+        return [_moments(_pair_average(value[lo - base:hi - base], self.antithetic), hi - lo, c)
+                for lo, hi, c in zip(self.offsets[first:], self.offsets[first + 1:], n_censored)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +233,8 @@ class _Layout:
 
 def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | None,
                     dt: float, t_max: float, gens: list[np.random.Generator],
-                    counts: list[int], antithetic: bool) -> list[tuple[np.ndarray, int, int]]:
-    """Payoffs of every block, with its raw and censored path counts.
+                    counts: list[int], antithetic: bool) -> list[tuple]:
+    """Payoff moments of every block, with its raw and censored path counts.
 
     With ``lower`` None a touch of ``upper`` pays ``exp(-q t)`` and absorbs the
     path (exit functional); otherwise it pays the surplus down to ``lower`` at
@@ -328,7 +329,7 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
             keep = ~done
             u, began, idx = u[keep], began[keep], idx[keep]
             fills = None
-    return layout.blocks(value, idx)
+    return layout.moments(value, np.diff(np.searchsorted(idx, layout.offsets)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +339,8 @@ def _brownian_paths(spec: ProblemSpec, x: float, upper: float, lower: float | No
 
 def _cl_paths(spec: ProblemSpec, x: float, upper: float, lower: float | None,
               t_max: float, gens: list[np.random.Generator], counts: list[int],
-              antithetic: bool) -> list[tuple[np.ndarray, int, int]]:
-    """Payoffs of every block, with its raw and censored path counts.
+              antithetic: bool) -> list[tuple]:
+    """Payoff moments of every block, with its raw and censored path counts.
 
     ``lower`` selects the functional as in :func:`_brownian_paths`.  A payment
     returns the path to ``lower``, from where it may reach ``upper`` again
@@ -351,77 +352,107 @@ def _cl_paths(spec: ProblemSpec, x: float, upper: float, lower: float | None,
     p, lam, mu_c = model.p, model.lam, model.mu_claim
     slope_up = p - spec.delta
     q, r = spec.q, spec.r
-    value, x0 = _start_payment(spec, x, upper, lower, layout.offsets[-1])
     if lower is not None:
         net = upper - lower - spec.beta
         tau = (upper - lower) / slope_up  # spacing of back-to-back payments
         disc_tau = math.expm1(-q * tau)
 
-    cut = np.zeros(value.size, dtype=bool)  # censored at the horizon
-    # uniforms for the claim times, then the sizes, of the working set
-    draws = np.empty((2, min(value.size, max(GROUP_PATHS, *layout.sizes))))
-    idx, joined = np.arange(0), 0  # the working set's paths, and the blocks that joined it
-    # time at which the running excursion turns into ruin; read only while below 0
-    u = t = deadline = np.empty(0)
-    while True:
-        fills, cols, width = layout.draw_slices(idx)
-        if joined < len(counts) and (not idx.size or width + layout.sizes[joined] <= GROUP_PATHS):
-            # whole blocks join in order, as soon as they fit beside the live paths
-            new = np.arange(layout.offsets[joined], layout.offsets[joined + 1])
-            idx, u = np.append(idx, new), np.append(u, np.full(new.size, x0))
-            t = np.append(t, np.zeros(new.size))
-            deadline = np.append(deadline, np.full(new.size, r))
-            joined += 1
-            continue
-        if not idx.size:
-            return layout.blocks(value, np.flatnonzero(cut))
+    # rows as wide as the working set: uniforms that turn into claim times and sizes in
+    # place; the live paths' surplus, clock, ruin deadline (read only while below 0) and
+    # index; a scratch row, so that no compaction reads the row it writes
+    rows = np.empty((6, min(layout.offsets[-1], max(GROUP_PATHS, *layout.sizes))))
+    draws, (u_row, t_row, dl_row, scratch) = rows[:2], rows[2:]
+    idx_row = np.empty(rows.shape[1], dtype=np.int64)
+    payoffs: dict[range, np.ndarray] = {}  # of the blocks that joined at once, back to back
+    moments: list = [None] * len(counts)  # per block, once the last path of its join left
+    n_cut = np.zeros(len(counts), dtype=np.int64)  # censored at the horizon
+
+    def claim_round(n: int, fills: list, cols: slice | np.ndarray, width: int) -> int:
+        """Step the ``n`` live paths to their next claims, compact the survivors and
+        return their count; the round's temporaries go when it returns."""
+        u, t, deadline, idx = u_row[:n], t_row[:n], dl_row[:n], idx_row[:n]
         for b, head, tail in fills:
             for row in draws:
                 gens[b].random(out=row[head])
                 if antithetic:
                     np.subtract(1.0, row[head], out=row[tail])
-        uniforms = np.take(draws, cols, axis=1) if antithetic else draws[:, cols]
-        logs = np.log(np.clip(uniforms, _U_LO, _U_HI))
-        t_claim = t - logs[0] / lam
-        claim = logs[1] / -mu_c
+        t_claim, claim = logs = draws[:, :n]
+        if antithetic:
+            np.take(draws[:, :width], cols, axis=1, out=logs)
+        np.log(np.clip(logs, _U_LO, _U_HI, out=logs), out=logs)
+        np.subtract(t, np.divide(t_claim, lam, out=t_claim), out=t_claim)
+        claim /= -mu_c
         late = t_claim.max() > t_max
-        t_stop = np.minimum(t_claim, t_max) if late else t_claim
 
         # every path on the upper track first, then the ones below zero: ruined,
-        # recovering in time, or still below at the claim
-        t_hit = t + (upper - u) / slope_up
+        # recovering in time, or still below at the claim; a payment wins a claim-time tie
+        t_hit = np.divide(np.subtract(upper, u, out=scratch[:n]), slope_up, out=scratch[:n])
+        t_hit += t
         below = np.flatnonzero(u < 0.0)
         t_rec = t[below] + (0.0 - u[below]) / p
-        ruined = (deadline[below] < t_rec) & (deadline[below] <= t_stop[below])
-        recovers = ~ruined & (t_rec <= t_stop[below])
+        stop = np.minimum(t_claim[below], t_max) if late else t_claim[below]  # or the horizon
+        ruined = (deadline[below] < t_rec) & (deadline[below] <= stop)
+        recovers = ~ruined & (t_rec <= stop)
         t_hit[below] = np.where(recovers, t_rec + upper / slope_up, np.inf)
         rec, stay = below[recovers], below[~(ruined | recovers)]
         u[rec], t[rec] = 0.0, t_rec[recovers]
-        pays = np.flatnonzero(t_hit <= t_stop)  # payment wins claim-time ties
-        done = np.zeros(idx.size, dtype=bool)
+        pays = np.flatnonzero((t_hit <= t_claim) & (t_hit <= t_max) if late else t_hit <= t_claim)
+        done = np.zeros(n, dtype=bool)
         done[below[ruined]] = True
+        del below, t_rec, stop, ruined, recovers, rec  # room for the compaction's copies
         if lower is None:
-            value[idx[pays]] = np.exp(-q * t_hit[pays])
+            amount = np.exp(-q * t_hit[pays])  # onto a payoff of 0
             done[pays] = True
         elif pays.size:
             assert lower >= 0.0 and net > 0.0
-            # whole chain of evenly spaced payments inside this claim interval
-            k = np.floor((t_stop[pays] - t_hit[pays]) / tau).astype(np.int64) + 1
+            # whole chain of evenly spaced payments inside this claim interval, k of them
+            k = np.floor((np.minimum(t_claim[pays], t_max) - t_hit[pays]) / tau) + 1
             chain = np.exp(-q * t_hit[pays]) * np.expm1(-q * tau * k) / disc_tau
-            value[idx[pays]] += net * chain
+            amount = net * chain
             u[pays], t[pays] = lower, t_hit[pays] + (k - 1) * tau
+        paths = idx[pays]
+        cuts = np.searchsorted(paths, layout.offsets).tolist()
+        for blocks, value in payoffs.items():  # one scatter per join, into its payoffs
+            lo, hi = cuts[blocks.start], cuts[blocks.stop]
+            if hi > lo:
+                value[paths[lo:hi] - layout.offsets[blocks.start]] += amount[lo:hi]
         if late:
             censored = ~done & (t_claim > t_max)
-            cut[idx[censored]] = True
+            n_cut[:] += np.diff(np.searchsorted(idx[censored], layout.offsets))
             done |= censored
 
-        u_new = u + slope_up * (t_claim - t) - claim
+        u_new = np.multiply(np.subtract(t_claim, t, out=scratch[:n]), slope_up, out=scratch[:n])
+        u_new += u
+        u_new -= claim
         u_new[stay] = u[stay] + p * (t_claim[stay] - t[stay]) - claim[stay]
         # an excursion starting at the claim would end at dl_new; an ongoing one keeps its own
-        dl_new = t_claim + r
+        dl_new = np.add(t_claim, r, out=claim)  # the claim sizes are spent
         dl_new[stay] = deadline[stay]
         keep = np.flatnonzero(~done)
-        u, t, deadline, idx = u_new[keep], t_claim[keep], dl_new[keep], idx[keep]
+        for row, live in ((u_row, u_new), (t_row, t_claim), (dl_row, dl_new), (idx_row, idx)):
+            live.take(keep, out=row[:keep.size], mode="clip")  # clip: no buffered copy
+        return keep.size
+
+    n = n_live = joined = 0  # live paths and blocks, and the blocks that joined the working set
+    while True:
+        fills, cols, width = layout.draw_slices(idx_row[:n])
+        if len(fills) < n_live:  # the last path of some block left
+            live = {b for b, _, _ in fills}
+            for blocks in [blocks for blocks in payoffs if live.isdisjoint(blocks)]:
+                moments[blocks.start:blocks.stop] = layout.moments(
+                    payoffs.pop(blocks), n_cut[blocks.start:blocks.stop].tolist(), blocks.start)
+        n_live = len(fills)
+        j, m = joined, n  # whole blocks join in order, as soon as they fit beside the rest
+        while joined < len(counts) and (not n or width + layout.sizes[joined] <= GROUP_PATHS):
+            n, width, joined = n + layout.sizes[joined], width + layout.sizes[joined], joined + 1
+        if joined > j:  # blocks j to joined - 1 share a payoff array
+            payoffs[range(j, joined)], u_row[m:n] = _start_payment(spec, x, upper, lower, n - m)
+            t_row[m:n], dl_row[m:n] = 0.0, r
+            idx_row[m:n] = np.arange(layout.offsets[j], layout.offsets[joined])
+        elif not n:
+            return moments
+        else:
+            n = claim_round(n, fills, cols, width)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +476,7 @@ def _estimate(spec: ProblemSpec, x: float, upper: float, lower: float | None,
     acc = _Accumulator()
     for count, block in zip(counts, blocks):
         if count:
-            acc.add_block(*block)
+            acc.add_moments(block)
     return acc.estimate(time.perf_counter() - start)
 
 

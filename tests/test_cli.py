@@ -197,6 +197,14 @@ def test_optimize_unaffordable_cost_is_numerical_failure(capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [BM_CFG, CL_CFG], ids=["bm", "cl"])
+@pytest.mark.parametrize("q", ["1e-40", "1e-80", "1e-300"])
+def test_optimize_tiny_discount_rate_is_numerical_failure(cfg, q, capsys):
+    # V is flat in doubles: these ended in a usage error (2) or a traceback
+    assert cli.main(["optimize", "--config", cfg, "--set", f"q={q}"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -346,6 +354,15 @@ def test_single_path_estimate_is_config_error(capsys):
     assert "at least 2 paths" in capsys.readouterr().err
     assert cli.main(["verify", "--config", CL_CFG, "--with-mc", "--paths", "1"]) == 2
     assert "at least 2 paths" in capsys.readouterr().err
+
+
+def test_euler_step_count_beyond_the_limit_is_config_error(capsys):
+    # 1.5e302 steps of dt = 1e-300 used to run until killed
+    rc = cli.main(["simulate", "--config", BM_CFG, "--functional", "exit", "--x", "0",
+                   "--barrier", "1", "--paths", "10", "--dt", "1e-300"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dt 1e-300" in err and "t_max 150.0" in err
 
 
 def test_simulate_npv_needs_both_levels(capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from parisian_impulse import (
     CramerLundberg,
     DomainError,
     ImpulsePolicy,
+    NumericalError,
     OverflowRangeError,
     ProblemSpec,
     SolverFailureError,
@@ -363,3 +365,35 @@ def test_sufficiency_overflow_is_typed():
     assert math.isfinite(ps.value(0.0))
     with pytest.raises(OverflowRangeError, match="certificate grid"):
         find_optimal_policy(ps)
+
+
+@pytest.mark.parametrize("q", [1e-40, 1e-60, 1e-80, 1e-120, 1e-150, 1e-300])
+@pytest.mark.parametrize("kind", ["bm", "cl"])
+def test_tiny_discount_rate_is_certified_or_typed(kind, q):
+    # as q falls, V's growing exponential turns flat in doubles: a solved pair
+    # can net no payout over beta or gain nothing in V, and kp**2 or kp**3
+    # underflows; these used to end in ZeroDivisionError or DomainError
+    ps = parisian_scale(replace(_spec(kind, 0.05 if kind == "bm" else 1.0), q=q))
+    try:
+        result = find_optimal_policy(ps)
+        assert result.sufficiency_pass and result.fo_residual <= 1e-8
+    except NumericalError:
+        pass
+    for check in (lambda: check_sufficiency_pair(ps, 3.0),
+                  lambda: check_transfer_inequality(ps, ImpulsePolicy(0.5, 3.0))):
+        try:
+            report = check()
+        except NumericalError:
+            continue
+        assert all(math.isfinite(v) for v in astuple(report)[1:])
+
+
+def test_negative_payout_ratio_is_not_a_solve():
+    # q = 1.8e-16: the boundary solve once returned g* = -4.4e-4 and a first-order
+    # residual of -1, which passed as certified
+    spec = ProblemSpec(CramerLundberg(p=3.7189616464241, lam=0.2628124637264063,
+                                      mu_claim=2.844003614109924),
+                       delta=1.1100776073576377, q=1.8055933260395934e-16,
+                       r=11.593255864584494, beta=0.8418703647785368)
+    with pytest.raises(SolverFailureError, match="flat in doubles"):
+        find_optimal_policy(parisian_scale(spec))

@@ -6,6 +6,7 @@ Seeds are fixed; every z-test compares against the closed form at 3 sigma.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from parisian_impulse import (
     estimate_exit_functional,
     estimate_policy_npv,
     find_optimal_policy,
+    parisian_scale,
     value_function,
 )
 from parisian_impulse.models import BrownianMotion, CramerLundberg, ProblemSpec
@@ -93,6 +95,17 @@ def test_config_defaults(bm_spec, cl_spec):
     dt, t_max = SimulationConfig().resolve(cl_spec)
     assert dt == pytest.approx(1e-3)
     assert t_max == 100.0
+
+
+def test_euler_step_count_is_bounded(bm_spec, cl_spec):
+    # checked before any work: dt = 1e-300 used to hang in the ruin-step count
+    cfg = SimulationConfig(n_paths=10, dt=1e-300)
+    with pytest.raises(ConfigError, match=r"t_max 150\.0 / dt 1e-300"):
+        estimate_exit_functional(bm_spec, 0.0, 1.0, cfg)
+    with pytest.raises(ConfigError, match="Euler steps"):
+        SimulationConfig(dt=1e-6, t_max=100.0 + 1e-6).resolve(bm_spec)
+    assert SimulationConfig(dt=1e-6, t_max=100.0).resolve(bm_spec) == (1e-6, 100.0)
+    assert SimulationConfig(dt=1e-300).resolve(cl_spec) == (1e-300, 100.0)  # no steps
 
 
 def test_horizon_must_exceed_delay(cl_spec):
@@ -442,6 +455,24 @@ def test_cl_working_set_is_bounded(antithetic, monkeypatch):
         widths.clear()
         estimate_exit_functional(cramer_lundberg_spec(), 0.0, 3.0, cfg)
         assert max(widths) <= most and (max(widths) > 98) == (group_paths == 250)
+
+
+def test_cl_kernel_memory_is_bounded(cl_spec):
+    # the working set's rows are allocated once per call, and the payoffs of
+    # substreams that joined together give way to their moments once their
+    # last path leaves: a 100k-path exit peaked at 3.5 MB of traced
+    # allocations when a payoff and a censoring flag per path lived through
+    # the call and each claim round made about twenty working-set-sized
+    # temporaries
+    upper = find_optimal_policy(parisian_scale(cl_spec)).policy.upper
+    estimate_exit_functional(cl_spec, 0.0, upper, SimulationConfig(n_paths=100))  # lazy imports
+    tracemalloc.start()
+    try:
+        estimate_exit_functional(cl_spec, 0.0, upper, SimulationConfig(n_paths=100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
