@@ -61,6 +61,7 @@ ROOT_RTOL = 1e-12
 ROOT_MAX_ITER = 200
 ARGMIN_TOL = 1e-12  # a trigger this close below a* counts as at it
 TRANSFER_TOL = 1e-9  # least margin the transfer check accepts
+FO_TOL = 1e-8  # largest relative first-order residual a solve returns
 GENERATOR_STEP = 1e-4  # central-difference step of generator_residual
 
 
@@ -195,7 +196,8 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
 
     Sign test on G(0) for the case, then one scalar root per case (see the
     module docstring).  ``iterations`` counts the evaluations of the outer
-    function, G or h.
+    function, G or h.  A policy that would fail its own first-order or transfer
+    check raises ``SolverFailureError``.
     """
     beta = ps.spec.beta
     pair = ps.positive_pair
@@ -229,11 +231,18 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
         c1 = 0.0
         c2, iterations = _find_root(h, max(a_star, beta), cap, width)
     policy = ImpulsePolicy(c1, c2)
-    g_star = _ratio(ps.value(c2) - ps.value(c1), c1, c2, beta)
-
+    v2 = ps.value(c2)
+    g_star = _ratio(v2 - ps.value(c1), c1, c2, beta)
+    # V/g* is known only to about ulp(V(c2)) / g* in x, and so is every transfer
+    # margin: a tiny q leaves V nearly flat out to a huge c2
+    resolution = math.ulp(v2) / g_star
+    if not resolution <= TRANSFER_TOL:
+        raise SolverFailureError(f"V/g* resolved only to {resolution:.3g} (tol {TRANSFER_TOL:g})")
     fo = abs(_derivatives(pair, c2)[1] - g_star) / g_star
     if case == "interior":
         fo = max(fo, abs(_derivatives(pair, c1)[1] - g_star) / g_star)
+    if not fo <= FO_TOL:
+        raise SolverFailureError(f"first-order residual {fo:.3g} above {FO_TOL:g}")
     sufficiency = check_sufficiency_pair(ps, c2)
     return OptimalPolicyResult(
         policy=policy,

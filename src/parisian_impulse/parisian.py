@@ -12,10 +12,10 @@ over one delay window:
   exponential claims, and V needs one scalar series constant C plus two
   bracketed incomplete-gamma series on the middle band ``[-p*r, 0)``.  Both
   come from a table of log-space coefficients built once per spec
-  (``_band_table``): a band point costs one Poisson log-pmf row, one ``exp``
-  and one signed row sum, an array a few blocks of such rows (bit for bit
-  equal to scalar calls).  Every term is exponentiated from its logarithm,
-  prefactor included, so only a V that does not fit in a double overflows.
+  (``_band_table``): a scalar band point, and C at ``x = 0``, is one Poisson
+  log-pmf row against it, not a one-point block (10-15 us a call), an array
+  a few blocks of such rows, bit for bit equal.  Every term is exponentiated
+  from its log, prefactor included: only a V out of the double range overflows.
 
 The closed forms use NumPy and ``math`` only (the normal CDF tails come from
 ``math.erfc`` and the Mills-ratio expansion).
@@ -183,7 +183,8 @@ class ParisianScale:
         self.series_constant: Optional[float] = None
         try:
             if self._is_cl:
-                self._band_k, self._band_terms, self.series_constant = self._band_table()
+                self._band_k, self._band_terms = self._band_table()
+                self.series_constant = self._band_point(0.0, *self._band_terms[2])
                 self.positive_pair = self._positive_pair_cl()
             else:
                 self.positive_pair = self._positive_pair_brownian()
@@ -246,7 +247,7 @@ class ParisianScale:
     # ---------- Cramer-Lundberg series machinery ----------
 
     def _band_table(self):
-        """``k``, the ``V`` and ``V'`` coefficient rows (log magnitudes, signs)
+        """``k`` and the coefficient rows (log magnitudes, signs) of ``V``, ``V'``
         and the series constant C.
 
         With ``u = x + p*r``, base = p*r*(other + mu), c = rate + mu for
@@ -310,35 +311,55 @@ class ParisianScale:
             np.multiply(np.sign(bracket), _SIDES, out=sign[2:4])
             log_coef[6] = math.log(m.lam * mu * spec.r) - log_scale + k_logs[0, 0] + k_logs[1, 0]
             sign[6] = 1.0
-            constant = float(self._term_sums(log_coef[None, 4:], sign[4:])[0])  # at x = 0
-        return k[:-1], ((log_coef[:2], sign[:2]), (log_coef[2:6], sign[2:6])), constant
+        return k[:-1], tuple((log_coef[i:j], sign[i:j]) for i, j in ((0, 2), (2, 6), (4, 7)))
 
     def _window_sums(self, ratio: np.ndarray, shift: np.ndarray, kind: int) -> np.ndarray:
-        """``V`` or ``V'`` (``kind`` 0, 1) at band points x from ``(x + p*r) / (p*r)``
-        and ``mu*x``: one log-pmf row ``k log(ratio) - shift`` per point."""
+        """``V``, ``V'`` or C (``kind`` 0-2) at band points x from ``(x + p*r) / (p*r)``
+        and ``mu*x``: one log-pmf row ``k log(ratio) - shift`` per point; a row sum out
+        of the double range, or not converged in its last two terms (floor 1e-300), raises."""
         log_coef, sign = self._band_terms[kind]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_pmf = np.log(ratio)[:, None] * self._band_k
             log_pmf[:, 0] = 0.0  # u^0 = 1 at u = 0
             log_pmf -= shift[:, None]
-            return self._term_sums(log_pmf[:, None, :] + log_coef, sign)
-
-    def _term_sums(self, log_terms: np.ndarray, sign: np.ndarray) -> np.ndarray:
-        """``sum sign * e^{log_terms}`` over rows and terms per point, from
-        ``(points, rows, K)``; a row sum out of the double range, or not
-        converged in its last two terms (floor 1e-300), raises."""
-        block = np.exp(log_terms)
-        tail = np.maximum(block[:, :, -1], block[:, :, -2])
-        block *= sign
-        sums = np.add.reduce(block, axis=2)
-        size = np.abs(sums)
-        if not math.isfinite(np.maximum.reduce(size, axis=None)):
-            pr = self.spec.model.p * self.spec.r
-            raise OverflowRangeError(f"band series leave the double range (p*r = {pr:.6g})")
-        if np.maximum.reduce(tail - SERIES_RTOL * size, axis=None) >= SERIES_RTOL * 1e-300:
-            raise SeriesConvergenceError(
-                f"band series did not converge within {log_terms.shape[-1]} terms")
+            block = np.add(log_pmf[:, None, :], log_coef)
+            np.exp(block, out=block)
+            tail = np.maximum(block[:, :, -1], block[:, :, -2])
+            block *= sign
+            sums = np.add.reduce(block, axis=2)
+            size = np.abs(sums)
+            if not math.isfinite(np.maximum.reduce(size, axis=None)):
+                raise self._band_error(overflow=True)
+            if np.maximum.reduce(tail - SERIES_RTOL * size, axis=None) >= SERIES_RTOL * 1e-300:
+                raise self._band_error(overflow=False)
         return np.add.reduce(sums, axis=1)
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # half a with-block's cost
+    def _band_point(self, x: float, log_coef: np.ndarray, sign: np.ndarray) -> float:
+        """The band sum at one point x: one log-pmf row against the ``(rows, K)`` table,
+        checked on its row sums as floats, equal to :meth:`_window_sums` on one point."""
+        pr = self.spec.model.p * self.spec.r
+        block = np.log((x + pr) / pr) * self._band_k
+        block[0] = 0.0
+        block -= self.spec.model.mu_claim * x
+        block = np.add(block, log_coef)
+        np.exp(block, out=block)
+        tails = block[:, -2:].tolist()
+        block *= sign
+        sums = np.add.reduce(block, axis=1)
+        rows = sums.tolist()
+        if not all(map(math.isfinite, rows)):  # NaN too, as in np.maximum.reduce
+            raise self._band_error(overflow=True)
+        for (before, last), s in zip(tails, rows):
+            if max(before, last) - SERIES_RTOL * abs(s) >= SERIES_RTOL * 1e-300:
+                raise self._band_error(overflow=False)
+        return float(np.add.reduce(sums))  # the block's own row reduction, not sum()
+
+    def _band_error(self, overflow: bool) -> Exception:
+        pr, n = self.spec.model.p * self.spec.r, self._band_k.size
+        if overflow:
+            return OverflowRangeError(f"band series leave the double range (p*r = {pr:.6g})")
+        return SeriesConvergenceError(f"band series did not converge within {n} terms")
 
     # ---------- Brownian negative branch ----------
 
@@ -398,9 +419,8 @@ class ParisianScale:
         vanish at ``-inf`` and, for Cramer-Lundberg, below ``-p*r``."""
         if self._is_cl:
             pr = self.spec.model.p * self.spec.r
-            if x >= -pr:  # a one-point block, its ratio and shift rounded as on arrays
-                ratio, shift = np.array([(x + pr) / pr]), np.array([self.spec.model.mu_claim * x])
-                return float(self._window_sums(ratio, shift, int(with_derivative))[0])
+            if x >= -pr:
+                return self._band_point(x, *self._band_terms[with_derivative])
         elif x > -math.inf:
             return self._neg_brownian(x, with_derivative)[with_derivative]
         if math.isnan(x):  # NaN fails every comparison above

@@ -425,10 +425,10 @@ class WindowConstantScale(ParisianScale):
     ``p*r`` from its own series: the build's one three-row sum (C) loses its
     density row to ``CompoundPoissonWindow.density``."""
 
-    def _term_sums(self, log_terms: np.ndarray, sign: np.ndarray) -> np.ndarray:
-        if log_terms.shape[1] != 3:  # V or V' at band points
-            return super()._term_sums(log_terms, sign)
-        slope = super()._term_sums(log_terms[:, :2], sign[:2])
+    def _band_point(self, x: float, log_coef: np.ndarray, sign: np.ndarray) -> float:
+        if log_coef.shape[0] != 3:  # V or V' at a band point
+            return super()._band_point(x, log_coef, sign)
+        slope = super()._band_point(x, log_coef[:2], sign[:2])
         return slope + self.compound_window().density(self.spec.model.p * self.spec.r)
 
 

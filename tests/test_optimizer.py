@@ -367,18 +367,25 @@ def test_sufficiency_overflow_is_typed():
         find_optimal_policy(ps)
 
 
-@pytest.mark.parametrize("q", [1e-40, 1e-60, 1e-80, 1e-120, 1e-150, 1e-300])
+# a half-decade grid from 1e-15 to 1e-30, then deeper
+@pytest.mark.parametrize("q", [10.0 ** (-15 - 0.5 * i) for i in range(31)]
+                         + [1e-40, 1e-60, 1e-80, 1e-120, 1e-150, 1e-300])
 @pytest.mark.parametrize("kind", ["bm", "cl"])
 def test_tiny_discount_rate_is_certified_or_typed(kind, q):
     # as q falls, V's growing exponential turns flat in doubles: a solved pair
     # can net no payout over beta or gain nothing in V, and kp**2 or kp**3
-    # underflows; these used to end in ZeroDivisionError or DomainError
+    # underflows; these used to end in ZeroDivisionError or DomainError.  From
+    # about q = 1e-15, V/g* is known to worse than the transfer tolerance: 38 of
+    # the grid's 62 solves returned a policy, 37 of which failed the transfer
+    # check or the 1e-8 first-order gate
     ps = parisian_scale(replace(_spec(kind, 0.05 if kind == "bm" else 1.0), q=q))
     try:
         result = find_optimal_policy(ps)
-        assert result.sufficiency_pass and result.fo_residual <= 1e-8
     except NumericalError:
         pass
+    else:
+        assert result.sufficiency_pass and result.fo_residual <= 1e-8
+        assert check_transfer_inequality(ps, result.policy).passed
     for check in (lambda: check_sufficiency_pair(ps, 3.0),
                   lambda: check_transfer_inequality(ps, ImpulsePolicy(0.5, 3.0))):
         try:

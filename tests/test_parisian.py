@@ -1,6 +1,7 @@
 """The Parisian refracted scale function V, its series pieces and oracles."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from pathlib import Path
@@ -15,8 +16,10 @@ from parisian_impulse import (
     CompoundPoissonWindow,
     CramerLundberg,
     DomainError,
+    NumericalError,
     OverflowRangeError,
     ProblemSpec,
+    SeriesConvergenceError,
     UndefinedDerivativeError,
     find_optimal_policy,
 )
@@ -49,6 +52,13 @@ FROZEN_CL = {
     3.0: 1.46242268909,
     6.0: 1.79851610864,
 }
+
+# p*r = 265.6: the terms A_m B_m of the q_minus series' C_k span e^838, more
+# than the double range, so under one common scale C_k loses its small-k
+# entries, which carry V deep in the band (about 1e-76 at -0.999*p*r)
+DEEP_BAND_SPEC = ProblemSpec(
+    CramerLundberg(p=2.1270796045706537, lam=1.528179327336928, mu_claim=1.8648678035272548),
+    delta=0.4765025451616983, q=2.183171373368243, r=124.87391203189162, beta=0.5)
 
 
 def test_value_at_zero_is_discounted_delay(bm_scale, cl_scale):
@@ -346,6 +356,62 @@ def test_series_constant_from_band_table(cl_scale):
     assert series_constant_by_window(cl_scale.spec) == 0.12127515137402531
 
 
+@pytest.mark.parametrize("spec, constant", [
+    (cramer_lundberg_spec(), "0x1.f0be368f8090ep-4"),
+    (DEEP_BAND_SPEC, "0x1.a431f409f1eeap+393"),
+], ids=["shipped", "deep_band"])
+def test_band_point_equals_one_point_block(spec, constant):
+    # a float x is one log-pmf row against the table, its checks run on floats:
+    # bit for bit the array route's block of one point, at the band's ends too
+    ps = ParisianScale(spec)
+    pr = spec.model.p * spec.r
+    for x in (-pr, -pr * (1.0 - 1e-12), -pr / 2.0, -1e-300):
+        assert ps.value(x).hex() == ps.value(np.array([x]))[0].hex(), x
+        if x > -pr:  # V' has a kink at -p*r
+            assert ps.derivative(x).hex() == ps.derivative(np.array([x]))[0].hex(), x
+    # C is the same row at x = 0 against its three table rows, as before
+    assert ps.series_constant.hex() == constant
+    block = ps._window_sums(np.array([1.0]), np.array([0.0]), 2)
+    assert ps.series_constant.hex() == block[0].hex()
+
+
+def _outcome(evaluate):
+    try:
+        return float(evaluate()).hex()
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("truncated", SeriesConvergenceError),
+    ("overflow", OverflowRangeError),
+    ("nan", OverflowRangeError),
+    ("negative_zero", None),
+])
+def test_patched_band_point_matches_one_point_block(cl_scale, fault, error):
+    # a table cut to 8 terms does not converge; a term of e^1000 overflows its
+    # row sum, and times a zero sign makes it NaN, which the float checks must
+    # catch as np.maximum.reduce does (max() would pass over a NaN in the last
+    # row); rows of -0.0 add to a zero whose sign is the reduction's own
+    ps = copy.copy(cl_scale)
+    n = 8 if fault == "truncated" else ps._band_k.size
+    ps._band_k = ps._band_k[:n]
+    ps._band_terms = tuple((c[:, :n].copy(), s[:, :n].copy()) for c, s in ps._band_terms)
+    for log_coef, sign in ps._band_terms:
+        if fault == "negative_zero":
+            log_coef[:], sign[:] = -np.inf, -1.0
+        elif fault != "truncated":
+            log_coef[-1, 3], sign[-1, 3] = 1000.0, 0.0 if fault == "nan" else 1.0
+    x = -0.5 * ps.spec.model.p * ps.spec.r
+    pairs = [(lambda: f(x), lambda: f(np.array([x]))[0]) for f in (ps.value, ps.derivative)]
+    pairs.append((lambda: ps._band_point(0.0, *ps._band_terms[2]),
+                  lambda: ps._window_sums(np.array([1.0]), np.array([0.0]), 2)[0]))
+    for scalar, block in pairs:
+        outcome = _outcome(scalar)
+        assert outcome == _outcome(block)
+        assert outcome[0] is error if error else float.fromhex(outcome) == 0.0
+
+
 def test_compound_poisson_build_skips_window_density(monkeypatch):
     # C takes its density part from the band table: the window's own series
     # serves the quadrature route only
@@ -413,14 +479,8 @@ def test_long_window_matches_window_oracle(spec):
 
 
 def test_deep_band_matches_window_oracle():
-    # p*r = 265.6: the terms A_m B_m of the q_minus series' C_k span e^838, more
-    # than the double range, so under one common scale C_k loses its small-k
-    # entries, which carry V deep in the band (about 1e-76 at -0.999*p*r)
     mpmath = pytest.importorskip("mpmath")
-    spec = ProblemSpec(CramerLundberg(p=2.1270796045706537, lam=1.528179327336928,
-                                      mu_claim=1.8648678035272548),
-                       delta=0.4765025451616983, q=2.183171373368243, r=124.87391203189162,
-                       beta=0.5)
+    spec = DEEP_BAND_SPEC
     m = spec.model
     ps = ParisianScale(spec)
     oracle = CramerLundbergWindowOracle(m.p, m.lam, m.mu_claim, spec.delta, spec.q, spec.r, dps=20)
