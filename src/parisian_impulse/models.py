@@ -10,6 +10,8 @@ Two driving models are supported:
 A :class:`ProblemSpec` bundles a model with the refraction rate ``delta``
 (dividend stream drained while the surplus is positive), the discount rate
 ``q``, the Parisian delay ``r``, and the fixed transaction cost ``beta``.
+An :class:`ImpulsePolicy` is the pair of levels that the optimizer solves
+for and the Monte Carlo estimators run.
 
 For either model the scale function restricted to ``x >= 0`` is a difference
 of two exponentials, an :class:`ExponentialPair`; so are the refracted scale
@@ -107,6 +109,25 @@ class ProblemSpec:
         if isinstance(self.model, CramerLundberg) and not self.model.p - self.delta > 0:
             raise InvalidRefractionError(
                 f"need p - delta > 0, got p={self.model.p} delta={self.delta}"
+            )
+
+
+@dataclass(frozen=True)
+class ImpulsePolicy:
+    """Pay down from ``upper`` to ``lower`` whenever the surplus reaches upper."""
+
+    lower: float
+    upper: float
+
+    def validate(self, beta: float) -> None:
+        """Admissibility for a given transaction cost: lower >= 0 and a net
+        payout ``upper - lower - beta`` above 0, also in float arithmetic."""
+        if not self.lower >= 0.0:
+            raise DomainError(f"lower boundary must be nonnegative, got {self.lower}")
+        if not (self.upper > self.lower + beta and self.upper - self.lower - beta > 0.0):
+            raise DomainError(
+                f"need upper > lower + beta, got upper={self.upper} "
+                f"lower={self.lower} beta={beta}"
             )
 
 

@@ -50,7 +50,8 @@ import numpy as np
 
 from .errors import DomainError, OverflowRangeError, SolverFailureError
 from .formatting import sig17
-from .models import EXP_ARG_MAX, ArrayLike, BrownianMotion, CramerLundberg, ExponentialPair
+from .models import (EXP_ARG_MAX, ArrayLike, BrownianMotion, CramerLundberg, ExponentialPair,
+                     ImpulsePolicy)
 from .parisian import ParisianScale
 from .quadrature import integrate
 
@@ -63,25 +64,6 @@ ARGMIN_TOL = 1e-12  # a trigger this close below a* counts as at it
 TRANSFER_TOL = 1e-9  # least margin the transfer check accepts
 FO_TOL = 1e-8  # largest relative first-order residual a solve returns
 GENERATOR_STEP = 1e-4  # central-difference step of generator_residual
-
-
-@dataclass(frozen=True)
-class ImpulsePolicy:
-    """Pay down from ``upper`` to ``lower`` whenever the surplus reaches upper."""
-
-    lower: float
-    upper: float
-
-    def validate(self, beta: float) -> None:
-        """Admissibility for a given transaction cost: lower >= 0 and a net
-        payout ``upper - lower - beta`` above 0, also in float arithmetic."""
-        if not self.lower >= 0.0:
-            raise DomainError(f"lower boundary must be nonnegative, got {self.lower}")
-        if not (self.upper > self.lower + beta and self.upper - self.lower - beta > 0.0):
-            raise DomainError(
-                f"need upper > lower + beta, got upper={self.upper} "
-                f"lower={self.lower} beta={beta}"
-            )
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .models import BrownianMotion, CramerLundberg, ProblemSpec
-from .optimizer import ImpulsePolicy
+from .models import BrownianMotion, CramerLundberg, ImpulsePolicy, ProblemSpec
 
 N_BLOCKS = 8
 GROUP_PATHS = 2**14  # most live paths in the exact kernel's working set, most Euler draws held

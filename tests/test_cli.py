@@ -1,12 +1,13 @@
 """End-to-end command line checks, in-process via ``cli.main``."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 
-from parisian_impulse import cli
+from parisian_impulse import ImpulsePolicy, cli, optimizer
 from parisian_impulse.cli import EVAL_COLUMNS, MC_CSV_COLUMNS, mc_csv_row
 from parisian_impulse.simulate import MonteCarloEstimate, SimulationConfig
 
@@ -17,6 +18,44 @@ CL_CFG = str(CONFIGS / "cramer_lundberg.cfg")
 
 def _rows(out: str) -> list[list[str]]:
     return [line.split(",") for line in out.strip().splitlines()]
+
+
+# Each case runs one command in a fresh interpreter on both configs: the
+# modules the command must load, and the ones it must not.
+COLD_COMMANDS = {
+    "eval": (["eval", "--grid=-3:3:7"], {"parisian", "scale"}, {"optimizer", "simulate"}),
+    "optimize": (["optimize"], {"optimizer"}, {"simulate"}),
+    "verify": (["verify"], {"optimizer"}, {"simulate"}),
+    "simulate_exit": (["simulate", "--functional", "exit", "--x", "0", "--barrier", "3",
+                       "--paths", "2000", "--dt", "0.02"],
+                      {"simulate"}, {"optimizer", "parisian", "scale", "quadrature"}),
+    "simulate_npv_given_policy": (["simulate", "--functional", "npv", "--x", "1", "--c1", "0",
+                                   "--c2", "4", "--paths", "2000", "--dt", "0.02"],
+                                  {"simulate"}, {"optimizer", "parisian", "scale", "quadrature"}),
+    "verify_with_mc": (["verify", "--with-mc", "--paths", "3000", "--dt", "0.02"],
+                       {"optimizer", "simulate"}, set()),
+    "simulate_npv_optimal_policy": (["simulate", "--functional", "npv", "--x", "1",
+                                     "--paths", "2000", "--t-max", "60", "--dt", "0.02"],
+                                    {"optimizer", "simulate"}, set()),
+}
+
+
+@pytest.mark.parametrize("cfg", [BM_CFG, CL_CFG], ids=["bm", "cl"])
+@pytest.mark.parametrize("case", COLD_COMMANDS)
+def test_cold_command_loads_only_what_it_runs(bounded_python, case, cfg):
+    argv, needed, unused = COLD_COMMANDS[case]
+    code = f"""
+import contextlib, io
+from parisian_impulse import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv + ["--config", cfg]!r})
+print(code, *sorted(m for m in sys.modules if m.startswith("parisian_impulse.")))
+"""
+    exit_code, *modules = bounded_python(code, timeout=120.0).split()
+    loaded = {m.removeprefix("parisian_impulse.") for m in modules}
+    assert exit_code == "0"
+    assert needed <= loaded
+    assert not unused & loaded
 
 
 def test_subcommands_run_with_scipy_blocked(bounded_python):
@@ -240,6 +279,33 @@ def test_verify_with_monte_carlo(capsys):
     assert "mc_exit_zero: PASS" in out
     assert "mc_policy_npv: PASS" in out
     assert "all 11 checks passed" in out
+
+
+@pytest.mark.parametrize("patched", [False, True])
+def test_verify_tolerances_come_from_the_optimizer(patched, monkeypatch, capsys):
+    # a first-order residual of 5e-8 and a policy whose transfer margin is
+    # about -2e-7 fail the default tolerances (1e-8, 1e-9) and pass looser
+    # ones patched into the optimizer, which the printed text reports too
+    solve = optimizer.find_optimal_policy
+
+    def off_optimum(ps):
+        result = solve(ps)
+        policy = ImpulsePolicy(result.policy.lower, 1.001 * result.policy.upper)
+        return dataclasses.replace(result, policy=policy, fo_residual=5e-8)
+
+    monkeypatch.setattr(optimizer, "find_optimal_policy", off_optimum)
+    if patched:
+        monkeypatch.setattr(optimizer, "FO_TOL", 1e-7)
+        monkeypatch.setattr(optimizer, "TRANSFER_TOL", 1e-6)
+    rc = cli.main(["verify", "--config", BM_CFG])
+    lines = capsys.readouterr().out.splitlines()
+    verdict = "PASS" if patched else "FAIL"
+    fo_tol, transfer_tol = ("1e-07", "-1e-06") if patched else ("1e-08", "-1e-09")
+    assert lines[4] == (f"first_order_residual: {verdict} (case=interior residual 5.00e-08 "
+                        f"(tol {fo_tol} rel))")
+    assert lines[5] == (f"transfer_inequality: {verdict} (worst margin -1.97e-07 at x=2.162 "
+                        f"y=0.5939 (tol {transfer_tol}))")
+    assert rc == (0 if patched else 1)
 
 
 def test_verify_zero_stderr_fails_the_check(capsys):
