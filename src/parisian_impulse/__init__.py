@@ -2,8 +2,9 @@
 for spectrally negative Levy surplus processes.
 
 Exports from ``errors`` and ``models`` load with the package.  Those from
-``optimizer``, ``parisian``, ``scale`` and ``simulate`` are lazy (PEP 562):
-the first access imports their module, so unused modules are never loaded."""
+``optimizer``, ``parisian``, ``quadrature``, ``scale`` and ``simulate`` are
+lazy (PEP 562): the first access imports their module, so unused modules are
+never loaded."""
 from __future__ import annotations
 
 import importlib
@@ -20,9 +21,9 @@ _LAZY_MODULE = {
     for module, names in {
         "optimizer": ("OptimalPolicyResult", "SufficiencyReport", "TransferReport",
                       "check_sufficiency_pair", "check_transfer_inequality",
-                      "find_optimal_policy", "generator_residual", "payout_ratio",
-                      "value_function"),
-        "parisian": ("CompoundPoissonWindow", "ParisianScale", "parisian_scale"),
+                      "find_optimal_policy", "payout_ratio", "value_function"),
+        "parisian": ("ParisianScale", "parisian_scale"),
+        "quadrature": ("CompoundPoissonWindow", "generator_residual"),
         "scale": ("ScaleFunction", "refracted_pair", "refracted_scale"),
         "simulate": ("MonteCarloEstimate", "SimulationConfig", "estimate_exit_functional",
                      "estimate_policy_npv"),

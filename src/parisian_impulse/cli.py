@@ -32,8 +32,8 @@ from .errors import (
     SolverFailureError,
     UndefinedDerivativeError,
 )
-from .formatting import sig17
 from .models import (
+    BrownianMotion,
     CramerLundberg,
     ImpulsePolicy,
     ProblemSpec,
@@ -45,6 +45,8 @@ from .models import (
 # Each command imports the numerical modules it calls in its own body, so a
 # cold start loads only those: an exit estimate never loads the optimizer.
 if TYPE_CHECKING:
+    from .optimizer import OptimalPolicyResult
+    from .parisian import ParisianScale
     from .simulate import MonteCarloEstimate, SimulationConfig
 
 EVAL_COLUMNS = ("x", "W", "W_prime", "Z", "w", "V", "V_prime")
@@ -141,7 +143,13 @@ def _load_spec(args) -> ProblemSpec:
     return build_problem_spec(cfg)
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def sig17(value: float) -> str:
+    """17 significant digits, dot decimal separator, no locale surprises."""
+    return format(float(value), ".17g")
+
+
+def _parse_grid(text: str) -> np.ndarray:
+    """The ``n`` evenly spaced points of ``MIN:MAX:N``, ends included."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must look like MIN:MAX:N")
@@ -153,7 +161,7 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"grid needs at least 2 points, got {n}")
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ConfigError(f"grid {text!r} needs finite MIN < MAX with MAX - MIN finite")
-    return lo, hi, n
+    return lo + np.arange(n) * (hi - lo) / (n - 1)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -273,18 +281,17 @@ def _numbers(cells: list[str]) -> list[float | None]:
 
 def cmd_eval(args) -> int:
     from .parisian import parisian_scale
-    from .scale import refracted_scale
+    from .scale import ScaleFunction, refracted_scale
 
     spec = _load_spec(args)
     if not (math.isfinite(args.depth) and args.depth >= 0.0):
         raise ConfigError(f"--depth must be finite and nonnegative, got {args.depth}")
-    lo, hi, n = _parse_grid(args.grid)
+    xs = _parse_grid(args.grid)
     ps = parisian_scale(spec)
-    surplus = ps.surplus_scale
     cs = ps.coefficient_set
+    surplus = ScaleFunction(cs.surplus, spec.q)
     depth = args.depth
 
-    xs = np.array([lo + i * (hi - lo) / (n - 1) for i in range(n)])
     columns = [
         [sig17(x) for x in xs.tolist()],
         _column(surplus.value, xs),
@@ -307,8 +314,23 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def result_record(ps: ParisianScale, result: OptimalPolicyResult) -> str:
+    """One key per line, for logs and the command line."""
+    spec, m = ps.spec, ps.spec.model
+    if isinstance(m, BrownianMotion):
+        fields = {"model": "brownian", "mu": m.mu, "sigma": m.sigma}
+    else:
+        fields = {"model": "cramer_lundberg", "p": m.p, "lambda": m.lam, "mu_claim": m.mu_claim}
+    fields.update(delta=spec.delta, q=spec.q, r=spec.r, beta=spec.beta,
+                  c1_star=result.policy.lower, c2_star=result.policy.upper,
+                  g_star=result.payout_ratio, case=result.case, fo_residual=result.fo_residual,
+                  derivative_argmin=result.derivative_argmin,
+                  sufficiency_pass=str(result.sufficiency_pass).lower())
+    return "\n".join(f"{k}: {v if isinstance(v, str) else sig17(v)}" for k, v in fields.items())
+
+
 def cmd_optimize(args) -> int:
-    from .optimizer import find_optimal_policy, result_record
+    from .optimizer import find_optimal_policy
     from .parisian import parisian_scale
 
     spec = _load_spec(args)
@@ -318,9 +340,9 @@ def cmd_optimize(args) -> int:
     sys.stdout.write(result_record(ps, result) + "\n")
     if args.out or args.svg:
         c1, c2 = result.policy.lower, result.policy.upper
-        lo, hi, n = grid or (0.0, 2.0 * c2, 401)
-        rows = [(lo + i * (hi - lo) / (n - 1), "") for i in range(n)]
-        rows += [(c1, "c1_star"), (c2, "c2_star")]
+        if grid is None:  # the grid 0:2*c2:401
+            grid = np.arange(401) * (2.0 * c2) / 400
+        rows = [(x, "") for x in grid.tolist()] + [(c1, "c1_star"), (c2, "c2_star")]
         rows.sort(key=lambda item: item[0])
         xs = [x for x, _ in rows]
         cells = _column(ps.derivative, np.array(xs))
@@ -369,13 +391,18 @@ def _quadrature_points(spec: ProblemSpec) -> list[float]:
 
 def cmd_verify(args) -> int:
     from .optimizer import (FO_TOL, TRANSFER_TOL, check_sufficiency_pair,
-                            check_transfer_inequality, find_optimal_policy, generator_residual,
-                            value_function)
+                            check_transfer_inequality, find_optimal_policy, value_function)
     from .parisian import parisian_scale
+    from .quadrature import generator_residual, quadrature_value
 
     spec = _load_spec(args)
     ps = parisian_scale(spec)
-    checks: list[tuple[str, bool, str]] = []
+    passed: list[bool] = []
+
+    def check(name: str, ok: bool, detail: str) -> None:
+        """Print a row as soon as it is decided: a solve that raises leaves those before it."""
+        sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
+        passed.append(ok)
 
     phi = right_inverse(spec.model, spec.q)
     res_x = abs(laplace_exponent(spec.model, phi) - spec.q)
@@ -383,38 +410,41 @@ def cmd_verify(args) -> int:
     phi_y = right_inverse(adjusted, spec.q)
     res_y = abs(laplace_exponent(adjusted, phi_y) - spec.q)
     ok = res_x <= 1e-12 * spec.q and res_y <= 1e-12 * spec.q
-    checks.append(("laplace_roots", ok, f"residuals {res_x:.2e}, {res_y:.2e} (tol 1e-12 rel)"))
+    check("laplace_roots", ok, f"residuals {res_x:.2e}, {res_y:.2e} (tol 1e-12 rel)")
 
     mass = ps.coefficient_set.surplus.value(0.0)
     expected = 1.0 / spec.model.p if isinstance(spec.model, CramerLundberg) else 0.0
     ok = abs(mass - expected) <= 1e-12 * max(1.0, expected)
-    checks.append(("scale_mass_at_zero", ok, f"W(0+)={mass:.12g} expected {expected:.12g}"))
+    check("scale_mass_at_zero", ok, f"W(0+)={mass:.12g} expected {expected:.12g}")
 
     gap = _relative_gap(ps.value(0.0), math.exp(spec.q * spec.r))
-    checks.append(("parisian_at_zero", gap <= 1e-8, f"rel gap {gap:.2e} (tol 1e-8)"))
+    check("parisian_at_zero", gap <= 1e-8, f"rel gap {gap:.2e} (tol 1e-8)")
 
     worst = 0.0
     for x in _quadrature_points(spec):
         closed = ps.value(x)
-        quad = ps.quadrature_value(x)
+        quad = quadrature_value(ps, x)
         worst = max(worst, abs(closed - quad) / max(1.0, abs(quad)))
-    checks.append(("closed_vs_quadrature", worst <= 1e-6, f"worst rel gap {worst:.2e} (tol 1e-6)"))
+    check("closed_vs_quadrature", worst <= 1e-6, f"worst rel gap {worst:.2e} (tol 1e-6)")
 
     result = find_optimal_policy(ps)
-    detail = f"case={result.case} residual {result.fo_residual:.2e} (tol {FO_TOL:g} rel)"
-    checks.append(("first_order_residual", result.fo_residual <= FO_TOL, detail))
+    # V'(c) = g* at c2*, and at c1* when interior (c1* = 0 is a compound Poisson kink)
+    g_star, c1, c2 = result.payout_ratio, result.policy.lower, result.policy.upper
+    ends = (c1, c2) if result.case == "interior" else (c2,)
+    fo = max(abs(ps.derivative(c) - g_star) / g_star for c in ends)
+    detail = f"case={result.case} residual {fo:.2e} (tol {FO_TOL:g} rel)"
+    check("first_order_residual", fo <= FO_TOL, detail)
 
     transfer = check_transfer_inequality(ps, result.policy)
     detail = (f"worst margin {transfer.worst_margin:.2e} at x={transfer.worst_x:.4g} "
               f"y={transfer.worst_y:.4g} (tol {-TRANSFER_TOL:g})")
-    checks.append(("transfer_inequality", transfer.passed, detail))
+    check("transfer_inequality", transfer.passed, detail)
 
     # V' nondecreasing on [c2*, inf): a > 0 and c2* >= a* (closed form, see optimizer)
-    c2 = result.policy.upper
     suff = check_sufficiency_pair(ps, c2)
     detail = (f"c2*={c2:.6g} argmin={suff.derivative_argmin:.6g} "
               f"least V'' beyond c2* {suff.worst_slack:.2e}")
-    checks.append(("sufficiency_condition", suff.passed, detail))
+    check("sufficiency_condition", suff.passed, detail)
 
     worst_in = 0.0
     for x in np.linspace(0.1 * c2, 0.9 * c2, 10):
@@ -425,13 +455,8 @@ def cmd_verify(args) -> int:
         for x in np.linspace(1.05 * c2, 2.0 * c2, 5)
     )
     ok = worst_in <= 1e-4 and worst_above <= 1e-4
-    checks.append(
-        (
-            "generator_residual",
-            ok,
-            f"worst interior {worst_in:.2e} (tol 1e-4), worst above c2 {worst_above:.2e}",
-        )
-    )
+    check("generator_residual", ok,
+          f"worst interior {worst_in:.2e} (tol 1e-4), worst above c2 {worst_above:.2e}")
 
     if args.with_mc:
         from .simulate import SimulationConfig, estimate_exit_functional, estimate_policy_npv
@@ -443,7 +468,7 @@ def cmd_verify(args) -> int:
                 # event-driven scheme is exact: compare against the closed form
                 est = estimate_exit_functional(spec, x, c2, mc_cfg)
                 target = ps.value(x) / ps.value(c2)
-                checks.append((label, *_z_check(est, target, 5)))
+                check(label, *_z_check(est, target, 5))
             else:
                 # Euler scheme carries an O(sqrt(dt)) barrier bias, so the
                 # meaningful consistency check is step-size refinement
@@ -455,27 +480,21 @@ def cmd_verify(args) -> int:
                 est2 = estimate_exit_functional(spec, x, c2, cfg2)
                 diff = est1.mean - est2.mean
                 band = 3.0 * math.hypot(est1.stderr, est2.stderr)
-                checks.append(
-                    (label, abs(diff) <= band,
-                     f"refinement dt={dt:g} vs {0.5 * dt:g}: diff={diff:+.5f} "
-                     f"band={band:.5f}")
-                )
+                check(label, abs(diff) <= band,
+                      f"refinement dt={dt:g} vs {0.5 * dt:g}: diff={diff:+.5f} band={band:.5f}")
         npv_cfg = SimulationConfig(
             n_paths=max(args.paths // 4, 1000), dt=args.dt, seed=args.seed + 1
         )
         x = 0.5 * c2
         est = estimate_policy_npv(spec, result.policy, x, npv_cfg)
         target = value_function(ps, result.policy, x)
-        checks.append(("mc_policy_npv", *_z_check(est, target, 4)))
+        check("mc_policy_npv", *_z_check(est, target, 4))
 
-    failures = 0
-    for name, ok, detail in checks:
-        sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
-        failures += 0 if ok else 1
+    failures = passed.count(False)
     if failures:
-        sys.stdout.write(f"{failures} of {len(checks)} checks failed\n")
+        sys.stdout.write(f"{failures} of {len(passed)} checks failed\n")
         return 1
-    sys.stdout.write(f"all {len(checks)} checks passed\n")
+    sys.stdout.write(f"all {len(passed)} checks passed\n")
     return 0
 
 

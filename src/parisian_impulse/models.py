@@ -241,12 +241,18 @@ class ExponentialPair:
         """
         if self.b <= 0.0 or self.a <= 0.0:
             return 0.0
-        if self.a * self.kp**2 == 0.0:  # a tiny q: the ratio below leaves the double range
-            raise OverflowRangeError(f"a * kp**2 underflows to 0 at kp = {self.kp:.3g}")
-        ratio = self.b * self.km**2 / (self.a * self.kp**2)
-        if ratio <= 1.0:
-            return 0.0
-        return math.log(ratio) / (self.kp - self.km)
+        return max(self.derivative_zero(2), 0.0)
+
+    def derivative_zero(self, n: int) -> float:
+        """Where the n-th derivative ``a*kp^n*e^{kp x} - b*km^n*e^{km x}``
+        vanishes: ``log(b*km^n / (a*kp^n)) / (kp - km)`` where ``a > 0`` and
+        that ratio is positive, ``-inf`` otherwise."""
+        if not self.a > 0.0:
+            return -math.inf
+        if self.a * self.kp**n == 0.0:  # a tiny q: the ratio below leaves the double range
+            raise OverflowRangeError(f"a * kp**{n} underflows to 0 at kp = {self.kp:.3g}")
+        ratio = self.b * self.km**n / (self.a * self.kp**n)
+        return math.log(ratio) / (self.kp - self.km) if ratio > 0.0 else -math.inf
 
 
 def _coefficients(model: Model, q: float) -> ExponentialPair:

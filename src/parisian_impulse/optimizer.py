@@ -39,6 +39,9 @@ it, where g is the policy's payout ratio.  So the least margin over
 either upper or in L and y either 0 or in L, where L is the level set
 ``V' = g`` on [0, upper]: at most one root on each side of ``a*``, found by
 the same Newton-bisection.
+
+This module imports only ``errors``, ``models`` and ``parisian``: the
+generator residual that checks its policies is in ``quadrature``.
 """
 from __future__ import annotations
 
@@ -48,12 +51,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OverflowRangeError, SolverFailureError
-from .formatting import sig17
-from .models import (EXP_ARG_MAX, ArrayLike, BrownianMotion, CramerLundberg, ExponentialPair,
-                     ImpulsePolicy)
+from .errors import OverflowRangeError, SolverFailureError
+from .models import EXP_ARG_MAX, ArrayLike, ExponentialPair, ImpulsePolicy
 from .parisian import ParisianScale
-from .quadrature import integrate
 
 # Relative step at which a root counts as converged: a Newton step this
 # small leaves an error at rounding level, and a bisection step this small
@@ -63,7 +63,6 @@ ROOT_MAX_ITER = 200
 ARGMIN_TOL = 1e-12  # a trigger this close below a* counts as at it
 TRANSFER_TOL = 1e-9  # least margin the transfer check accepts
 FO_TOL = 1e-8  # largest relative first-order residual a solve returns
-GENERATOR_STEP = 1e-4  # central-difference step of generator_residual
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,22 @@ class OptimalPolicyResult:
 
 def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
     """g(lower, upper); raises DomainError outside the admissible wedge."""
-    ImpulsePolicy(lower, upper).validate(ps.spec.beta)
-    return _ratio(ps.value(upper) - ps.value(lower), lower, upper, ps.spec.beta)
+    beta = ps.spec.beta
+    ImpulsePolicy(lower, upper).validate(beta)
+    return _gain(ps.value(upper), ps.value(lower), lower, upper, beta) / (upper - lower - beta)
 
 
-def _ratio(gain: float, lower: float, upper: float, beta: float) -> float:
-    """The payout ratio of a pair, which a tiny q can leave flat in double precision."""
-    if not (upper > lower + beta and upper - lower - beta > 0.0 and gain > 0.0):
+def _gain(v_upper: float, v_lower: float, lower: float, upper: float, beta: float) -> float:
+    """``V(upper) - V(lower)``, the numerator of every payout ratio, checked:
+    out of the double range it raises ``OverflowRangeError``, and where a tiny
+    q leaves V flat in doubles, so that it or the net payout
+    ``upper - lower - beta`` is not positive, ``SolverFailureError``."""
+    gain = v_upper - v_lower
+    if not math.isfinite(gain):
+        raise OverflowRangeError(f"V({upper:.6g}) - V({lower:.6g}) leaves the double range")
+    if not (gain > 0.0 and upper > lower + beta and upper - lower - beta > 0.0):
         raise SolverFailureError(f"V is flat in doubles across ({lower:.17g}, {upper:.17g})")
-    return gain / (upper - lower - beta)
+    return gain
 
 
 def _derivatives(pair: ExponentialPair, x: float) -> tuple[float, float, float]:
@@ -214,7 +220,7 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
         c2, iterations = _find_root(h, max(a_star, beta), cap, width)
     policy = ImpulsePolicy(c1, c2)
     v2 = ps.value(c2)
-    g_star = _ratio(v2 - ps.value(c1), c1, c2, beta)
+    g_star = _gain(v2, ps.value(c1), c1, c2, beta) / (c2 - c1 - beta)
     # V/g* is known only to about ulp(V(c2)) / g* in x, and so is every transfer
     # margin: a tiny q leaves V nearly flat out to a huge c2
     resolution = math.ulp(v2) / g_star
@@ -246,10 +252,7 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> Ar
     beta = ps.spec.beta
     lo, up = policy.lower, policy.upper
     policy.validate(beta)
-    gain = ps.value(up) - ps.value(lo)
-    if not math.isfinite(gain):  # V(up) overflowed although kp*up passed the exp-range check
-        raise OverflowRangeError(f"V({up:.6g}) - V({lo:.6g}) leaves the double range")
-    factor = (up - lo - beta) / gain
+    factor = (up - lo - beta) / _gain(ps.value(up), ps.value(lo), lo, up, beta)
     if isinstance(x, np.ndarray):
         below = factor * ps.value(np.minimum(x, up))
         return np.where(x <= up, below, x - lo - beta + factor * ps.value(lo))
@@ -277,11 +280,7 @@ def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport
         raise OverflowRangeError(
             f"V' is not finite on the certificate grid [{upper:.6g}, {far:.6g}]"
         )
-    # V''' = a*kp^3*e^{kp x} - b*km^3*e^{km x} vanishes only where e^{(kp-km) x} = ratio
-    if pair.a > 0.0 and pair.a * pair.kp**3 == 0.0:  # a tiny q, as in derivative_argmin
-        raise OverflowRangeError(f"a * kp**3 underflows to 0 at kp = {pair.kp:.3g}")
-    ratio = pair.b * pair.km**3 / (pair.a * pair.kp**3) if pair.a > 0.0 else 0.0
-    at = max(upper, math.log(ratio) / (pair.kp - pair.km)) if ratio > 0.0 else upper
+    at = max(upper, pair.derivative_zero(3))  # V'' is least at the zero of V''' if past upper
     passed = pair.a > 0.0 and upper >= a_star - ARGMIN_TOL
     return SufficiencyReport(
         passed=passed, worst_slack=_derivatives(pair, at)[2], derivative_argmin=a_star
@@ -302,7 +301,7 @@ def check_transfer_inequality(ps: ParisianScale, policy: ImpulsePolicy) -> Trans
     v_up, d_up, _ = _derivatives(pair, up) if pair.kp * up <= EXP_ARG_MAX else (math.inf,) * 3
     if not math.isfinite(v_up + d_up):
         raise OverflowRangeError(f"V or V' leaves the double range at the trigger {up:.6g}")
-    g = _ratio(v_up - _derivatives(pair, lo)[0], lo, up, beta)
+    g = _gain(v_up, _derivatives(pair, lo)[0], lo, up, beta) / (up - lo - beta)
     # V' is monotone on each side of a*, so V' - g has at most one root on each
     a_star = pair.derivative_argmin()
     knots = [0.0, a_star, up] if 0.0 < a_star < up else [0.0, up]
@@ -320,73 +319,3 @@ def check_transfer_inequality(ps: ParisianScale, policy: ImpulsePolicy) -> Trans
     ]
     worst, x, y = min([(beta, 0.0, 0.0), *margins])  # beta on the diagonal
     return TransferReport(passed=worst >= -TRANSFER_TOL, worst_margin=worst, worst_x=x, worst_y=y)
-
-
-def generator_residual(ps: ParisianScale, policy: ImpulsePolicy, x: float) -> float:
-    """Residual of the discounted generator applied to the policy value.
-
-    Zero (to discretization error) on (0, upper) where the value function is
-    harmonic for the stopped process; nonpositive above upper where paying
-    out dominates.  Derivatives by central differences with step
-    ``GENERATOR_STEP``; the Cramer-Lundberg jump average by adaptive
-    quadrature over the actual piecewise value function.
-    """
-    spec = ps.spec
-    h = GENERATOR_STEP
-    v = lambda y: value_function(ps, policy, y)
-    vx = v(x)
-    d1 = (v(x + h) - v(x - h)) / (2.0 * h)
-    m = spec.model
-    if isinstance(m, BrownianMotion):
-        d2 = (v(x + h) - 2.0 * vx + v(x - h)) / (h * h)
-        drift = m.mu - (spec.delta if x > 0.0 else 0.0)
-        return drift * d1 + 0.5 * m.sigma**2 * d2 - spec.q * vx
-    assert isinstance(m, CramerLundberg)
-    drift = m.p - (spec.delta if x > 0.0 else 0.0)
-    pr = m.p * spec.r
-    # E[v(x - claim)] - v(x); v vanishes below -p*r, so the claim integral stops
-    # at z = x + pr.  Split at the claim sizes that land on kinks of v.
-    cuts = {0.0, x + pr}
-    if x > policy.upper:
-        cuts.add(x - policy.upper)
-    if 0.0 < x:
-        cuts.add(x)
-    kinks = sorted(c for c in cuts if 0.0 <= c <= x + pr)
-    jump_avg = 0.0
-    for a, b in zip(kinks, kinks[1:]):
-        if b <= a:
-            continue
-        jump_avg += integrate(
-            lambda z: v(x - z) * m.mu_claim * np.exp(-m.mu_claim * z),
-            a, b, epsabs=1e-12, epsrel=1e-10, limit=300,
-        )[0]
-    return drift * d1 + m.lam * (jump_avg - vx) - spec.q * vx
-
-
-def result_record(ps: ParisianScale, result: OptimalPolicyResult) -> str:
-    """One key per line, for logs and the command line."""
-    spec = ps.spec
-    m = spec.model
-    if isinstance(m, BrownianMotion):
-        lines = ["model: brownian", f"mu: {sig17(m.mu)}", f"sigma: {sig17(m.sigma)}"]
-    else:
-        lines = [
-            "model: cramer_lundberg",
-            f"p: {sig17(m.p)}",
-            f"lambda: {sig17(m.lam)}",
-            f"mu_claim: {sig17(m.mu_claim)}",
-        ]
-    lines += [
-        f"delta: {sig17(spec.delta)}",
-        f"q: {sig17(spec.q)}",
-        f"r: {sig17(spec.r)}",
-        f"beta: {sig17(spec.beta)}",
-        f"c1_star: {sig17(result.policy.lower)}",
-        f"c2_star: {sig17(result.policy.upper)}",
-        f"g_star: {sig17(result.payout_ratio)}",
-        f"case: {result.case}",
-        f"fo_residual: {sig17(result.fo_residual)}",
-        f"derivative_argmin: {sig17(result.derivative_argmin)}",
-        f"sufficiency_pass: {str(result.sufficiency_pass).lower()}",
-    ]
-    return "\n".join(lines)

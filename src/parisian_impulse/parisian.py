@@ -18,17 +18,13 @@ over one delay window:
   from its log, prefactor included: only a V out of the double range overflows.
 
 The closed forms use NumPy and ``math`` only (the normal CDF tails come from
-``math.erfc`` and the Mills-ratio expansion).
-
-``quadrature_value`` evaluates the defining integral directly with the
-package's adaptive Gauss-Kronrod rule, on arrays of window depths; it is
-deliberately independent of the closed forms so the two routes can be
-compared.
+``math.erfc`` and the Mills-ratio expansion), and this module imports only
+``errors`` and ``models``.  The route that checks them, the defining window
+integral, is ``quadrature.quadrature_value``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -42,17 +38,15 @@ from .errors import (
 )
 from .models import (
     SPEC_CACHE_SIZE,
+    ArrayLike,
     BrownianMotion,
     CramerLundberg,
+    ExponentialPair,
     ProblemSpec,
     compute_coefficients,
 )
-from .quadrature import integrate
-from .scale import ArrayLike, ExponentialPair, ScaleFunction, refracted_scale
 
 SERIES_RTOL = 1e-12
-QUAD_RTOL = 1e-11  # relative tolerance of the window integral
-QUAD_ATOL = 1e-10  # absolute tolerance of the window integral
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SIDES = np.array([[1.0], [-1.0]])  # the q_plus and q_minus variants' signs
@@ -117,56 +111,6 @@ def _log_ndtr(x: float) -> float:
     return -0.5 * x * x - math.log(-x * _SQRT_2PI) + math.log(_mills_series(x))
 
 
-@dataclass(frozen=True)
-class CompoundPoissonWindow:
-    """Law of the aggregate claims over one delay window of length r.
-
-    An atom of weight ``exp(-lam*r)`` at 0 (no claims) plus an absolutely
-    continuous part on (0, inf).
-    """
-
-    lam: float
-    mu_claim: float
-    r: float
-
-    @property
-    def atom(self) -> float:
-        return math.exp(-self.lam * self.r)
-
-    def density(self, y: ArrayLike) -> ArrayLike:
-        """Density of the continuous part at ``y > 0`` (zero elsewhere)."""
-        if isinstance(y, np.ndarray):
-            return self._density_block(np.asarray(y, dtype=float))
-        return float(self._density_block(np.array([y], dtype=float))[0])
-
-    def _density_block(self, y: np.ndarray) -> np.ndarray:
-        """The density on an array: one block of log-space terms
-        ``log(c^{m+1} y^m / (m! (m+1)!))``, a row per point, sized from the
-        largest ``sqrt(c*y)``.  The prefactor ``e^{-lam*r - mu*y}`` joins in
-        the log, so no intermediate sum leaves the double range."""
-        out = np.zeros_like(y)
-        pos = y > 0.0
-        if not pos.any():
-            return out
-        yp = y[pos]
-        c = self.mu_claim * self.lam * self.r
-        n = _term_budget(math.sqrt(c * float(yp.max())))
-        m, log_m_factorial = _log_factorials(n + 1)
-        log_terms = (
-            (m[:-1] + 1.0) * math.log(c) - log_m_factorial[:-1] - log_m_factorial[1:]
-            + np.log(yp)[:, None] * m[:-1]
-        )
-        peak = log_terms.max(axis=1)
-        scaled = np.exp(log_terms - peak[:, None])
-        total = scaled.sum(axis=1)
-        if np.any(scaled[:, -2:].max(axis=1) >= SERIES_RTOL * total):
-            raise SeriesConvergenceError(
-                f"compound density series did not converge within {n} terms"
-            )
-        out[pos] = np.exp(peak + np.log(total) - self.lam * self.r - self.mu_claim * yp)
-        return out
-
-
 class ParisianScale:
     """Closed-form Parisian refracted scale function for one problem spec.
 
@@ -178,7 +122,6 @@ class ParisianScale:
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         self.coefficient_set = compute_coefficients(spec)
-        self.surplus_scale = ScaleFunction.for_surplus(spec)
         self._is_cl = isinstance(spec.model, CramerLundberg)
         self.series_constant: Optional[float] = None
         try:
@@ -451,61 +394,6 @@ class ParisianScale:
                 for i in range(0, xb.size, step)])
         out[below] = [self._below_zero(v, with_derivative) for v in x[below].tolist()]
         return out
-
-    def compound_window(self) -> Optional[CompoundPoissonWindow]:
-        if not self._is_cl:
-            return None
-        m = self.spec.model
-        return CompoundPoissonWindow(m.lam, m.mu_claim, self.spec.r)
-
-    # ---------- quadrature oracle ----------
-
-    def quadrature_value(self, x: float) -> float:
-        """V at x via the defining integral of ``w(x; -z)`` against the
-        one-window displacement law.  Independent of the closed forms."""
-        if self._is_cl:
-            if x < -self.spec.model.p * self.spec.r:
-                # the window displacement cannot lift the start back to 0 in time
-                return 0.0
-            # at x = -p*r exactly the no-claim atom still counts (recovery exactly
-            # at the deadline is recovery), matching the right limit convention
-            return self._quad_cl(x)
-        return self._quad_brownian(x)
-
-    def _quad_cl(self, x: float) -> float:
-        spec = self.spec
-        m = spec.model
-        cs = self.coefficient_set
-        pr = m.p * spec.r
-        window = self.compound_window()
-        lo = max(0.0, -x)
-        total = window.atom * m.p * refracted_scale(cs, x, pr)
-
-        def integrand(z: np.ndarray) -> np.ndarray:
-            return refracted_scale(cs, x, z) * (z / spec.r) * window.density(pr - z)
-
-        if lo < pr:
-            total += integrate(integrand, lo, pr, QUAD_ATOL, QUAD_RTOL)[0]
-        return total
-
-    def _quad_brownian(self, x: float) -> float:
-        spec = self.spec
-        m = spec.model
-        cs = self.coefficient_set
-        mean = m.mu * spec.r
-        sd = m.sigma * math.sqrt(spec.r)
-
-        def integrand(z: np.ndarray) -> np.ndarray:
-            dens = np.exp(-0.5 * ((z - mean) / sd) ** 2) / (sd * _SQRT_2PI)
-            return refracted_scale(cs, x, z) * (z / spec.r) * dens
-
-        lo = max(0.0, -x)
-        hi = mean + 12.0 * sd
-        total = 0.0
-        for a, b in ((lo, max(lo, mean)), (max(lo, mean), hi)):
-            if a < b:
-                total += integrate(integrand, a, b, QUAD_ATOL, QUAD_RTOL)[0]
-        return total
 
 
 @lru_cache(maxsize=SPEC_CACHE_SIZE)

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature on NumPy arrays.
+"""Adaptive Gauss-Kronrod quadrature on NumPy arrays, and the oracles built on it.
 
 The rule is QUADPACK's QK15: the 15-point Kronrod extension of the 7-point
 Gauss rule, with QUADPACK's error estimate (Piessens, de Doncker-Kapenga,
@@ -12,14 +12,28 @@ The adaptive loop keeps a list of intervals.  Each round bisects the one
 with the worst error estimate together with every interval whose estimate
 exceeds its length's share of the tolerance, and evaluates the 15 nodes of
 all the new halves in one call of the integrand on an array.
+
+The oracles built on the rule live here, apart from what they check:
+``quadrature_value``, V from its defining window integral (the compound
+Poisson window law is ``CompoundPoissonWindow``), and ``generator_residual``.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureFailureError
+from .errors import QuadratureFailureError, SeriesConvergenceError
+from .models import ArrayLike, BrownianMotion, CramerLundberg, ImpulsePolicy
+from .optimizer import value_function
+from .parisian import _SQRT_2PI, SERIES_RTOL, ParisianScale, _log_factorials, _term_budget
+from .scale import refracted_scale
+
+QUAD_RTOL = 1e-11  # relative tolerance of the window integral
+QUAD_ATOL = 1e-10  # absolute tolerance of the window integral
+GENERATOR_STEP = 1e-4  # central-difference step of generator_residual
 
 # Kronrod abscissae on [0, 1] and their weights; the odd-indexed ones are
 # the Gauss nodes, and _GAUSS_WEIGHTS belong to them in the same order
@@ -120,3 +134,144 @@ def integrate(
         hi = np.concatenate([hi[keep], new_hi])
         value = np.concatenate([value[keep], new_value])
         err = np.concatenate([err[keep], new_err])
+
+
+@dataclass(frozen=True)
+class CompoundPoissonWindow:
+    """Law of the aggregate claims over one delay window of length r.
+
+    An atom of weight ``exp(-lam*r)`` at 0 (no claims) plus an absolutely
+    continuous part on (0, inf).
+    """
+
+    lam: float
+    mu_claim: float
+    r: float
+
+    @property
+    def atom(self) -> float:
+        return math.exp(-self.lam * self.r)
+
+    def density(self, y: ArrayLike) -> ArrayLike:
+        """Density of the continuous part at ``y > 0`` (zero elsewhere)."""
+        if isinstance(y, np.ndarray):
+            return self._density_block(np.asarray(y, dtype=float))
+        return float(self._density_block(np.array([y], dtype=float))[0])
+
+    def _density_block(self, y: np.ndarray) -> np.ndarray:
+        """The density on an array: one block of log-space terms
+        ``log(c^{m+1} y^m / (m! (m+1)!))``, a row per point, sized from the
+        largest ``sqrt(c*y)``.  The prefactor ``e^{-lam*r - mu*y}`` joins in
+        the log, so no intermediate sum leaves the double range."""
+        out = np.zeros_like(y)
+        pos = y > 0.0
+        if not pos.any():
+            return out
+        yp = y[pos]
+        c = self.mu_claim * self.lam * self.r
+        n = _term_budget(math.sqrt(c * float(yp.max())))
+        m, log_m_factorial = _log_factorials(n + 1)
+        log_terms = (
+            (m[:-1] + 1.0) * math.log(c) - log_m_factorial[:-1] - log_m_factorial[1:]
+            + np.log(yp)[:, None] * m[:-1]
+        )
+        peak = log_terms.max(axis=1)
+        scaled = np.exp(log_terms - peak[:, None])
+        total = scaled.sum(axis=1)
+        if np.any(scaled[:, -2:].max(axis=1) >= SERIES_RTOL * total):
+            raise SeriesConvergenceError(
+                f"compound density series did not converge within {n} terms"
+            )
+        out[pos] = np.exp(peak + np.log(total) - self.lam * self.r - self.mu_claim * yp)
+        return out
+
+
+def quadrature_value(ps: ParisianScale, x: float) -> float:
+    """V at x via the defining integral of ``w(x; -z)`` against the
+    one-window displacement law.  Independent of the closed forms."""
+    if isinstance(ps.spec.model, CramerLundberg):
+        if x < -ps.spec.model.p * ps.spec.r:
+            # the window displacement cannot lift the start back to 0 in time
+            return 0.0
+        # at x = -p*r exactly the no-claim atom still counts (recovery exactly
+        # at the deadline is recovery), matching the right limit convention
+        return _quad_cl(ps, x)
+    return _quad_brownian(ps, x)
+
+
+def _quad_cl(ps: ParisianScale, x: float) -> float:
+    spec = ps.spec
+    m = spec.model
+    cs = ps.coefficient_set
+    pr = m.p * spec.r
+    window = CompoundPoissonWindow(m.lam, m.mu_claim, spec.r)
+    lo = max(0.0, -x)
+    total = window.atom * m.p * refracted_scale(cs, x, pr)
+
+    def integrand(z: np.ndarray) -> np.ndarray:
+        return refracted_scale(cs, x, z) * (z / spec.r) * window.density(pr - z)
+
+    if lo < pr:
+        total += integrate(integrand, lo, pr, QUAD_ATOL, QUAD_RTOL)[0]
+    return total
+
+
+def _quad_brownian(ps: ParisianScale, x: float) -> float:
+    spec = ps.spec
+    m = spec.model
+    cs = ps.coefficient_set
+    mean = m.mu * spec.r
+    sd = m.sigma * math.sqrt(spec.r)
+
+    def integrand(z: np.ndarray) -> np.ndarray:
+        dens = np.exp(-0.5 * ((z - mean) / sd) ** 2) / (sd * _SQRT_2PI)
+        return refracted_scale(cs, x, z) * (z / spec.r) * dens
+
+    lo = max(0.0, -x)
+    hi = mean + 12.0 * sd
+    total = 0.0
+    for a, b in ((lo, max(lo, mean)), (max(lo, mean), hi)):
+        if a < b:
+            total += integrate(integrand, a, b, QUAD_ATOL, QUAD_RTOL)[0]
+    return total
+
+
+def generator_residual(ps: ParisianScale, policy: ImpulsePolicy, x: float) -> float:
+    """Residual of the discounted generator applied to the policy value.
+
+    Zero (to discretization error) on (0, upper) where the value function is
+    harmonic for the stopped process; nonpositive above upper where paying
+    out dominates.  Derivatives by central differences with step
+    ``GENERATOR_STEP``; the Cramer-Lundberg jump average by adaptive
+    quadrature over the actual piecewise value function.
+    """
+    spec = ps.spec
+    h = GENERATOR_STEP
+    v = lambda y: value_function(ps, policy, y)
+    vx = v(x)
+    d1 = (v(x + h) - v(x - h)) / (2.0 * h)
+    m = spec.model
+    if isinstance(m, BrownianMotion):
+        d2 = (v(x + h) - 2.0 * vx + v(x - h)) / (h * h)
+        drift = m.mu - (spec.delta if x > 0.0 else 0.0)
+        return drift * d1 + 0.5 * m.sigma**2 * d2 - spec.q * vx
+    assert isinstance(m, CramerLundberg)
+    drift = m.p - (spec.delta if x > 0.0 else 0.0)
+    pr = m.p * spec.r
+    # E[v(x - claim)] - v(x); v vanishes below -p*r, so the claim integral stops
+    # at z = x + pr.  Split at the claim sizes that land on kinks of v.
+    cuts = {0.0, x + pr}
+    if x > policy.upper:
+        cuts.add(x - policy.upper)
+    if 0.0 < x:
+        cuts.add(x)
+    kinks = sorted(c for c in cuts if 0.0 <= c <= x + pr)
+    jump_avg = 0.0
+    for a, b in zip(kinks, kinks[1:]):
+        if b <= a:
+            continue
+        jump_avg += integrate(
+            lambda z: v(x - z) * m.mu_claim * np.exp(-m.mu_claim * z),
+            a, b, epsabs=1e-12, epsrel=1e-10, limit=300,
+        )[0]
+    return drift * d1 + m.lam * (jump_avg - vx) - spec.q * vx

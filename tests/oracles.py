@@ -74,6 +74,7 @@ from parisian_impulse.parisian import (
     _term_budget,
 )
 from parisian_impulse.models import EXP_ARG_MAX
+from parisian_impulse.quadrature import CompoundPoissonWindow
 from parisian_impulse.scale import ScaleFunction, refracted_pair
 from parisian_impulse.simulate import (
     _U_HI,
@@ -429,7 +430,9 @@ class WindowConstantScale(ParisianScale):
         if log_coef.shape[0] != 3:  # V or V' at a band point
             return super()._band_point(x, log_coef, sign)
         slope = super()._band_point(x, log_coef[:2], sign[:2])
-        return slope + self.compound_window().density(self.spec.model.p * self.spec.r)
+        m = self.spec.model
+        window = CompoundPoissonWindow(m.lam, m.mu_claim, self.spec.r)
+        return slope + window.density(m.p * self.spec.r)
 
 
 def series_constant_by_window(spec: ProblemSpec) -> float:

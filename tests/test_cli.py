@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from parisian_impulse import ImpulsePolicy, cli, optimizer
+from parisian_impulse import ImpulsePolicy, SolverFailureError, cli, optimizer
 from parisian_impulse.cli import EVAL_COLUMNS, MC_CSV_COLUMNS, mc_csv_row
 from parisian_impulse.simulate import MonteCarloEstimate, SimulationConfig
 
@@ -23,8 +23,9 @@ def _rows(out: str) -> list[list[str]]:
 # Each case runs one command in a fresh interpreter on both configs: the
 # modules the command must load, and the ones it must not.
 COLD_COMMANDS = {
-    "eval": (["eval", "--grid=-3:3:7"], {"parisian", "scale"}, {"optimizer", "simulate"}),
-    "optimize": (["optimize"], {"optimizer"}, {"simulate"}),
+    "eval": (["eval", "--grid=-3:3:7"], {"parisian", "scale"},
+             {"optimizer", "quadrature", "simulate"}),
+    "optimize": (["optimize"], {"optimizer"}, {"quadrature", "scale", "simulate"}),
     "verify": (["verify"], {"optimizer"}, {"simulate"}),
     "simulate_exit": (["simulate", "--functional", "exit", "--x", "0", "--barrier", "3",
                        "--paths", "2000", "--dt", "0.02"],
@@ -98,6 +99,16 @@ def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("grid", ["-6:6:241", "0:4.324178358615494:401", "-1e-3:7.1:33",
+                                  "0.1:0.3:3"])
+def test_grid_is_the_pointwise_formula(grid):
+    # one array expression, the same IEEE operations as lo + i * (hi - lo) / (n - 1)
+    *ends, n = grid.split(":")
+    (lo, hi), n = map(float, ends), int(n)
+    want = [(lo + i * (hi - lo) / (n - 1)).hex() for i in range(n)]
+    assert [x.hex() for x in cli._parse_grid(grid).tolist()] == want
 
 
 @pytest.mark.parametrize("grid", ["1:2", "2:1:5", "0:1:1", "a:b:3"])
@@ -283,29 +294,53 @@ def test_verify_with_monte_carlo(capsys):
 
 @pytest.mark.parametrize("patched", [False, True])
 def test_verify_tolerances_come_from_the_optimizer(patched, monkeypatch, capsys):
-    # a first-order residual of 5e-8 and a policy whose transfer margin is
-    # about -2e-7 fail the default tolerances (1e-8, 1e-9) and pass looser
-    # ones patched into the optimizer, which the printed text reports too
+    # a payout ratio 5e-8 above V' at c1* and c2*, and a policy whose transfer
+    # margin is about -2e-7, fail the default tolerances (1e-8, 1e-9) and pass
+    # looser ones patched into the optimizer, which the printed text reports
+    # too; verify recomputes the first-order residual from V', so the solver's
+    # own fo_residual, left exact here, cannot pass it
     solve = optimizer.find_optimal_policy
 
-    def off_optimum(ps):
-        result = solve(ps)
-        policy = ImpulsePolicy(result.policy.lower, 1.001 * result.policy.upper)
-        return dataclasses.replace(result, policy=policy, fo_residual=5e-8)
+    def run(shift) -> tuple[int, list[str]]:
+        monkeypatch.setattr(optimizer, "find_optimal_policy", lambda ps: shift(solve(ps)))
+        rc = cli.main(["verify", "--config", BM_CFG])
+        return rc, capsys.readouterr().out.splitlines()
 
-    monkeypatch.setattr(optimizer, "find_optimal_policy", off_optimum)
     if patched:
         monkeypatch.setattr(optimizer, "FO_TOL", 1e-7)
         monkeypatch.setattr(optimizer, "TRANSFER_TOL", 1e-6)
-    rc = cli.main(["verify", "--config", BM_CFG])
-    lines = capsys.readouterr().out.splitlines()
     verdict = "PASS" if patched else "FAIL"
     fo_tol, transfer_tol = ("1e-07", "-1e-06") if patched else ("1e-08", "-1e-09")
+    rc, lines = run(lambda res: dataclasses.replace(
+        res, payout_ratio=res.payout_ratio * (1.0 + 5e-8)))
     assert lines[4] == (f"first_order_residual: {verdict} (case=interior residual 5.00e-08 "
                         f"(tol {fo_tol} rel))")
+    assert lines[5].startswith("transfer_inequality: PASS")
+    assert rc == (0 if patched else 1)
+    # the shifted trigger also moves V'(c2*) off g* by 1.8e-4, past both tolerances
+    rc, lines = run(lambda res: dataclasses.replace(
+        res, policy=ImpulsePolicy(res.policy.lower, 1.001 * res.policy.upper)))
+    assert lines[4].startswith("first_order_residual: FAIL (case=interior residual 1.82e-04")
     assert lines[5] == (f"transfer_inequality: {verdict} (worst margin -1.97e-07 at x=2.162 "
                         f"y=0.5939 (tol {transfer_tol}))")
-    assert rc == (0 if patched else 1)
+    assert rc == 1
+
+
+@pytest.mark.parametrize("cfg", [BM_CFG, CL_CFG], ids=["bm", "cl"])
+def test_verify_prints_each_check_before_a_failing_solve(cfg, monkeypatch, capsys):
+    # each row is printed as its check ends: a solve that raises leaves the
+    # four analytic rows on stdout before the typed exit 3
+    def fail(ps):
+        raise SolverFailureError("no root")
+
+    monkeypatch.setattr(optimizer, "find_optimal_policy", fail)
+    assert cli.main(["verify", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    rows = [line.split(":")[0] for line in captured.out.splitlines()]
+    assert rows == ["laplace_roots", "scale_mass_at_zero", "parisian_at_zero",
+                    "closed_vs_quadrature"]
+    assert "FAIL" not in captured.out
+    assert captured.err == "solver failure: no root\n"
 
 
 def test_verify_zero_stderr_fails_the_check(capsys):

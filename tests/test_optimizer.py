@@ -24,7 +24,7 @@ from parisian_impulse import (
     value_function,
 )
 from parisian_impulse.config import build_problem_spec, parse_config_text
-from parisian_impulse.optimizer import result_record
+from parisian_impulse.cli import result_record
 from parisian_impulse.parisian import parisian_scale
 from parisian_impulse.models import EXP_ARG_MAX
 
@@ -215,6 +215,28 @@ def test_value_function_out_of_double_range_is_typed():
     for x in (1.0, np.array([-1.0, 1.0, 20.0])):
         with np.errstate(over="ignore"), pytest.raises(OverflowRangeError):
             value_function(ps, ImpulsePolicy(0.0, 10.0), x)
+
+
+@pytest.mark.parametrize("spec, policy, error", [
+    # V(0) = e^{697}: V(8) overflows although kp*8 is inside the exp range
+    (ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076, q=3.63, r=191.9,
+                 beta=0.677), ImpulsePolicy(0.0, 8.0), OverflowRangeError),
+    # a discount rate of 1e-300 leaves V flat in doubles across the pair
+    (replace(brownian_spec(), q=1e-300), ImpulsePolicy(1000.0, 1001.0), SolverFailureError),
+], ids=["overflow", "flat"])
+def test_every_payout_ratio_checks_its_gain(spec, policy, error):
+    # one checked gain V(upper) - V(lower) behind every payout ratio: payout_ratio
+    # once returned inf on the first pair, and value_function raised an untyped
+    # ZeroDivisionError on the second
+    ps = parisian_scale(spec)
+    xs = np.array([0.0, policy.upper, 2.0 * policy.upper])
+    calls = [lambda: payout_ratio(ps, policy.lower, policy.upper),
+             lambda: check_transfer_inequality(ps, policy),
+             lambda: value_function(ps, policy, policy.upper),
+             lambda: value_function(ps, policy, xs)]
+    for call in calls:
+        with np.errstate(over="ignore"), pytest.raises(error):
+            call()
 
 
 def test_sufficiency_certificate(bm_scale, cl_scale, optimum):

@@ -18,8 +18,9 @@ EXPORTS = {
                "drift_adjusted", "laplace_exponent", "right_inverse"),
     "optimizer": ("OptimalPolicyResult", "SufficiencyReport", "TransferReport",
                   "check_sufficiency_pair", "check_transfer_inequality", "find_optimal_policy",
-                  "generator_residual", "payout_ratio", "value_function"),
-    "parisian": ("CompoundPoissonWindow", "ParisianScale", "parisian_scale"),
+                  "payout_ratio", "value_function"),
+    "parisian": ("ParisianScale", "parisian_scale"),
+    "quadrature": ("CompoundPoissonWindow", "generator_residual"),
     "scale": ("ScaleFunction", "refracted_pair", "refracted_scale"),
     "simulate": ("MonteCarloEstimate", "SimulationConfig", "estimate_exit_functional",
                  "estimate_policy_npv"),

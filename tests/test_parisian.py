@@ -25,6 +25,7 @@ from parisian_impulse import (
 )
 from parisian_impulse.models import compute_coefficients
 from parisian_impulse.parisian import ParisianScale, _log_ndtr, _ndtr, parisian_scale
+from parisian_impulse.quadrature import quadrature_value
 
 from oracles import (
     CramerLundbergWindowOracle,
@@ -199,7 +200,7 @@ def test_quadrature_route_agrees(which, points, bm_scale, cl_scale):
     ps = bm_scale if which == "bm" else cl_scale
     for x in points:
         closed = ps.value(x)
-        direct = ps.quadrature_value(x)
+        direct = quadrature_value(ps, x)
         assert closed == pytest.approx(direct, rel=1e-9), f"x={x}"
 
 
@@ -422,12 +423,6 @@ def test_compound_poisson_build_skips_window_density(monkeypatch):
     for r in (2.0, 50.0, 200.0):
         ps = ParisianScale(dataclasses.replace(cramer_lundberg_spec(), r=r))
         assert math.isfinite(ps.series_constant)
-
-
-def test_compound_window_accessor(bm_scale, cl_scale):
-    assert bm_scale.compound_window() is None
-    w = cl_scale.compound_window()
-    assert (w.lam, w.mu_claim, w.r) == (2.0, 1.0, 2.0)
 
 
 def test_parisian_scale_cache():

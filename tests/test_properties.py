@@ -24,8 +24,8 @@ from parisian_impulse import (
     payout_ratio,
     right_inverse,
 )
+from parisian_impulse.cli import sig17
 from parisian_impulse.config import build_problem_spec, parse_config_text
-from parisian_impulse.formatting import sig17
 from parisian_impulse.parisian import parisian_scale
 from parisian_impulse.scale import ScaleFunction, refracted_scale
 

@@ -8,8 +8,10 @@ import pytest
 from scipy.integrate import quad
 
 from parisian_impulse.cli import _quadrature_points
+from parisian_impulse.models import CramerLundberg
 from parisian_impulse.parisian import parisian_scale
-from parisian_impulse.quadrature import GAUSS, KRONROD, NODES, integrate
+from parisian_impulse.quadrature import (GAUSS, KRONROD, NODES, CompoundPoissonWindow, integrate,
+                                         quadrature_value)
 from parisian_impulse.scale import refracted_scale
 
 from params import brownian_spec, cramer_lundberg_spec
@@ -79,11 +81,11 @@ def _window_integral_by_quadpack(ps, x: float) -> float:
     spec, cs = ps.spec, ps.coefficient_set
     m = spec.model
     lo = max(0.0, -x)
-    if ps.compound_window() is not None:
+    if isinstance(m, CramerLundberg):
         pr = m.p * spec.r
         if x < -pr:
             return 0.0
-        window = ps.compound_window()
+        window = CompoundPoissonWindow(m.lam, m.mu_claim, spec.r)
         total = window.atom * m.p * refracted_scale(cs, x, pr)
         pieces = [(lo, pr)]
         dens = lambda z: window.density(pr - z)
@@ -106,4 +108,4 @@ def test_window_integral_matches_quadpack(spec, lo):
     ps = parisian_scale(spec)
     for x in _quadrature_points(spec) + [float(x) for x in np.linspace(lo, 8.0, 25)]:
         ref = _window_integral_by_quadpack(ps, x)
-        assert ps.quadrature_value(x) == pytest.approx(ref, rel=1e-10, abs=1e-300), x
+        assert quadrature_value(ps, x) == pytest.approx(ref, rel=1e-10, abs=1e-300), x

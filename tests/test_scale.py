@@ -62,6 +62,25 @@ def test_pair_derivative_argmin():
     assert ExponentialPair(1.0, 0.01, 0.9, -0.1).derivative_argmin() == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a, b", [(1.0, 5.0), (1.0, -5.0), (2.0, 1.5), (-1.0, 5.0)])
+def test_pair_derivative_zero(a, b, n):
+    # the zero of the n-th derivative: n = 2 gives the argmin of f', n = 3
+    # the point of least f'' when b < 0
+    pair = ExponentialPair(a, b, 0.3, -0.7)
+    ratio = b * (-0.7) ** n / (a * 0.3**n)
+    z = pair.derivative_zero(n)
+    if a > 0.0 and ratio > 0.0:
+        assert z == math.log(ratio) / (0.3 - -0.7)
+        grow, decay = a * 0.3**n * math.exp(0.3 * z), b * (-0.7) ** n * math.exp(-0.7 * z)
+        assert grow - decay == pytest.approx(0.0, abs=1e-15 * grow)
+    else:
+        assert z == -math.inf
+    # a tiny q: a * kp**n underflows, and the ratio would leave the double range
+    with pytest.raises(OverflowRangeError, match=rf"a \* kp\*\*{n} underflows"):
+        ExponentialPair(1.0, 1.0, 1e-170, -0.7).derivative_zero(n)
+
+
 def test_pair_overflow_guard():
     with pytest.raises(OverflowRangeError):
         PAIR.value(1e5)
