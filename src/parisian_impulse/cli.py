@@ -51,6 +51,7 @@ if TYPE_CHECKING:
 
 EVAL_COLUMNS = ("x", "W", "W_prime", "Z", "w", "V", "V_prime")
 MC_CSV_COLUMNS = ("functional", "x", "a_or_policy", "estimate", "stderr", "n", "seed", "dt")
+GRID_MAX_POINTS = 10**5  # about 1 s and 110 MB for eval; ten times that, 7 s and 850 MB
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +158,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"grid {text!r} must look like MIN:MAX:N") from None
-    if n < 2:
-        raise ConfigError(f"grid needs at least 2 points, got {n}")
+    if not 2 <= n <= GRID_MAX_POINTS:
+        raise ConfigError(f"grid needs 2 to {GRID_MAX_POINTS} points, got {n}")
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ConfigError(f"grid {text!r} needs finite MIN < MAX with MAX - MIN finite")
     return lo + np.arange(n) * (hi - lo) / (n - 1)

@@ -47,7 +47,7 @@ def _check_fields(obj, finite: tuple[str, ...] = (), positive: tuple[str, ...] =
             raise ConfigError(f"{name} must be positive, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BrownianMotion:
     """Linear Brownian motion with drift ``mu`` and volatility ``sigma > 0``."""
 
@@ -58,7 +58,7 @@ class BrownianMotion:
         _check_fields(self, finite=("mu",), positive=("sigma",))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CramerLundberg:
     """Compound Poisson surplus with premium rate ``p`` and exponential claims.
 
@@ -76,7 +76,7 @@ class CramerLundberg:
 Model = Union[BrownianMotion, CramerLundberg]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemSpec:
     """A model plus the control problem parameters.
 
@@ -185,9 +185,13 @@ def _roots(model: Model, q: float) -> tuple[float, float]:
 def _check_exp_range(rate: float, x: ArrayLike) -> None:
     hi = float(np.max(rate * np.asarray(x, dtype=float), initial=-math.inf))
     if hi > EXP_ARG_MAX:
-        raise OverflowRangeError(
-            f"exponent {hi:.3g} exceeds the finite double range (limit {EXP_ARG_MAX})"
-        )
+        raise _exp_range_error(hi)
+
+
+def _exp_range_error(hi: float) -> OverflowRangeError:
+    return OverflowRangeError(
+        f"exponent {hi:.3g} exceeds the finite double range (limit {EXP_ARG_MAX})"
+    )
 
 
 def _match(out: ArrayLike) -> ArrayLike:
@@ -200,9 +204,10 @@ class ExponentialPair:
     """The function ``f(x) = a * exp(kp * x) - b * exp(km * x)`` with kp > km.
 
     All scale-type functions in this package restrict to this shape on
-    ``x >= 0``.  Evaluations accept scalars or numpy arrays.  ``a`` and ``b``
-    may be arrays of one shape (``refracted_pair`` on an array of depths);
-    a scalar ``x`` then gives an array.
+    ``x >= 0``.  Evaluations accept scalars or numpy arrays; :meth:`at` is
+    the float path for one point.  ``a`` and ``b`` may be arrays of one
+    shape (``refracted_pair`` on an array of depths); a scalar ``x`` then
+    gives an array.
     """
 
     a: float
@@ -222,6 +227,16 @@ class ExponentialPair:
             self.a * self.kp * np.exp(self.kp * xx)
             - self.b * self.km * np.exp(self.km * xx),
         )
+
+    def at(self, x: float) -> tuple[float, float, float]:
+        """``(f, f', f'')`` at one float x, as floats.  ``np.exp`` gives a float
+        the bits it gives in an array (``math.exp`` may not), so f and f' equal
+        :meth:`value` and :meth:`derivative` bit for bit; raises as they do."""
+        a, b, kp, km = self.a, self.b, self.kp, self.km
+        if kp * x > EXP_ARG_MAX:
+            raise _exp_range_error(kp * x)
+        ep, em = float(np.exp(kp * x)), float(np.exp(km * x))
+        return a * ep - b * em, a * kp * ep - b * km * em, kp**2 * (a * ep) - km**2 * (b * em)
 
     def integral_from_zero(self, x: ArrayLike) -> ArrayLike:
         """``int_0^x f(y) dy`` (kp, km are nonzero for every model here)."""

@@ -23,7 +23,10 @@ The optimum is interior exactly when ``a* > 0`` and ``G(0) < 0``: then
 ``c1* = 0`` and ``c2*`` is the root of the increasing function
 ``h(c2) = V'(c2) * (c2 - beta) - (V(c2) - V(0))`` on ``(max(a*, beta), inf)``.
 Every root, the preimage included, comes from one bracketed Newton-bisection
-on floats that never leaves the finite range of ``exp``.
+on floats that never leaves the finite range of ``exp``.  Every read of V on
+x >= 0 here, in the roots, the certificates and the payout ratios, is the
+float path ``ExponentialPair.at``: bit for bit ``ps.value`` and
+``ps.derivative`` there, so the solver, its checks and ``verify`` see one V.
 
 The sufficiency certificate (V' nondecreasing beyond the trigger) is closed
 form too.  With ``V = a*e^{kp x} - b*e^{km x}``, ``a > 0`` and ``km < 0``:
@@ -95,7 +98,8 @@ def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
     """g(lower, upper); raises DomainError outside the admissible wedge."""
     beta = ps.spec.beta
     ImpulsePolicy(lower, upper).validate(beta)
-    return _gain(ps.value(upper), ps.value(lower), lower, upper, beta) / (upper - lower - beta)
+    pair = ps.positive_pair
+    return _gain(pair.at(upper)[0], pair.at(lower)[0], lower, upper, beta) / (upper - lower - beta)
 
 
 def _gain(v_upper: float, v_lower: float, lower: float, upper: float, beta: float) -> float:
@@ -109,13 +113,6 @@ def _gain(v_upper: float, v_lower: float, lower: float, upper: float, beta: floa
     if not (gain > 0.0 and upper > lower + beta and upper - lower - beta > 0.0):
         raise SolverFailureError(f"V is flat in doubles across ({lower:.17g}, {upper:.17g})")
     return gain
-
-
-def _derivatives(pair: ExponentialPair, x: float) -> tuple[float, float, float]:
-    """V, V' and V'' of the two-exponential branch at one point, on floats."""
-    ep = pair.a * math.exp(pair.kp * x)
-    em = pair.b * math.exp(pair.km * x)
-    return ep - em, pair.kp * ep - pair.km * em, pair.kp**2 * ep - pair.km**2 * em
 
 
 def _find_root(
@@ -173,7 +170,7 @@ def _level_point(pair: ExponentialPair, level: float, lo: float, hi: float, sign
     rises and ``sign * (V'(lo) - level) < 0``."""
 
     def f(x: float) -> tuple[float, float]:
-        _, d1, d2 = _derivatives(pair, x)
+        _, d1, d2 = pair.at(x)
         return sign * (d1 - level), sign * d2
 
     return _find_root(f, lo, hi, 1.0 / pair.kp)[0]
@@ -192,43 +189,44 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
     cap = EXP_ARG_MAX / pair.kp
     width = 1.0 / pair.kp
     a_star = pair.derivative_argmin()
-    d_min = _derivatives(pair, a_star)[1]
+    d_min = pair.at(a_star)[1]
 
     def preimage(level: float) -> float:
         """The point c >= a* with V'(c) = level, for level >= V'(a*)."""
         return a_star if level <= d_min else _level_point(pair, level, a_star, cap, 1.0)
 
     def G(c1: float) -> tuple[float, float]:
-        v1, d1, d2 = _derivatives(pair, c1)
+        v1, d1, d2 = pair.at(c1)
         c2 = preimage(d1)
         gap = c2 - c1 - beta
-        return _derivatives(pair, c2)[0] - v1 - d1 * gap, -d2 * gap
+        return pair.at(c2)[0] - v1 - d1 * gap, -d2 * gap
 
-    v0 = _derivatives(pair, 0.0)[0]
+    v0 = pair.at(0.0)[0]
 
     def h(c2: float) -> tuple[float, float]:
-        v2, d1, d2 = _derivatives(pair, c2)
+        v2, d1, d2 = pair.at(c2)
         return d1 * (c2 - beta) - (v2 - v0), d2 * (c2 - beta)
 
     if a_star > 0.0 and G(0.0)[0] < 0.0:
         case = "interior"
         c1, iterations = _find_root(G, 0.0, a_star, width)
-        c2 = preimage(_derivatives(pair, c1)[1])
+        c2 = preimage(pair.at(c1)[1])
     else:
         case = "boundary"
         c1 = 0.0
         c2, iterations = _find_root(h, max(a_star, beta), cap, width)
     policy = ImpulsePolicy(c1, c2)
-    v2 = ps.value(c2)
-    g_star = _gain(v2, ps.value(c1), c1, c2, beta) / (c2 - c1 - beta)
+    v2, d2, _ = pair.at(c2)
+    v1, d1, _ = pair.at(c1)
+    g_star = _gain(v2, v1, c1, c2, beta) / (c2 - c1 - beta)
     # V/g* is known only to about ulp(V(c2)) / g* in x, and so is every transfer
     # margin: a tiny q leaves V nearly flat out to a huge c2
     resolution = math.ulp(v2) / g_star
     if not resolution <= TRANSFER_TOL:
         raise SolverFailureError(f"V/g* resolved only to {resolution:.3g} (tol {TRANSFER_TOL:g})")
-    fo = abs(_derivatives(pair, c2)[1] - g_star) / g_star
+    fo = abs(d2 - g_star) / g_star
     if case == "interior":
-        fo = max(fo, abs(_derivatives(pair, c1)[1] - g_star) / g_star)
+        fo = max(fo, abs(d1 - g_star) / g_star)
     if not fo <= FO_TOL:
         raise SolverFailureError(f"first-order residual {fo:.3g} above {FO_TOL:g}")
     sufficiency = check_sufficiency_pair(ps, c2)
@@ -252,7 +250,8 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> Ar
     beta = ps.spec.beta
     lo, up = policy.lower, policy.upper
     policy.validate(beta)
-    factor = (up - lo - beta) / _gain(ps.value(up), ps.value(lo), lo, up, beta)
+    pair = ps.positive_pair
+    factor = (up - lo - beta) / _gain(pair.at(up)[0], pair.at(lo)[0], lo, up, beta)
     if isinstance(x, np.ndarray):
         below = factor * ps.value(np.minimum(x, up))
         return np.where(x <= up, below, x - lo - beta + factor * ps.value(lo))
@@ -274,16 +273,14 @@ def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport
     pair = ps.positive_pair
     a_star = pair.derivative_argmin()
     far = max(upper + 10.0, 3.0 * max(a_star, 1.0))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as a typed error below
-        dv = pair.derivative(np.array([upper, far]))
-    if not np.all(np.isfinite(dv)):
+    if not (math.isfinite(pair.at(upper)[1]) and math.isfinite(pair.at(far)[1])):
         raise OverflowRangeError(
             f"V' is not finite on the certificate grid [{upper:.6g}, {far:.6g}]"
         )
-    at = max(upper, pair.derivative_zero(3))  # V'' is least at the zero of V''' if past upper
+    least = max(upper, pair.derivative_zero(3))  # V'' is least at the zero of V''' if past upper
     passed = pair.a > 0.0 and upper >= a_star - ARGMIN_TOL
     return SufficiencyReport(
-        passed=passed, worst_slack=_derivatives(pair, at)[2], derivative_argmin=a_star
+        passed=passed, worst_slack=pair.at(least)[2], derivative_argmin=a_star
     )
 
 
@@ -298,20 +295,20 @@ def check_transfer_inequality(ps: ParisianScale, policy: ImpulsePolicy) -> Trans
     policy.validate(beta)
     lo, up = policy.lower, policy.upper
     pair = ps.positive_pair
-    v_up, d_up, _ = _derivatives(pair, up) if pair.kp * up <= EXP_ARG_MAX else (math.inf,) * 3
+    v_up, d_up, _ = pair.at(up)
     if not math.isfinite(v_up + d_up):
         raise OverflowRangeError(f"V or V' leaves the double range at the trigger {up:.6g}")
-    g = _gain(v_up, _derivatives(pair, lo)[0], lo, up, beta) / (up - lo - beta)
+    g = _gain(v_up, pair.at(lo)[0], lo, up, beta) / (up - lo - beta)
     # V' is monotone on each side of a*, so V' - g has at most one root on each
     a_star = pair.derivative_argmin()
     knots = [0.0, a_star, up] if 0.0 < a_star < up else [0.0, up]
-    slopes = [_derivatives(pair, t)[1] for t in knots[:-1]] + [d_up]
+    slopes = [pair.at(t)[1] for t in knots[:-1]] + [d_up]
     level = [
         _level_point(pair, g, s, e, 1.0 if de > ds else -1.0)
         for s, e, ds, de in zip(knots, knots[1:], slopes, slopes[1:])
         if min(ds, de) < g < max(ds, de)
     ]
-    v = {t: _derivatives(pair, t)[0] for t in [0.0, *level]}
+    v = {t: pair.at(t)[0] for t in [0.0, *level]}
     v[up] = v_up
     margins = [
         ((v[x] - v[y]) / g - (x - y - beta), x, y)

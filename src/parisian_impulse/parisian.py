@@ -51,6 +51,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SIDES = np.array([[1.0], [-1.0]])  # the q_plus and q_minus variants' signs
 _BAND_BLOCK = 2**14  # most band terms in one block of points: 128 KB an array ran fastest
+BAND_MAX_TERMS = 10**6  # under 1 s and 0.3 GB to build; the benchmark box needs a few thousand
 
 # (k, log k!) for k < its length; shared by every spec, grown on demand and
 # replaced as one tuple so a reader never pairs tables of different lengths
@@ -228,6 +229,8 @@ class ParisianScale:
         ]).T[:, :, None]
         prc, _, _, log_rate, log_own, log_cross, log_c_cross = columns
         n = _term_budget(float(prc[0, 0]))
+        if n > BAND_MAX_TERMS:
+            raise SeriesConvergenceError(f"band series need {n} terms, over {BAND_MAX_TERMS}")
         k, log_k_factorial = _log_factorials(n + 1)
         bracket = prc - k[1:]
         k_logs = columns[1:3] * k[:-1]  # less log (k+1)!: k log base; less log k!: k log(p*r*c)

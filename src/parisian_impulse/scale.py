@@ -17,10 +17,8 @@ from .models import (
     ArrayLike,
     CoefficientSet,
     ExponentialPair,
-    ProblemSpec,
     _check_exp_range,
     _match,
-    compute_coefficients,
 )
 
 
@@ -35,10 +33,6 @@ class ScaleFunction:
     def __init__(self, pair: ExponentialPair, q: float):
         self.pair = pair
         self.q = q
-
-    @classmethod
-    def for_surplus(cls, spec: ProblemSpec) -> "ScaleFunction":
-        return cls(compute_coefficients(spec).surplus, spec.q)
 
     def value(self, x: ArrayLike) -> ArrayLike:
         xx = np.asarray(x, dtype=float)

@@ -62,6 +62,7 @@ from .models import BrownianMotion, CramerLundberg, ImpulsePolicy, ProblemSpec
 N_BLOCKS = 8
 GROUP_PATHS = 2**14  # most live paths in the exact kernel's working set, most Euler draws held
 CENSOR_WARN_FRACTION = 1e-3
+MAX_CLAIM_ROUNDS = 1e6  # expected claims per path, lam * t_max; the benchmark box reaches 3e4
 
 # uniforms are clipped away from {0, 1} so inverse transforms stay finite
 _U_LO = 1e-16
@@ -103,13 +104,17 @@ class SimulationConfig:
             raise ConfigError(f"antithetic must be a bool, got {self.antithetic!r}")
 
     def resolve(self, spec: ProblemSpec) -> tuple[float, float]:
-        """Concrete (dt, t_max) for a problem; enforces t_max > r and at most 1e8 Euler steps."""
+        """Concrete (dt, t_max) for a problem; enforces t_max > r, at most 1e8
+        Euler steps and at most ``MAX_CLAIM_ROUNDS`` expected claims per path."""
         dt = self.dt if self.dt is not None else 1e-3 * min(spec.r, 1.0)
         t_max = self.t_max if self.t_max is not None else 50.0 * spec.r
         if not t_max > spec.r:
             raise ConfigError(f"t_max {t_max} must exceed the Parisian delay {spec.r}")
         if isinstance(spec.model, BrownianMotion) and not t_max / dt <= 1e8:
             raise ConfigError(f"t_max {t_max} / dt {dt} exceeds 1e8 Euler steps")
+        claims = spec.model.lam * t_max if isinstance(spec.model, CramerLundberg) else 0.0
+        if not claims <= MAX_CLAIM_ROUNDS:
+            raise ConfigError(f"lam * t_max = {claims:.6g} claims exceed {MAX_CLAIM_ROUNDS:g}")
         return dt, t_max
 
 

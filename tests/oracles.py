@@ -9,7 +9,9 @@ than a tautology.  The one exception is ``brute_force_payout_grid``, which
 checks the optimizer's search rather than V: it takes V from the package and
 only replaces the root solves with an exhaustive lattice.  ``search_bound``,
 the right end of that lattice in acceptance criterion 6, is solved with the
-optimizer's own level-set root, as the optimizer once did on every solve.
+optimizer's bracketed root, as the optimizer once did on every solve, but on
+its own ``math.exp`` reads of V'.  ``reference_optimum`` solves the policy's
+first-order conditions in mpmath, on V from ``reference_positive_pair``.
 
 The certificate grids check the package's closed-form certificates: they
 scan V' on a fine grid, or the transfer margin on a table of point pairs, as
@@ -63,8 +65,7 @@ from parisian_impulse.optimizer import (
     ImpulsePolicy,
     SufficiencyReport,
     TransferReport,
-    _derivatives,
-    _level_point,
+    _find_root,
     value_function,
 )
 from parisian_impulse.parisian import (
@@ -286,6 +287,70 @@ class CramerLundbergWindowOracle:
             )
 
 
+def reference_positive_pair(spec: ProblemSpec) -> tuple:
+    """``(A, B, kp, km)`` with ``V = A e^{kp x} - B e^{km x}`` on x >= 0, as
+    mpmath numbers, and the digits they carry.
+
+    Brownian motion: the closed form of the window integral, roots included,
+    at 50 digits.  Compound Poisson: ``V(0)`` and ``V'(0+)`` from
+    :class:`CramerLundbergWindowOracle` at 25 digits, with the refracted roots
+    ``kp > km`` of its residue sums; as ``V = A e^{kp x} - B e^{km x}``,
+    ``A = (V'(0) - km V(0)) / (kp - km)`` and ``B = (V'(0) - kp V(0)) / (kp - km)``.
+    Nothing comes from the package.
+    """
+    import mpmath as mp
+
+    m = spec.model
+    if isinstance(m, CramerLundberg):
+        oracle = CramerLundbergWindowOracle(m.p, m.lam, m.mu_claim, spec.delta, spec.q, spec.r,
+                                            dps=25)
+        with mp.workdps(35):
+            v0, d0 = oracle.value(0), oracle.derivative(0)
+            kp, km = sorted((k for k, _ in oracle.reduced), reverse=True)
+            return (d0 - km * v0) / (kp - km), (d0 - kp * v0) / (kp - km), kp, km, 25
+    with mp.workdps(50):
+        mu, sigma, q, r = (mp.mpf(v) for v in (m.mu, m.sigma, spec.q, spec.r))
+        s2 = sigma**2
+        disc = mp.sqrt(mu**2 + 2 * q * s2)  # the surplus roots are (-mu +- disc) / s2
+        drift = mu - spec.delta
+        disc_y = mp.sqrt(drift**2 + 2 * q * s2)
+        kp, km = (disc_y - drift) / s2, -(disc_y + drift) / s2
+        eqr = mp.exp(q * r)
+        # int W' against the window's Gaussian displacement, W the surplus scale function
+        i1 = (2 / mp.sqrt(2 * mp.pi * s2 * r) * mp.exp(-r * mu**2 / (2 * s2))
+              + (disc - mu) / s2 * eqr - 2 * disc / s2 * eqr * mp.ncdf(-mp.sqrt(r / s2) * disc))
+        return (i1 - eqr * km) / (kp - km), (i1 - eqr * kp) / (kp - km), kp, km, 50
+
+
+def reference_optimum(spec: ProblemSpec, case: str, c1: float, c2: float) -> tuple:
+    """``(c1*, c2*, g*)`` as floats from :func:`reference_positive_pair`,
+    solved with ``mpmath.findroot`` from the start ``(c1, c2)`` in the given
+    case: ``V'(c1) = V'(c2)`` and ``G = V(c2) - V(c1) - V'(c1) (c2 - c1 - beta) = 0``
+    (interior), or ``h = V'(c2) (c2 - beta) - (V(c2) - V(0)) = 0`` with ``c1 = 0``
+    (boundary).  V is divided by ``V(0)`` for the solve, so that its tolerance
+    is relative, and g* scaled back."""
+    import mpmath as mp
+
+    a, b, kp, km, dps = reference_positive_pair(spec)
+    with mp.workdps(dps + 10):
+        v0 = a - b
+        a, b, beta = a / v0, b / v0, mp.mpf(spec.beta)
+
+        def v(x):
+            return a * mp.exp(kp * x) - b * mp.exp(km * x)
+
+        def d(x):
+            return a * kp * mp.exp(kp * x) - b * km * mp.exp(km * x)
+
+        if case == "interior":
+            c1, c2 = mp.findroot(
+                lambda s, t: (d(s) - d(t), v(t) - v(s) - d(s) * (t - s - beta)),
+                (mp.mpf(c1), mp.mpf(c2)))
+        else:
+            c1, c2 = 0, mp.findroot(lambda t: d(t) * (t - beta) - (v(t) - 1), mp.mpf(c2))
+        return float(c1), float(c2), float(d(c2) * v0)
+
+
 def regularized_lower_gamma(order: int, x: float) -> float:
     """Regularized lower incomplete gamma P(order, x) for integer order >= 1.
 
@@ -444,17 +509,30 @@ def series_constant_by_window(spec: ProblemSpec) -> float:
 SEARCH_DERIVATIVE_FACTOR = 10.0
 
 
+def _slopes(pair, x: float) -> tuple[float, float]:
+    """V' and V'' of the two-exponential branch at one point, by ``math.exp``."""
+    ep = pair.a * math.exp(pair.kp * x)
+    em = pair.b * math.exp(pair.km * x)
+    return pair.kp * ep - pair.km * em, pair.kp**2 * ep - pair.km**2 * em
+
+
 def search_bound(ps: ParisianScale) -> float:
     """The point ``c >= a*`` where V' has grown to ``SEARCH_DERIVATIVE_FACTOR``
     times its least value ``V'(a*)`` on x >= 0: the right end of criterion
-    6's brute-force grid, by the optimizer's level-set root."""
+    6's brute-force grid, by the optimizer's bracketed root on this module's
+    own ``math.exp`` reads of V' (``_slopes``), not the optimizer's."""
     pair = ps.positive_pair
     a_star = pair.derivative_argmin()
-    d_min = _derivatives(pair, a_star)[1]
+    d_min = _slopes(pair, a_star)[0]
     level = SEARCH_DERIVATIVE_FACTOR * d_min
     if level <= d_min:
         return a_star
-    return _level_point(pair, level, a_star, EXP_ARG_MAX / pair.kp, 1.0)
+
+    def f(x: float) -> tuple[float, float]:
+        d1, d2 = _slopes(pair, x)
+        return d1 - level, d2
+
+    return _find_root(f, a_star, EXP_ARG_MAX / pair.kp, 1.0 / pair.kp)[0]
 
 
 def brute_force_payout_grid(

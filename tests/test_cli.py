@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from parisian_impulse import ImpulsePolicy, SolverFailureError, cli, optimizer
+from parisian_impulse import ConfigError, ImpulsePolicy, SolverFailureError, cli, optimizer
 from parisian_impulse.cli import EVAL_COLUMNS, MC_CSV_COLUMNS, mc_csv_row
 from parisian_impulse.simulate import MonteCarloEstimate, SimulationConfig
 
@@ -465,6 +465,48 @@ def test_euler_step_count_beyond_the_limit_is_config_error(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and "dt 1e-300" in err and "t_max 150.0" in err
+
+
+# Inputs whose work has no bound but the machine's: each used to run for a
+# minute or more, or to end in an untyped MemoryError (exit 1), and is now
+# refused before any work against a documented limit.
+UNBOUNDED_WORK = {
+    "eval_grid": (["eval", "--config", CL_CFG, "--grid=0:1:100000000"], 2),
+    "optimize_grid": (["optimize", "--config", BM_CFG, "--grid=0:1:100000000"], 2),
+    "band_3e7_terms": (["optimize", "--config", CL_CFG, "--set", "r=1e7", "--set", "q=1e-9"], 3),
+    "band_3e9_terms": (["optimize", "--config", CL_CFG, "--set", "r=1e9", "--set", "q=1e-12"],
+                       3),
+    "claims_5e6": (["simulate", "--config", CL_CFG, "--set", "lambda=1e4", "--set", "p=1e4",
+                    "--set", "mu_claim=1.001", "--set", "delta=0.5", "--set", "r=10",
+                    "--functional", "exit", "--x", "1", "--barrier", "1e6", "--paths", "100"],
+                   2),
+}
+
+
+@pytest.mark.parametrize("case", UNBOUNDED_WORK)
+def test_unbounded_work_is_refused_at_once(bounded_python, case):
+    # in a child capped at 2 GiB of address space, with the modules the
+    # command needs loaded before the clock starts
+    argv, expected = UNBOUNDED_WORK[case]
+    code = f"""
+import contextlib, io, resource, time
+from parisian_impulse import cli, optimizer, parisian, simulate
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+err = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = cli.main({argv!r})
+print(code, time.perf_counter() - start, repr(err.getvalue()))
+"""
+    code, seconds, err = bounded_python(code, timeout=60.0).split(maxsplit=2)
+    assert int(code) == expected, err
+    assert float(seconds) < 1.0
+
+
+def test_grid_size_limit():
+    assert cli._parse_grid(f"0:1:{cli.GRID_MAX_POINTS}").size == cli.GRID_MAX_POINTS
+    with pytest.raises(ConfigError, match="points"):
+        cli._parse_grid(f"0:1:{cli.GRID_MAX_POINTS + 1}")
 
 
 def test_simulate_npv_needs_both_levels(capsys):

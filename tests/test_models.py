@@ -1,6 +1,9 @@
 """Model validation, Laplace exponents, exponent roots and scale coefficients."""
 from __future__ import annotations
 
+import warnings
+
+import numpy as np
 import pytest
 
 from parisian_impulse import (
@@ -8,13 +11,17 @@ from parisian_impulse import (
     ConfigError,
     CramerLundberg,
     DomainError,
+    ExponentialPair,
     InvalidRefractionError,
+    OverflowRangeError,
     ProblemSpec,
     compute_coefficients,
     drift_adjusted,
     laplace_exponent,
     right_inverse,
 )
+from parisian_impulse.models import EXP_ARG_MAX
+from parisian_impulse.parisian import parisian_scale
 
 from params import brownian_spec, cramer_lundberg_spec
 
@@ -202,3 +209,42 @@ def test_refraction_must_leave_positive_drift():
     # boundary value delta = p is also rejected
     with pytest.raises(InvalidRefractionError):
         ProblemSpec(CramerLundberg(3.0, 2.0, 1.0), delta=3.5, q=0.05, r=2.0, beta=1.0)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_float_path_equals_array_path_bit_for_bit():
+    # ExponentialPair.at is every read of V on x >= 0 in the optimizer and its
+    # certificates: its f and f' must carry the array route's bits out to the
+    # end of the exp range, and past it raise as the array route does, all
+    # without a RuntimeWarning (the last pair's f leaves the double range
+    # before its exponent does; the array route warns there, the float path not)
+    specs = (brownian_spec(), cramer_lundberg_spec())
+    pairs = [compute_coefficients(s).surplus for s in specs]
+    pairs += [parisian_scale(s).positive_pair for s in specs]
+    pairs += [ExponentialPair(2.0, 1.5, 0.3, -0.7), ExponentialPair(1.0, -0.5, 2.0, -1.0),
+              ExponentialPair(1e10, 1.0, 1.0, -1.0)]
+    rng = np.random.default_rng(22)
+    points = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in pairs:
+            end = EXP_ARG_MAX / pair.kp
+            xs = np.concatenate([rng.uniform(0.0, end, 20_000),
+                                 end * (1.0 - np.logspace(-16, -1, 400)), [0.0, end]])
+            floats = np.array([pair.at(x) for x in xs.tolist()])
+            with np.errstate(over="ignore", invalid="ignore"):
+                value, derivative = pair.value(xs), pair.derivative(xs)
+            assert np.array_equal(_bits(floats[:, 0]), _bits(value))
+            assert np.array_equal(_bits(floats[:, 1]), _bits(derivative))
+            points += xs.size
+            for x in (end * (1.0 + 1e-12), 2.0 * end, 1e300, np.inf):
+                with pytest.raises(OverflowRangeError) as by_float:
+                    pair.at(x)
+                with pytest.raises(OverflowRangeError) as by_array:
+                    pair.value(np.array([x]))
+                assert str(by_float.value) == str(by_array.value)
+    assert points >= 100_000
+    assert np.isinf(pairs[-1].at(EXP_ARG_MAX)[0])

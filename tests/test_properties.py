@@ -284,7 +284,7 @@ def test_refracted_scale_joins_surplus_scale_at_zero(spec, z):
     # at x = 0 the convolution term vanishes and w(0; -z) collapses to W(z)
     try:
         cs = compute_coefficients(spec)
-        surplus = ScaleFunction.for_surplus(spec)
+        surplus = ScaleFunction(cs.surplus, spec.q)
         joined, expected = refracted_scale(cs, 0.0, z), surplus.value(z)
     except NumericalError:
         return

@@ -90,7 +90,7 @@ def test_pair_overflow_guard():
 
 @pytest.mark.parametrize("spec", [brownian_spec(), cramer_lundberg_spec()])
 def test_scale_function_basics(spec):
-    w = ScaleFunction.for_surplus(spec)
+    w = ScaleFunction(compute_coefficients(spec).surplus, spec.q)
     assert w.value(-1.0) == 0.0
     assert w.derivative(-0.5) == 0.0
     assert w.second_scale(-2.0) == 1.0
@@ -108,9 +108,10 @@ def test_scale_function_basics(spec):
 
 
 def test_scale_derivative_at_zero_known_values():
-    bm = ScaleFunction.for_surplus(brownian_spec())
+    bm_spec, cl_spec = brownian_spec(), cramer_lundberg_spec()
+    bm = ScaleFunction(compute_coefficients(bm_spec).surplus, bm_spec.q)
     assert bm.derivative(0.0) == pytest.approx(2.0 / 0.75**2, rel=1e-13, abs=0.0)
-    cl = ScaleFunction.for_surplus(cramer_lundberg_spec())
+    cl = ScaleFunction(compute_coefficients(cl_spec).surplus, cl_spec.q)
     # (q + lam) / p^2 for the compound Poisson surplus
     assert cl.derivative(0.0) == pytest.approx(2.05 / 9.0, rel=1e-13, abs=0.0)
 
@@ -118,7 +119,7 @@ def test_scale_derivative_at_zero_known_values():
 @pytest.mark.parametrize("spec", [brownian_spec(), cramer_lundberg_spec()])
 def test_refracted_scale_continuity_at_zero(spec):
     cs = compute_coefficients(spec)
-    w = ScaleFunction.for_surplus(spec)
+    w = ScaleFunction(cs.surplus, spec.q)
     for z in (0.0, 0.5, 2.0, 6.0):
         assert refracted_scale(cs, 0.0, z) == pytest.approx(w.value(z), rel=1e-11)
     # below the refraction level the surplus scale takes over, continuously
@@ -196,7 +197,7 @@ def test_refracted_derivative_jump_for_compound_poisson():
     # the jump size is delta * (refracted mass at zero) * W'(depth)
     left = oracles.refracted_scale_derivative(cs, -1e-12, 2.0)
     right = oracles.refracted_scale_derivative(cs, 1e-12, 2.0)
-    w = ScaleFunction.for_surplus(spec)
+    w = ScaleFunction(cs.surplus, spec.q)
     expected = spec.delta / (spec.model.p - spec.delta) * w.derivative(2.0)
     assert right - left == pytest.approx(expected, rel=1e-6)
 

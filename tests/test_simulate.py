@@ -25,7 +25,13 @@ from parisian_impulse import (
 )
 from parisian_impulse.models import BrownianMotion, CramerLundberg, ProblemSpec
 from parisian_impulse import simulate
-from parisian_impulse.simulate import GROUP_PATHS, _Accumulator, _block_counts, _substreams
+from parisian_impulse.simulate import (
+    GROUP_PATHS,
+    MAX_CLAIM_ROUNDS,
+    _Accumulator,
+    _block_counts,
+    _substreams,
+)
 
 from oracles import brownian_block, cl_block, parisian_clock, simulate_refracted_path
 from params import brownian_spec, cramer_lundberg_spec
@@ -106,6 +112,16 @@ def test_euler_step_count_is_bounded(bm_spec, cl_spec):
         SimulationConfig(dt=1e-6, t_max=100.0 + 1e-6).resolve(bm_spec)
     assert SimulationConfig(dt=1e-6, t_max=100.0).resolve(bm_spec) == (1e-6, 100.0)
     assert SimulationConfig(dt=1e-300).resolve(cl_spec) == (1e-300, 100.0)  # no steps
+
+
+def test_expected_claim_count_is_bounded(cl_spec):
+    # checked before any work: lam * t_max = 5e6 claims per path ran past 60 s
+    lam = cl_spec.model.lam
+    assert SimulationConfig(t_max=MAX_CLAIM_ROUNDS / lam).resolve(cl_spec)[1] == 5e5
+    with pytest.raises(ConfigError, match="claims exceed"):
+        SimulationConfig(t_max=1.001 * MAX_CLAIM_ROUNDS / lam).resolve(cl_spec)
+    with pytest.raises(ConfigError, match="claims exceed"):
+        estimate_exit_functional(cl_spec, 0.0, 3.0, SimulationConfig(n_paths=10, t_max=1e7))
 
 
 def test_horizon_must_exceed_delay(cl_spec):
