@@ -10,23 +10,26 @@ over ``lower >= 0``, ``upper > lower + beta``; the candidate value function
 then scales V by the minimized ratio below ``upper`` and grows with unit
 slope above it.
 
-On x >= 0, V is two exponentials, so V' falls to a closed-form argmin
-``a*`` and rises beyond it, and the search reduces to one scalar root (the structure of Loeffen,
-2009, Insurance Math. Econ. 45).  For ``c1 <= a*`` let ``c2(c1) >= a*`` be
-the right preimage, ``V'(c2) = V'(c1)``, and
+On x >= 0, V is two exponentials, ``a*e^{kp x} - b*e^{km x}``, so V' falls to
+a closed-form argmin ``a*`` and rises beyond it, and the search reduces to one
+scalar root (the structure of Loeffen, 2009, Insurance Math. Econ. 45).  An
+interior optimum has ``V'(c1) = V'(c2)`` and
+``G = V(c2) - V(c1) - V'(c1) * (c2 - c1 - beta) = 0``.  With the gap
+``s = c2 - c1``, ``E = expm1(kp s)`` and ``F = expm1(km s)``, the first fixes
+``e^{(kp - km) c1} = b*km*F / (a*kp*E)`` (the ratio); the second is psi(s) = 0,
 
-    G(c1) = V(c2) - V(c1) - V'(c1) * (c2 - c1 - beta).
+    psi(s) = (kp - km) E F - kp km (s - beta) (E - F) = -G km F / (a e^{kp c1}),
 
-``G(a*) = beta * V'(a*) > 0`` and G changes sign at most once on [0, a*].
-The optimum is interior exactly when ``a* > 0`` and ``G(0) < 0``: then
-``c1*`` is the root of G and ``g* = V'(c1*) = V'(c2*)``.  Otherwise
-``c1* = 0`` and ``c2*`` is the root of the increasing function
+which knows only kp, km and beta: the delay r moves an interior c1*, never the
+gap.  Along the pairing ``dG/dc1 = -V''(c1) (c2 - c1 - beta)`` with V''(c1) < 0,
+and the gap shrinks to 0 as c1 rises to a*, where ``G = beta * V'(a*) > 0``; so
+psi is negative on (0, beta], grows like ``-kp km s E`` and changes sign once,
+at s*.  The optimum is interior exactly when ``a* > 0`` and the ratio at s*
+exceeds 1: then ``c1* = log(ratio) / (kp - km)`` and ``c2* = c1* + s*``.
+Otherwise ``c1* = 0`` and ``c2*`` is the root of the increasing function
 ``h(c2) = V'(c2) * (c2 - beta) - (V(c2) - V(0))`` on ``(max(a*, beta), inf)``.
-Every root, the preimage included, comes from one bracketed Newton-bisection
-on floats that never leaves the finite range of ``exp``.  Every read of V on
-x >= 0 here, in the roots, the certificates and the payout ratios, is the
-float path ``ExponentialPair.at``: bit for bit ``ps.value`` and
-``ps.derivative`` there, so the solver, its checks and ``verify`` see one V.
+Roots, certificates and payout ratios read V by ``ExponentialPair.at``, bit for
+bit ``ps.value``; each root is a bracketed Newton-bisection within exp's range.
 
 The sufficiency certificate (V' nondecreasing beyond the trigger) is closed
 form too.  With ``V = a*e^{kp x} - b*e^{km x}``, ``a > 0`` and ``km < 0``:
@@ -54,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OverflowRangeError, SolverFailureError
+from .errors import DomainError, OverflowRangeError, SolverFailureError
 from .models import EXP_ARG_MAX, ArrayLike, ExponentialPair, ImpulsePolicy
 from .parisian import ParisianScale
 
@@ -91,7 +94,7 @@ class OptimalPolicyResult:
     fo_residual: float  # relative first-order residual
     derivative_argmin: float
     sufficiency_pass: bool
-    iterations: int  # evaluations of G (interior) or h (boundary)
+    iterations: int  # evaluations of psi and h over the whole solve
 
 
 def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
@@ -179,27 +182,21 @@ def _level_point(pair: ExponentialPair, level: float, lo: float, hi: float, sign
 def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
     """Minimize the payout ratio g over admissible (lower, upper) pairs.
 
-    Sign test on G(0) for the case, then one scalar root per case (see the
-    module docstring).  ``iterations`` counts the evaluations of the outer
-    function, G or h.  A policy that would fail its own first-order or transfer
-    check raises ``SolverFailureError``.
+    One root of psi gives the case and an interior optimum, one of h a boundary
+    optimum (see the module docstring); ``iterations`` counts both.  A policy
+    failing its own first-order or transfer check raises ``SolverFailureError``.
     """
     beta = ps.spec.beta
     pair = ps.positive_pair
-    cap = EXP_ARG_MAX / pair.kp
-    width = 1.0 / pair.kp
+    kp, km = pair.kp, pair.km
+    cap = EXP_ARG_MAX / kp
     a_star = pair.derivative_argmin()
-    d_min = pair.at(a_star)[1]
 
-    def preimage(level: float) -> float:
-        """The point c >= a* with V'(c) = level, for level >= V'(a*)."""
-        return a_star if level <= d_min else _level_point(pair, level, a_star, cap, 1.0)
-
-    def G(c1: float) -> tuple[float, float]:
-        v1, d1, d2 = pair.at(c1)
-        c2 = preimage(d1)
-        gap = c2 - c1 - beta
-        return pair.at(c2)[0] - v1 - d1 * gap, -d2 * gap
+    def psi(s: float) -> tuple[float, float]:
+        e, f = math.expm1(kp * s), math.expm1(km * s)
+        de, df = kp * (e + 1.0), km * (f + 1.0)
+        return ((kp - km) * e * f - kp * km * (s - beta) * (e - f),
+                (kp - km) * (de * f + e * df) - kp * km * (e - f + (s - beta) * (de - df)))
 
     v0 = pair.at(0.0)[0]
 
@@ -207,14 +204,17 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
         v2, d1, d2 = pair.at(c2)
         return d1 * (c2 - beta) - (v2 - v0), d2 * (c2 - beta)
 
-    if a_star > 0.0 and G(0.0)[0] < 0.0:
-        case = "interior"
-        c1, iterations = _find_root(G, 0.0, a_star, width)
-        c2 = preimage(pair.at(c1)[1])
+    ratio, iterations = 0.0, 0
+    if a_star > 0.0:
+        gap, iterations = _find_root(psi, 0.0, cap, 1.0 / (kp - km))
+        ratio = pair.b * km * math.expm1(km * gap) / (pair.a * kp * math.expm1(kp * gap))
+    if ratio > 1.0:
+        case, c1 = "interior", math.log(ratio) / (kp - km)
+        c2 = c1 + gap
     else:
-        case = "boundary"
-        c1 = 0.0
-        c2, iterations = _find_root(h, max(a_star, beta), cap, width)
+        case, c1 = "boundary", 0.0
+        c2, its = _find_root(h, max(a_star, beta), cap, 1.0 / kp)
+        iterations += its
     policy = ImpulsePolicy(c1, c2)
     v2, d2, _ = pair.at(c2)
     v1, d1, _ = pair.at(c1)
@@ -270,6 +270,8 @@ def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport
     two exponential terms are largest, so that a V' that leaves the double
     range there is a typed error rather than a silent pass.
     """
+    if not 0.0 <= upper < math.inf:
+        raise DomainError(f"the trigger must be finite and nonnegative, got {upper}")
     pair = ps.positive_pair
     a_star = pair.derivative_argmin()
     far = max(upper + 10.0, 3.0 * max(a_star, 1.0))

@@ -23,6 +23,7 @@ from parisian_impulse import (
     payout_ratio,
     value_function,
 )
+from parisian_impulse import optimizer
 from parisian_impulse.config import build_problem_spec, parse_config_text
 from parisian_impulse.cli import result_record
 from parisian_impulse.parisian import parisian_scale
@@ -250,6 +251,17 @@ def test_sufficiency_certificate(bm_scale, cl_scale, optimum):
         assert not half.passed
 
 
+def test_sufficiency_trigger_outside_its_domain_is_a_domain_error(bm_scale):
+    # the closed form reads V on x >= 0 only: upper = -5 used to return
+    # worst_slack = -600.2, and NaN or inf an OverflowRangeError
+    for upper in (math.nan, math.inf, -math.inf, -5.0):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            check_sufficiency_pair(bm_scale, upper)
+    report = check_sufficiency_pair(bm_scale, 0.0)
+    assert not report.passed  # 0 < a*
+    assert report.worst_slack < 0.0 and math.isfinite(report.worst_slack)
+
+
 def test_sufficiency_argmin_frozen(bm_scale):
     report = check_sufficiency_pair(bm_scale, 2.0)
     assert report.derivative_argmin == pytest.approx(1.222869037, rel=1e-8)
@@ -373,9 +385,31 @@ def test_result_fields_are_plain_floats(spec, case, optimum):
         assert type(value) is float
 
 
-def test_iterations_count_outer_root_steps(optimum):
-    assert optimum(brownian_spec(1.0)).iterations > 1
-    assert optimum(brownian_spec(0.05)).iterations > 1
+@pytest.mark.parametrize(
+    "spec,case,roots",
+    [
+        (brownian_spec(0.05), "interior", 1),
+        (brownian_spec(1.0), "boundary", 2),
+        (cramer_lundberg_spec(1.0), "interior", 1),
+        (CL_STEEP, "boundary", 1),
+    ],
+    ids=["bm-interior", "bm-boundary", "cl-interior", "cl-boundary-flat"],
+)
+def test_iterations_count_every_root_evaluation(spec, case, roots, monkeypatch):
+    # one root of psi in the gap, plus one of h for a boundary optimum; where
+    # V' has no interior minimum (a* = 0, CL_STEEP) psi is not solved at all
+    counts = []
+    find_root = optimizer._find_root
+
+    def counted(*args):
+        root, evaluations = find_root(*args)
+        counts.append(evaluations)
+        return root, evaluations
+
+    monkeypatch.setattr(optimizer, "_find_root", counted)
+    result = find_optimal_policy(parisian_scale(spec))
+    assert (result.case, len(counts)) == (case, roots)
+    assert result.iterations == sum(counts) > 1
 
 
 def test_sufficiency_overflow_is_typed():

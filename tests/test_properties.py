@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,39 @@ except Exception:
 def test_optimizer_certified_or_typed_error(bounded_python):
     # every spec solves with its certificates or raises a typed error
     _run_property(bounded_python, "certified_or_typed_property")
+
+
+def _interior_gaps(spec: ProblemSpec) -> list[float]:
+    """``c2* - c1*`` of every interior optimum of the spec at five delays."""
+    gaps = []
+    for r in (spec.r, 0.5, 3.0, 20.0, 200.0):
+        try:
+            result = find_optimal_policy(parisian_scale(replace(spec, r=r)))
+        except NumericalError:
+            continue
+        if result.case == "interior":
+            gaps.append(result.policy.upper - result.policy.lower)
+    return gaps
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=specs(q_max=5.0, r_max=200.0))
+@example(spec=brownian_spec(beta=0.05))
+@example(spec=cramer_lundberg_spec(beta=1.0))
+def interior_gap_ignores_delay_property(spec):
+    # psi, whose root is the gap c2* - c1*, knows only kp, km and beta: the
+    # delay r moves a and b, and with them an interior c1*, but not the gap
+    gaps = _interior_gaps(spec)
+    for gap in gaps[1:]:
+        assert gap == pytest.approx(gaps[0], rel=1e-12, abs=0.0), gaps
+
+
+def test_interior_gap_ignores_delay(bounded_python):
+    # the property's examples, the shipped configs, are interior at r = 0.5
+    # and at their own delay, so there it compares at least two gaps
+    for spec in (brownian_spec(beta=0.05), cramer_lundberg_spec(beta=1.0)):
+        assert len(_interior_gaps(spec)) >= 2
+    _run_property(bounded_python, "interior_gap_ignores_delay_property")
 
 
 def _verdict(check):
