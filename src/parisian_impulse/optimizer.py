@@ -191,6 +191,11 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
     kp, km = pair.kp, pair.km
     cap = EXP_ARG_MAX / kp
     a_star = pair.derivative_argmin()
+    # every c2 lies past a*, where V/V' >= (1 + kp/km)/kp: the resolution check below cannot
+    # pass (2 covers FO_TOL and rounding) where 2**-53 times that bound exceeds TRANSFER_TOL
+    best = 2.0**-53 * (1.0 + kp / km) / kp
+    if best > 2.0 * TRANSFER_TOL:
+        raise SolverFailureError(f"V is flat in doubles: V/g* resolved at best to {best:.3g}")
 
     def psi(s: float) -> tuple[float, float]:
         e, f = math.expm1(kp * s), math.expm1(km * s)

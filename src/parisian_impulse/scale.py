@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import (
+    EXP_ARG_MAX,
     ArrayLike,
     CoefficientSet,
     ExponentialPair,
@@ -61,26 +62,24 @@ def refracted_pair(cs: CoefficientSet, depth: ArrayLike) -> ExponentialPair:
     surplus-rate exponentials in the convolution exactly, leaving only the
     refracted rates.  The resulting coefficients are sums of same-sign terms
     for the growing part, so the evaluation stays cancellation-free.  An
-    array of depths gives arrays ``a`` and ``b``, one entry per depth.
+    array of depths gives arrays ``a`` and ``b``, one entry per depth; a float
+    depth gives floats, its range checked by one float compare as in ``at``.
     """
     array = isinstance(depth, np.ndarray)
     if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
         raise DomainError(f"depth must be nonnegative, got {depth}")
     X, Y = cs.surplus, cs.refracted
     delta = cs.spec.delta
-    _check_exp_range(X.kp, depth)
+    if array or X.kp * depth > EXP_ARG_MAX:  # a float depth comes here only to raise
+        _check_exp_range(X.kp, depth)
     # np.exp on a float equals its array result bit for bit; math.exp may not
     e_p, e_m = np.exp(X.kp * depth), np.exp(X.km * depth)
     if not array:
         e_p, e_m = float(e_p), float(e_m)
     tp = X.a * X.kp * e_p
     tm = X.b * X.km * e_m
-    a = -delta * Y.a * (
-        tp / (X.kp - Y.kp) - tm / (X.km - Y.kp)
-    )
-    b = -delta * Y.b * (
-        tp / (X.kp - Y.km) - tm / (X.km - Y.km)
-    )
+    a = -delta * Y.a * (tp / (X.kp - Y.kp) - tm / (X.km - Y.kp))
+    b = -delta * Y.b * (tp / (X.kp - Y.km) - tm / (X.km - Y.km))
     return ExponentialPair(a, b, Y.kp, Y.km)
 
 
@@ -91,14 +90,19 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     Equals the plain surplus scale function at ``x + depth`` for ``x < 0``
     and switches to the refracted two-exponential form above 0 (continuously).
     Either argument may be an array: a scalar ``x`` with an array of depths
-    (the window integral) or an array of ``x`` at one depth.
+    (the window integral) or an array of ``x`` at one depth.  A float ``x`` at
+    a float depth is read by :meth:`ExponentialPair.at`, bit for bit the array.
     """
     if not isinstance(x, np.ndarray):
+        array = isinstance(depth, np.ndarray)  # the window integral's depths
         if x < 0.0:
-            if not np.all(np.asarray(depth) >= 0.0):  # NaN included, as in refracted_pair
+            if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
                 raise DomainError(f"depth must be nonnegative, got {depth}")
-            return ScaleFunction(cs.surplus, cs.spec.q).value(x + depth)
-        return refracted_pair(cs, depth).value(x)
+            if array:
+                return ScaleFunction(cs.surplus, cs.spec.q).value(x + depth)
+            return 0.0 if x + depth < 0.0 else cs.surplus.at(x + depth)[0]
+        pair = refracted_pair(cs, depth)
+        return pair.value(x) if array else pair.at(x)[0]
     xx = np.asarray(x, dtype=float)
     below = ScaleFunction(cs.surplus, cs.spec.q).value(np.minimum(xx, 0.0) + depth)
     above = refracted_pair(cs, depth).value(np.maximum(xx, 0.0))

@@ -460,3 +460,39 @@ def test_negative_payout_ratio_is_not_a_solve():
                        r=11.593255864584494, beta=0.8418703647785368)
     with pytest.raises(SolverFailureError, match="flat in doubles"):
         find_optimal_policy(parisian_scale(spec))
+
+
+@pytest.mark.parametrize("kind, beta, q", [("bm", 0.05, 1e-120), ("bm", 1.0, 1e-120),
+                                           ("cl", 1.0, 1e-100)])
+def test_tiny_discount_rate_names_flat_v_within_few_evaluations(kind, beta, q, monkeypatch):
+    # psi cancels to rounding noise where kp*s << 1 << -km*s: the Brownian bracket
+    # once ran all 200 steps to "no sign change on [8.30044e+94, 3.15e+122]" and
+    # the compound Poisson solve took 181 evaluations to fail its resolution check
+    evaluations = []
+    find_root = optimizer._find_root
+
+    def counted(*args):
+        root, its = find_root(*args)
+        evaluations.append(its)
+        return root, its
+
+    monkeypatch.setattr(optimizer, "_find_root", counted)
+    ps = parisian_scale(replace(_spec(kind, beta), q=q))
+    with pytest.raises(SolverFailureError, match=r"flat in doubles|resolved"):
+        find_optimal_policy(ps)
+    assert sum(evaluations) <= 50
+
+
+@pytest.mark.parametrize("q", [0.05, 1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("kind", ["bm", "cl"])
+def test_resolution_bound_holds_past_the_argmin(kind, q):
+    # on [a*, inf) V'' >= 0 bounds the decaying term of V and V', so
+    # V/V' >= (1 + kp/km)/kp: find_optimal_policy refuses a spec before any root
+    # where 2**-53 times that exceeds twice TRANSFER_TOL, since V/g* at any c2
+    # past a* would then fail the resolution check too
+    pair = parisian_scale(replace(_spec(kind, 1.0), q=q)).positive_pair
+    kp, km, a_star = pair.kp, pair.km, pair.derivative_argmin()
+    bound = (1.0 + kp / km) / kp
+    for x in [a_star, *(a_star + np.geomspace(1e-6, 0.99 * EXP_ARG_MAX / kp - a_star, 300))]:
+        v, d, _ = pair.at(float(x))
+        assert v / d >= bound * (1.0 - 1e-12), x

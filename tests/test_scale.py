@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from parisian_impulse import (
     UndefinedDerivativeError,
     compute_coefficients,
 )
+from parisian_impulse.models import EXP_ARG_MAX
 from parisian_impulse.scale import ScaleFunction, refracted_pair, refracted_scale
 
 import oracles
@@ -136,22 +138,50 @@ def test_refracted_scale_on_arrays_matches_scalar_calls(spec):
     assert refracted_scale(cs, xs, 1.3).tolist() == [refracted_scale(cs, x, 1.3) for x in xs]
     # an array of depths at one x
     for x in xs:
-        want = [refracted_scale(cs, float(x), float(z)) for z in depths]
-        assert refracted_scale(cs, float(x), depths) == pytest.approx(want, rel=1e-14, abs=0.0)
+        want = [refracted_scale(cs, float(x), float(z)).hex() for z in depths]
+        assert [v.hex() for v in refracted_scale(cs, float(x), depths).tolist()] == want
     with pytest.raises(ValueError):
         refracted_pair(cs, np.array([0.5, -0.1]))
 
 
+def _outcome(f):
+    """The float bits of ``f()`` (its first entry for an array), or its error."""
+    try:
+        return float(np.asarray(f()).reshape(-1)[0]).hex()
+    except (DomainError, OverflowRangeError) as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("spec", [brownian_spec(), cramer_lundberg_spec()])
 def test_refracted_scale_scalar_depth_matches_one_point_array_bitwise(spec):
-    # a scalar depth and an array of depths must take one exp: math.exp and
-    # np.exp differ in the last bit for a few percent of arguments on some CPUs
+    # a float x at a float depth is read on floats by ExponentialPair.at: it must
+    # give the bits of the one-point x array and of the one-point depth array,
+    # which take one exp with it (math.exp and np.exp differ in the last bit for
+    # a few percent of arguments on some CPUs), on both sides of 0, out to the
+    # end of the exp range and at NaN, with no warning
     cs = compute_coefficients(spec)
     rng = np.random.default_rng(17)
-    for x, z in zip(rng.uniform(-3.0, 6.0, 2000), rng.uniform(0.0, 6.0, 2000)):
-        x, z = float(x), float(z)
-        scalar = refracted_scale(cs, x, z)
-        assert scalar.hex() == float(refracted_scale(cs, x, np.array([z]))[0]).hex(), (x, z)
+    edge = EXP_ARG_MAX / cs.surplus.kp
+    points = list(zip(rng.uniform(-3.0, 6.0, 2000), rng.uniform(0.0, 6.0, 2000)))
+    points += [(x, edge * (1.0 - e)) for x in (-edge / 2, -1.0, 0.0, 3.0) for e in (1e-12, 0.0)]
+    points += [(math.nan, 1.3), (math.nan, 0.0), (-math.inf, 1.3), (-1.3, 1.3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, z in points:
+            x, z = float(x), float(z)
+            scalar = refracted_scale(cs, x, z)
+            assert type(scalar) is float, (x, z)
+            by_x = _outcome(lambda: refracted_scale(cs, np.array([x]), z))
+            by_depth = _outcome(lambda: refracted_scale(cs, x, np.array([z])))
+            assert scalar.hex() == by_x == by_depth, (x, z)
+        # errors: the type and text of the array route; an array of depths prints as one
+        past, far = edge * (1.0 + 1e-12), EXP_ARG_MAX / cs.refracted.kp * (1.0 + 1e-12)
+        for x, z in [(0.0, past), (3.0, past), (math.inf, 1.3), (far, 1.3),
+                     (-1.0, -0.5), (0.5, -0.5), (-1.0, math.nan), (0.5, math.nan)]:
+            error = _outcome(lambda: refracted_scale(cs, x, z))
+            assert error[0] in (DomainError, OverflowRangeError), (x, z)
+            assert error == _outcome(lambda: refracted_scale(cs, np.array([x]), z)), (x, z)
+            assert error[0] == _outcome(lambda: refracted_scale(cs, x, np.array([z])))[0]
     pair = refracted_pair(cs, 1.0)
     assert isinstance(pair.a, float) and isinstance(pair.b, float)
 
