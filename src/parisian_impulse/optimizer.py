@@ -28,8 +28,9 @@ at s*.  The optimum is interior exactly when ``a* > 0`` and the ratio at s*
 exceeds 1: then ``c1* = log(ratio) / (kp - km)`` and ``c2* = c1* + s*``.
 Otherwise ``c1* = 0`` and ``c2*`` is the root of the increasing function
 ``h(c2) = V'(c2) * (c2 - beta) - (V(c2) - V(0))`` on ``(max(a*, beta), inf)``.
-Roots, certificates and payout ratios read V by ``ExponentialPair.at``, bit for
-bit ``ps.value``; each root is a bracketed Newton-bisection within exp's range.
+Roots, certificates, payout ratios and the policy value on ``[0, upper]`` read V
+by ``ExponentialPair.at``, bit for bit ``ps.value``; each root is a bracketed
+Newton-bisection within exp's range.
 
 The sufficiency certificate (V' nondecreasing beyond the trigger) is closed
 form too.  With ``V = a*e^{kp x} - b*e^{km x}``, ``a > 0`` and ``km < 0``:
@@ -250,19 +251,22 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> Ar
     """Candidate value of the policy started from x (a float or an array).
 
     Scales V below ``upper`` and continues with unit slope above; continuous
-    at ``upper`` by construction.
+    at ``upper`` by construction.  A float x in ``[0, upper]`` reads V by ``at``.
     """
     beta = ps.spec.beta
     lo, up = policy.lower, policy.upper
     policy.validate(beta)
     pair = ps.positive_pair
-    factor = (up - lo - beta) / _gain(pair.at(up)[0], pair.at(lo)[0], lo, up, beta)
+    v_lo = pair.at(lo)[0]
+    factor = (up - lo - beta) / _gain(pair.at(up)[0], v_lo, lo, up, beta)
     if isinstance(x, np.ndarray):
         below = factor * ps.value(np.minimum(x, up))
-        return np.where(x <= up, below, x - lo - beta + factor * ps.value(lo))
+        return np.where(x <= up, below, x - lo - beta + factor * v_lo)
+    if 0.0 <= x <= up:
+        return factor * pair.at(x)[0]
     if x > up:
-        return x - lo - beta + factor * ps.value(lo)
-    return factor * ps.value(x)  # NaN lands here, and V raises
+        return x - lo - beta + factor * v_lo
+    return factor * ps.value(x)  # below 0; NaN lands here, and V raises
 
 
 def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport:

@@ -10,9 +10,11 @@ two-product evaluation suffers from.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, OverflowRangeError
 from .models import (
     EXP_ARG_MAX,
     ArrayLike,
@@ -89,21 +91,26 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
 
     Equals the plain surplus scale function at ``x + depth`` for ``x < 0``
     and switches to the refracted two-exponential form above 0 (continuously).
-    Either argument may be an array: a scalar ``x`` with an array of depths
-    (the window integral) or an array of ``x`` at one depth.  A float ``x`` at
-    a float depth is read by :meth:`ExponentialPair.at`, bit for bit the array.
+    Either argument may be an array (the window integral's depths, eval's
+    ``x``): each branch is read on its own points only.  A float ``x`` at a
+    float depth is read by :meth:`ExponentialPair.at`, bit for bit the array;
+    a result out of the double range raises ``OverflowRangeError``.
     """
-    if not isinstance(x, np.ndarray):
-        array = isinstance(depth, np.ndarray)  # the window integral's depths
-        if x < 0.0:
-            if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
-                raise DomainError(f"depth must be nonnegative, got {depth}")
-            if array:
-                return ScaleFunction(cs.surplus, cs.spec.q).value(x + depth)
-            return 0.0 if x + depth < 0.0 else cs.surplus.at(x + depth)[0]
-        pair = refracted_pair(cs, depth)
-        return pair.value(x) if array else pair.at(x)[0]
-    xx = np.asarray(x, dtype=float)
-    below = ScaleFunction(cs.surplus, cs.spec.q).value(np.minimum(xx, 0.0) + depth)
-    above = refracted_pair(cs, depth).value(np.maximum(xx, 0.0))
-    return np.where(xx < 0.0, below, above)
+    array = isinstance(depth, np.ndarray)  # the window integral's depths
+    if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
+        raise DomainError(f"depth must be nonnegative, got {depth}")
+    if array or isinstance(x, np.ndarray):
+        xs, zs = np.broadcast_arrays(np.asarray(x, dtype=float), depth)
+        w, neg = np.empty(xs.shape), xs < 0.0
+        with np.errstate(over="ignore"):
+            if neg.any():
+                w[neg] = ScaleFunction(cs.surplus, cs.spec.q).value(xs[neg] + zs[neg])
+            if not neg.all():  # NaN goes to the refracted pair
+                w[~neg] = refracted_pair(cs, zs[~neg]).value(xs[~neg])
+    elif x < 0.0:
+        w = 0.0 if x + depth < 0.0 else cs.surplus.at(x + depth)[0]
+    else:
+        w = refracted_pair(cs, depth).at(x)[0]
+    if np.isinf(w).any() if isinstance(w, np.ndarray) else math.isinf(w):
+        raise OverflowRangeError(f"w(x; -depth) leaves the double range at depth {depth}")
+    return w

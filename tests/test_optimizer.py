@@ -26,7 +26,7 @@ from parisian_impulse import (
 from parisian_impulse import optimizer
 from parisian_impulse.config import build_problem_spec, parse_config_text
 from parisian_impulse.cli import result_record
-from parisian_impulse.parisian import parisian_scale
+from parisian_impulse.parisian import ParisianScale, parisian_scale
 from parisian_impulse.models import EXP_ARG_MAX
 
 import oracles
@@ -175,6 +175,104 @@ def test_value_function_on_arrays_matches_scalar_calls(bm_scale, cl_scale, optim
         xs = np.array([-8.0, -1.0, 0.0, 0.5 * pol.upper, pol.upper, 1.5 * pol.upper])
         got = value_function(ps, pol, xs)
         assert got.tolist() == [value_function(ps, pol, float(x)) for x in xs]
+
+
+def _drawn_specs(n_per_model, seed):
+    """Specs of both models drawn from the benchmark's parameter box, the
+    transaction cost wide enough for interior and boundary optima."""
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform
+
+    def log_uniform(lo, hi):
+        return math.exp(uniform(math.log(lo), math.log(hi)))
+
+    specs = []
+    for _ in range(n_per_model):
+        common = dict(q=log_uniform(0.01, 5.0), r=log_uniform(0.5, 200.0), beta=uniform(0.02, 1.5))
+        specs.append(ProblemSpec(BrownianMotion(uniform(0.1, 1.0), uniform(0.3, 1.5)),
+                                 delta=uniform(0.01, 0.08), **common))
+        model = CramerLundberg(uniform(2.0, 4.0), uniform(0.5, 3.0), uniform(0.8, 2.0))
+        specs.append(ProblemSpec(model, delta=uniform(0.05, 0.5), **common))
+    return specs
+
+
+def _replaced_value_function(ps, policy, x):
+    """The float route that value_function read V by before ExponentialPair.at:
+    ``ps.value`` at x and, above the trigger, at ``lower``."""
+    beta = ps.spec.beta
+    lo, up = policy.lower, policy.upper
+    policy.validate(beta)
+    factor = (up - lo - beta) / optimizer._gain(ps.value(up), ps.value(lo), lo, up, beta)
+    if x > up:
+        return x - lo - beta + factor * ps.value(lo)
+    return factor * ps.value(x)
+
+
+def _float_outcome(call):
+    """The bits of the float ``call()`` returns, or the type and text of its error."""
+    try:
+        value = call()
+    except (DomainError, NumericalError) as exc:
+        return type(exc), str(exc)
+    assert type(value) is float
+    return value.hex()
+
+
+def test_value_function_float_route_equals_replaced_formula_bit_for_bit():
+    # a float x in [0, upper] reads V by ExponentialPair.at and one above it reuses
+    # V(lower): the bits, error types and texts of factor * ps.value(x), over optimal
+    # policies of both cases and one wider policy per spec, and the array route
+    # equals the float route
+    cases = []
+    for spec in _drawn_specs(60, seed=25):  # all 120 solve
+        ps = parisian_scale(spec)
+        result = find_optimal_policy(ps)
+        cases.append(result.case)
+        opt = result.policy
+        for policy in (opt, ImpulsePolicy(0.5 * opt.lower, 1.5 * opt.upper + spec.beta)):
+            lo, up = policy.lower, policy.upper
+            points = [0.0, -0.0, 5e-324, lo, 0.5 * lo, 0.5 * (lo + up), 0.9 * up, up,
+                      math.nextafter(up, -math.inf), math.nextafter(up, math.inf),
+                      1.5 * up, 10.0 * up + 100.0, 1e300, -0.5, math.inf, -math.inf, math.nan]
+            with np.errstate(over="ignore"):
+                new = [_float_outcome(lambda: value_function(ps, policy, x)) for x in points]
+                old = [_float_outcome(lambda: _replaced_value_function(ps, policy, x))
+                       for x in points]
+            assert new == old, (spec, policy)
+            got = value_function(ps, policy, np.array(points[:-1]))  # a NaN raises for all
+            assert [v.hex() for v in got.tolist()] == new[:-1], (spec, policy)
+    assert {"interior", "boundary"} <= set(cases)
+    # each error alike on both routes: a net payout that rounds to 0 and V out of
+    # the double range at the trigger
+    overflow = ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076, q=3.63,
+                           r=191.9, beta=0.677)
+    for spec, policy in [(brownian_spec(1.3041003989788345),
+                          ImpulsePolicy(0.5006457197522601, 1.8047461187310947)),
+                         (overflow, ImpulsePolicy(0.0, 8.0))]:
+        ps = parisian_scale(spec)
+        with np.errstate(over="ignore"):
+            errors = [_float_outcome(lambda: f(ps, policy, 1.0))
+                      for f in (value_function, _replaced_value_function)]
+        assert errors[0] == errors[1] and isinstance(errors[0], tuple), spec
+
+
+def test_value_function_float_route_never_calls_ps_value(bm_scale, cl_scale, optimum, monkeypatch):
+    # a float x in [0, upper] or above it reads V by ExponentialPair.at alone: the
+    # route cannot fall back on the scalar ps.value silently
+    expected = {}
+    for ps in (bm_scale, cl_scale):
+        policy = optimum(ps.spec).policy
+        xs = [0.0, policy.lower, 0.5 * policy.upper, policy.upper, 2.0 * policy.upper, math.inf]
+        expected[ps] = policy, xs, [value_function(ps, policy, x) for x in xs]
+
+    def refuse(self, x):
+        raise AssertionError(f"ps.value({x}) called")
+
+    monkeypatch.setattr(ParisianScale, "value", refuse)
+    for ps, (policy, xs, want) in expected.items():
+        assert [value_function(ps, policy, x) for x in xs] == want
+        with pytest.raises(AssertionError, match="called"):
+            value_function(ps, policy, -0.5)  # below 0 it still reads ps.value
 
 
 def test_value_function_nan_raises_and_minus_infinity_gives_zero(bm_scale, cl_scale, optimum):

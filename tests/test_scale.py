@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from parisian_impulse import (
+    BrownianMotion,
     DomainError,
     ExponentialPair,
     OverflowRangeError,
+    ProblemSpec,
     UndefinedDerivativeError,
     compute_coefficients,
 )
@@ -184,6 +186,56 @@ def test_refracted_scale_scalar_depth_matches_one_point_array_bitwise(spec):
             assert error[0] == _outcome(lambda: refracted_scale(cs, x, np.array([z])))[0]
     pair = refracted_pair(cs, 1.0)
     assert isinstance(pair.a, float) and isinstance(pair.b, float)
+
+
+@pytest.mark.parametrize("spec", [brownian_spec(), cramer_lundberg_spec()])
+def test_refracted_scale_array_reads_each_branch_on_its_own_points(spec):
+    # an array of x once read the surplus branch on every point and the refracted
+    # pair on every point too: a depth past the pair's exp range raised for points
+    # below 0 whose surplus branch is finite (x = -3687 at z = 7373.79 on the
+    # Brownian spec).  At both ends of the exp range, in depth and in x, each
+    # point of an array equals the float call, bit for bit and error for error
+    cs = compute_coefficients(spec)
+    edge, far = EXP_ARG_MAX / cs.surplus.kp, EXP_ARG_MAX / cs.refracted.kp
+    below = [-0.5 * edge, -1.0]  # inside the exp range at every depth below
+    xs = below + [-1e-300, -0.0, 0.0, 3.0, far * (1.0 - 1e-12), far * (1.0 + 1e-12), math.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (edge * (1.0 - 1e-12), edge * (1.0 + 1e-12), 1.3, 0.0):
+            for x in xs:
+                want = _outcome(lambda: refracted_scale(cs, x, z))
+                assert _outcome(lambda: refracted_scale(cs, np.array([x]), z)) == want, (x, z)
+            got = refracted_scale(cs, np.array(below), z).tolist()
+            assert [v.hex() for v in got] == [refracted_scale(cs, x, z).hex() for x in below]
+        z = edge * (1.0 + 1e-12)
+        assert math.isfinite(refracted_scale(cs, np.array([-0.5 * edge]), z)[0])
+        with pytest.raises(OverflowRangeError):
+            refracted_scale(cs, np.array([-0.5 * edge, 0.0]), z)
+
+
+def test_refracted_scale_out_of_double_range_is_typed():
+    # kp*x is 10.4 inside the exp range, but w(100; -z) overflows: both routes
+    # returned inf, the array one with "overflow encountered in multiply"
+    cs = compute_coefficients(brownian_spec())
+    z = 0.999999 * EXP_ARG_MAX / cs.surplus.kp
+    # mu = 0 and a small sigma and q put W(z) = 7e5 * e^{kp z} past the double range
+    # below 0 too, and the refracted coefficients with it
+    flat = compute_coefficients(ProblemSpec(BrownianMotion(0.0, 1e-3), delta=1e-6, q=1e-6,
+                                            r=1.0, beta=0.1))
+    z_flat = 0.999999 * EXP_ARG_MAX / flat.surplus.kp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cs_, x, depth in [(cs, 100.0, z), (flat, 0.0, z_flat), (flat, -1e-9, z_flat)]:
+            for arg in (x, np.array([x]), np.array([-1.0, 3.0, x])):
+                with pytest.raises(OverflowRangeError, match="double range"):
+                    refracted_scale(cs_, arg, depth)
+        # NaN x gives NaN, and a finite result is kept on both routes
+        assert math.isnan(refracted_scale(cs, math.nan, z))
+        assert math.isnan(refracted_scale(cs, np.array([math.nan]), z)[0])
+        assert refracted_scale(cs, np.array([3.0]), z)[0] == refracted_scale(cs, 3.0, z)
+        assert math.isfinite(refracted_scale(cs, 3.0, z))
+        with pytest.raises(OverflowRangeError):
+            refracted_scale(cs, 100.0, np.array([1.0, z]))  # an array of depths
 
 
 def test_refracted_scale_frozen_values():
