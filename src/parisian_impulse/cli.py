@@ -177,19 +177,20 @@ def _write_text(path: str | None, text: str) -> None:
 # minimal SVG line charts (no external dependency; data inspection only)
 # ---------------------------------------------------------------------------
 
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_COLOR = "#1f77b4"
 
 
 def _svg_line_chart(
     path: str,
     xs: list[float],
-    series: dict[str, list[float | None]],
+    name: str,
+    ys: list[float | None],
     title: str,
     vlines: list[tuple[float, str]] = (),
 ) -> None:
     width, height, pad = 640, 420, 54
     finite = lambda p: p[1] is not None and math.isfinite(p[1])
-    pts = [p for ys in series.values() for p in zip(xs, ys) if finite(p)]
+    pts = [p for p in zip(xs, ys) if finite(p)]
     if not pts:
         raise DomainError("nothing to plot: no finite values on the grid")
     px, py = zip(*pts)
@@ -223,18 +224,14 @@ def _svg_line_chart(
             f'<text x="{pad - 6}" y="{sy(yv) + 3:.1f}" text-anchor="end" '
             f'font-size="10">{yv:.4g}</text>'
         )
-    for color_i, (name, ys) in enumerate(series.items()):
-        color = _PALETTE[color_i % len(_PALETTE)]
-        # gaps (None / non-finite cells) split the trace into segments
-        for ok, run in itertools.groupby(zip(xs, ys), key=finite):
-            if ok:
-                points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in run)
-                parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                             f'points="{points}"/>')
-        parts.append(
-            f'<text x="{width - pad}" y="{pad + 14 * color_i}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{name}</text>'
-        )
+    # gaps (None / non-finite cells) split the trace into segments
+    for ok, run in itertools.groupby(zip(xs, ys), key=finite):
+        if ok:
+            points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in run)
+            parts.append(f'<polyline fill="none" stroke="{_COLOR}" stroke-width="1.5" '
+                         f'points="{points}"/>')
+    parts.append(f'<text x="{width - pad}" y="{pad}" text-anchor="end" '
+                 f'font-size="11" fill="{_COLOR}">{name}</text>')
     for xv, label in vlines:
         if x_lo <= xv <= x_hi:
             parts.append(
@@ -305,7 +302,7 @@ def cmd_eval(args) -> int:
     lines = [",".join(EVAL_COLUMNS)] + [",".join(row) for row in zip(*columns)]
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.svg:
-        _svg_line_chart(args.svg, xs.tolist(), {"V": _numbers(columns[5])},
+        _svg_line_chart(args.svg, xs.tolist(), "V", _numbers(columns[5]),
                         "Parisian refracted scale V")
     return 0
 
@@ -350,14 +347,14 @@ def cmd_optimize(args) -> int:
         lines = ["x,V_prime,marker"] + [
             f"{sig17(x)},{cell},{marker}" for (x, marker), cell in zip(rows, cells)
         ]
-        ys = _numbers(cells)
         if args.out:
             _write_text(args.out, "\n".join(lines) + "\n")
         if args.svg:
             _svg_line_chart(
                 args.svg,
                 xs,
-                {"V'": ys},
+                "V'",
+                _numbers(cells),
                 "Scale derivative with optimal policy",
                 vlines=[(c1, "c1*"), (c2, "c2*")],
             )

@@ -14,8 +14,10 @@ exceeds its length's share of the tolerance, and evaluates the 15 nodes of
 all the new halves in one call of the integrand on an array.
 
 The oracles built on the rule live here, apart from what they check:
-``quadrature_value``, V from its defining window integral (the compound
-Poisson window law is ``CompoundPoissonWindow``), and ``generator_residual``.
+``quadrature_value``, V from its defining window integral, one integrand for
+both models, which supply only the window density (compound Poisson's is
+``CompoundPoissonWindow``), its breakpoints and the no-claim atom; and
+``generator_residual``.
 """
 from __future__ import annotations
 
@@ -188,49 +190,34 @@ class CompoundPoissonWindow:
 
 def quadrature_value(ps: ParisianScale, x: float) -> float:
     """V at x via the defining integral of ``w(x; -z)`` against the
-    one-window displacement law.  Independent of the closed forms."""
-    if isinstance(ps.spec.model, CramerLundberg):
-        if x < -ps.spec.model.p * ps.spec.r:
-            # the window displacement cannot lift the start back to 0 in time
-            return 0.0
-        # at x = -p*r exactly the no-claim atom still counts (recovery exactly
-        # at the deadline is recovery), matching the right limit convention
-        return _quad_cl(ps, x)
-    return _quad_brownian(ps, x)
+    one-window displacement law.  Independent of the closed forms.
 
-
-def _quad_cl(ps: ParisianScale, x: float) -> float:
+    The integral runs over ``z >= max(0, -x)``, split at the model's
+    breakpoints; compound Poisson adds the no-claim atom at ``z = p*r``."""
     spec = ps.spec
     m = spec.model
     cs = ps.coefficient_set
-    pr = m.p * spec.r
-    window = CompoundPoissonWindow(m.lam, m.mu_claim, spec.r)
-    lo = max(0.0, -x)
-    total = window.atom * m.p * refracted_scale(cs, x, pr)
+    if isinstance(m, CramerLundberg):
+        pr = m.p * spec.r
+        window = CompoundPoissonWindow(m.lam, m.mu_claim, spec.r)
+        density = lambda z: window.density(pr - z)
+        breaks = (pr,)
+        # the atom counts from x = -p*r on (recovery exactly at the deadline is
+        # recovery); below it w(x; -p*r) = W(x + p*r) = 0 and nothing is integrated
+        total = window.atom * m.p * refracted_scale(cs, x, pr)
+    else:
+        mean = m.mu * spec.r
+        sd = m.sigma * math.sqrt(spec.r)
+        density = lambda z: np.exp(-0.5 * ((z - mean) / sd) ** 2) / (sd * _SQRT_2PI)
+        breaks = (mean, mean + 12.0 * sd)
+        total = 0.0
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        return refracted_scale(cs, x, z) * (z / spec.r) * window.density(pr - z)
-
-    if lo < pr:
-        total += integrate(integrand, lo, pr, QUAD_ATOL, QUAD_RTOL)[0]
-    return total
-
-
-def _quad_brownian(ps: ParisianScale, x: float) -> float:
-    spec = ps.spec
-    m = spec.model
-    cs = ps.coefficient_set
-    mean = m.mu * spec.r
-    sd = m.sigma * math.sqrt(spec.r)
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        dens = np.exp(-0.5 * ((z - mean) / sd) ** 2) / (sd * _SQRT_2PI)
-        return refracted_scale(cs, x, z) * (z / spec.r) * dens
+        return refracted_scale(cs, x, z) * (z / spec.r) * density(z)
 
     lo = max(0.0, -x)
-    hi = mean + 12.0 * sd
-    total = 0.0
-    for a, b in ((lo, max(lo, mean)), (max(lo, mean), hi)):
+    ends = [lo, *(max(lo, b) for b in breaks)]
+    for a, b in zip(ends, ends[1:]):
         if a < b:
             total += integrate(integrand, a, b, QUAD_ATOL, QUAD_RTOL)[0]
     return total

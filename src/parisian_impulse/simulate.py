@@ -31,7 +31,7 @@ Conventions of both kernels:
   Censoring beyond 0.1% of paths attaches a warning to the estimate.
 
 Estimates are reproducible bit for bit: paths are split over a fixed number of
-seeded substreams and block moments are combined in a fixed order.  Both
+seeded substreams, and one reducer sums their moments in block order.  Both
 kernels step the substreams' paths as one array, each substream drawing in the
 order it would alone.  The exact kernel keeps at most ``GROUP_PATHS`` live
 paths in rows allocated once per call; whole substreams join in order as soon as
@@ -47,6 +47,7 @@ exit functional, whose barrier can remove a path at any step, steps one at a tim
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -142,33 +143,24 @@ def _moments(pay: np.ndarray, n_raw: int, n_censored: int) -> tuple:
     return float(np.sum(pay)), float(np.sum(pay * pay)), pay.size, n_raw, n_censored
 
 
-class _Accumulator:
-    """Running moments; blocks are added in a fixed order so results are
-    independent of any internal scheduling."""
-
-    def __init__(self) -> None:
-        self.sums = (0.0, 0.0, 0, 0, 0)  # of the blocks' moments, in order
-
-    def add_block(self, payoffs: np.ndarray, n_raw: int, n_censored: int) -> None:
-        self.add_moments(_moments(payoffs, n_raw, n_censored))
-
-    def add_moments(self, moments: tuple) -> None:
-        self.sums = tuple(map(operator.add, self.sums, moments))
-
-    def estimate(self, elapsed: float) -> MonteCarloEstimate:
-        s1, s2, n, n_raw, n_censored = self.sums
-        mean = s1 / n
-        var = max(s2 - n * mean * mean, 0.0) / (n - 1)
-        stderr = math.sqrt(var / n)
-        frac = n_censored / n_raw if n_raw else 0.0
-        warning = None
-        if frac > CENSOR_WARN_FRACTION:
-            warning = (
-                f"censored {n_censored} of {n_raw} paths "
-                f"({100.0 * frac:.3f}%); estimate is biased low by at most the "
-                "discounted tail beyond the horizon"
-            )
-        return MonteCarloEstimate(mean, stderr, n, elapsed, frac, warning)
+def _combine(blocks: list[tuple], elapsed: float) -> MonteCarloEstimate:
+    """The estimate from the blocks' moments, summed in block order so that it
+    does not depend on how the kernel scheduled them."""
+    # a plain left fold: sum() compensates float sums from Python 3.12 on
+    s1, s2, n, n_raw, n_censored = functools.reduce(
+        lambda sums, m: tuple(map(operator.add, sums, m)), blocks, (0.0, 0.0, 0, 0, 0))
+    mean = s1 / n
+    var = max(s2 - n * mean * mean, 0.0) / (n - 1)
+    stderr = math.sqrt(var / n)
+    frac = n_censored / n_raw if n_raw else 0.0
+    warning = None
+    if frac > CENSOR_WARN_FRACTION:
+        warning = (
+            f"censored {n_censored} of {n_raw} paths "
+            f"({100.0 * frac:.3f}%); estimate is biased low by at most the "
+            "discounted tail beyond the horizon"
+        )
+    return MonteCarloEstimate(mean, stderr, n, elapsed, frac, warning)
 
 
 def _pair_average(payoffs: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -477,11 +469,7 @@ def _estimate(spec: ProblemSpec, x: float, upper: float, lower: float | None,
                                  config.antithetic)
     else:
         blocks = _cl_paths(spec, x, upper, lower, t_max, gens, counts, config.antithetic)
-    acc = _Accumulator()
-    for count, block in zip(counts, blocks):
-        if count:
-            acc.add_moments(block)
-    return acc.estimate(time.perf_counter() - start)
+    return _combine(blocks, time.perf_counter() - start)  # empty blocks add zeros
 
 
 def estimate_exit_functional(spec: ProblemSpec, x: float, a: float,

@@ -177,6 +177,31 @@ def test_eval_flags_overflow(capsys):
     assert rows[-1][5] == "overflow"
 
 
+def test_eval_overflowing_column_keeps_the_kink_empty(capsys):
+    # V' overflows at 15000, so its column is redone point by point, and the
+    # compound Poisson kink x = 0 still gets its empty cell there
+    rc = cli.main(["eval", "--config", CL_CFG, "--grid=-15000:15000:3"])
+    assert rc == 0
+    by_x = {row[0]: row for row in _rows(capsys.readouterr().out)[1:]}
+    assert by_x["0"][6] == ""
+    assert by_x["15000"][6] == "overflow"
+    assert by_x["-15000"][6] == "0"
+
+
+def test_eval_svg_of_an_overflowing_grid_has_nothing_to_plot(tmp_path, capsys):
+    svg = tmp_path / "chart.svg"
+    rc = cli.main(["eval", "--config", CL_CFG, "--grid=15000:20000:3", "--svg", str(svg)])
+    assert rc == 2
+    assert "nothing to plot" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    rc = cli.main(["eval", "--config", str(tmp_path / "absent.cfg"), "--grid=0:1:3"])
+    assert rc == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_eval_spec_from_overrides_only(capsys):
     args = ["eval", "--grid=0:1:3"]
     for pair in ("model=brownian", "mu=0.5", "sigma=0.75", "delta=0.05",
@@ -239,6 +264,21 @@ def test_optimize_grid_dump(tmp_path, capsys):
     xs = [float(line.split(",")[0]) for line in lines[1:]]
     assert xs == sorted(xs)
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("cfg", [BM_CFG, CL_CFG], ids=["bm", "cl"])
+def test_optimize_default_grid_dump(cfg, tmp_path, capsys):
+    out = tmp_path / "vprime.csv"
+    rc = cli.main(["optimize", "--config", cfg, "--out", str(out)])
+    assert rc == 0
+    record = dict(line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines())
+    c1, c2 = float(record["c1_star"]), float(record["c2_star"])
+    rows = _rows(out.read_text())[1:]
+    assert len(rows) == 401 + 2  # the grid 0:2*c2:401 plus the two marker rows
+    assert [float(x) for x, _, marker in rows if not marker] == [
+        i * (2.0 * c2) / 400 for i in range(401)]
+    assert [(float(x), marker) for x, _, marker in rows if marker] == [
+        (c1, "c1_star"), (c2, "c2_star")]
 
 
 def test_optimize_unaffordable_cost_is_numerical_failure(capsys):

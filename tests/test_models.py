@@ -61,6 +61,11 @@ def test_right_inverse_rejects_negative_q():
         right_inverse(BrownianMotion(0.5, 0.75), -0.1)
 
 
+def test_right_inverse_double_root_at_zero():
+    # q = 0 with zero drift: psi(theta) = theta^2 / 2 has its double root at 0
+    assert right_inverse(BrownianMotion(0.0, 1.0), 0.0) == 0.0
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_both_scale_rates_solve_exponent(model):
     c = compute_coefficients(ProblemSpec(model, 0.01, 0.05, 1.0, 0.5)).surplus

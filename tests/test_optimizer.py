@@ -594,3 +594,62 @@ def test_resolution_bound_holds_past_the_argmin(kind, q):
     for x in [a_star, *(a_star + np.geomspace(1e-6, 0.99 * EXP_ARG_MAX / kp - a_star, 300))]:
         v, d, _ = pair.at(float(x))
         assert v / d >= bound * (1.0 - 1e-12), x
+
+
+# ---------------------------------------------------------------------------
+# the root search's and the solve's own failure checks
+# ---------------------------------------------------------------------------
+
+
+def test_root_search_starting_at_its_cap_fails():
+    with pytest.raises(SolverFailureError,
+                       match=r"^root search starts at 2, at or past the finite exp range end 2$"):
+        optimizer._find_root(lambda x: (x - 3.0, 1.0), 2.0, 2.0, 0.5)
+
+
+def test_root_search_bracket_that_never_turns_positive_fails():
+    # an unbounded cap: the bracket grows for all ROOT_MAX_ITER steps, then gives up
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -1.0, 0.0
+
+    with pytest.raises(SolverFailureError, match=r"^no sign change on \[\S+, inf\]$"):
+        optimizer._find_root(f, 0.0, math.inf, 1.0)
+    assert len(calls) == optimizer.ROOT_MAX_ITER
+
+
+def test_root_search_non_finite_residual_fails():
+    # f(2) > 0 closes the bracket [0, 2]; the Newton step lands on 1, where f is NaN
+    f = lambda x: (1.0, 1.0) if x == 2.0 else (math.nan, 1.0)
+    with pytest.raises(SolverFailureError, match=r"^non-finite residual at x=1$"):
+        optimizer._find_root(f, 0.0, 10.0, 2.0)
+
+
+def test_root_search_that_never_converges_fails():
+    # a sign flip at 0 with no slope: bisection halves towards 0, where the
+    # relative step stays near 1, for all ROOT_MAX_ITER steps
+    f = lambda x: (1.0 if x > 0.0 else -1.0, 0.0)
+    with pytest.raises(SolverFailureError,
+                       match=rf"^root search did not converge in {optimizer.ROOT_MAX_ITER} steps$"):
+        optimizer._find_root(f, -1.0, 1.0, 2.0)
+
+
+def test_solve_below_its_resolution_check_fails(cl_scale, monkeypatch):
+    result = find_optimal_policy(cl_scale)
+    c2, g_star = result.policy.upper, result.payout_ratio
+    resolution = math.ulp(cl_scale.positive_pair.at(c2)[0]) / g_star
+    monkeypatch.setattr(optimizer, "TRANSFER_TOL", 0.5 * resolution)
+    with pytest.raises(SolverFailureError,
+                       match=rf"^V/g\* resolved only to {resolution:.3g} "
+                             rf"\(tol {0.5 * resolution:g}\)$"):
+        find_optimal_policy(cl_scale)
+
+
+def test_solve_above_its_first_order_check_fails(cl_scale, monkeypatch):
+    fo = find_optimal_policy(cl_scale).fo_residual
+    assert fo > 0.0
+    monkeypatch.setattr(optimizer, "FO_TOL", 0.0)
+    with pytest.raises(SolverFailureError, match=rf"^first-order residual {fo:.3g} above 0$"):
+        find_optimal_policy(cl_scale)

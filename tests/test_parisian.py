@@ -383,6 +383,22 @@ def _outcome(evaluate):
         return type(exc), str(exc)
 
 
+class _InfiniteConstantScale(ParisianScale):
+    """A ``ParisianScale`` whose series constant C, the build's one three-row
+    band sum, is ``inf``."""
+
+    def _band_point(self, x, log_coef, sign):
+        if log_coef.shape[0] != 3:  # V or V' at a band point
+            return super()._band_point(x, log_coef, sign)
+        return math.inf
+
+
+def test_infinite_series_constant_is_typed():
+    with pytest.raises(OverflowRangeError, match=r"^V on x >= 0 is not finite: .*"
+                                                 r"\(series constant inf\)$"):
+        _InfiniteConstantScale(cramer_lundberg_spec())
+
+
 @pytest.mark.parametrize("fault, error", [
     ("truncated", SeriesConvergenceError),
     ("overflow", OverflowRangeError),
