@@ -182,13 +182,16 @@ def _roots(model: Model, q: float) -> tuple[float, float]:
     return max(r1, r2), min(r1, r2)
 
 
-def _check_exp_range(rate: float, x: ArrayLike) -> None:
-    hi = float(np.max(rate * np.asarray(x, dtype=float), initial=-math.inf))
-    if hi > EXP_ARG_MAX:
+def _check_exp_range(rate: float, xx: np.ndarray) -> None:
+    # np.max's own reduction without its Python wrapper, which costs more on one point
+    hi = float(np.maximum.reduce(rate * xx, axis=None, initial=-math.inf))
+    if not hi <= EXP_ARG_MAX:  # NaN too
         raise _exp_range_error(hi)
 
 
-def _exp_range_error(hi: float) -> OverflowRangeError:
+def _exp_range_error(hi: float) -> DomainError | OverflowRangeError:
+    if math.isnan(hi):
+        return DomainError("an exponential pair is undefined at NaN")
     return OverflowRangeError(
         f"exponent {hi:.3g} exceeds the finite double range (limit {EXP_ARG_MAX})"
     )
@@ -216,13 +219,13 @@ class ExponentialPair:
     km: float
 
     def value(self, x: ArrayLike) -> ArrayLike:
-        _check_exp_range(self.kp, x)
         xx = np.asarray(x, dtype=float)
+        _check_exp_range(self.kp, xx)
         return _match(self.a * np.exp(self.kp * xx) - self.b * np.exp(self.km * xx))
 
     def derivative(self, x: ArrayLike) -> ArrayLike:
-        _check_exp_range(self.kp, x)
         xx = np.asarray(x, dtype=float)
+        _check_exp_range(self.kp, xx)
         return _match(
             self.a * self.kp * np.exp(self.kp * xx)
             - self.b * self.km * np.exp(self.km * xx),
@@ -233,15 +236,15 @@ class ExponentialPair:
         the bits it gives in an array (``math.exp`` may not), so f and f' equal
         :meth:`value` and :meth:`derivative` bit for bit; raises as they do."""
         a, b, kp, km = self.a, self.b, self.kp, self.km
-        if kp * x > EXP_ARG_MAX:
+        if not kp * x <= EXP_ARG_MAX:  # NaN too
             raise _exp_range_error(kp * x)
         ep, em = float(np.exp(kp * x)), float(np.exp(km * x))
         return a * ep - b * em, a * kp * ep - b * km * em, kp**2 * (a * ep) - km**2 * (b * em)
 
     def integral_from_zero(self, x: ArrayLike) -> ArrayLike:
         """``int_0^x f(y) dy`` (kp, km are nonzero for every model here)."""
-        _check_exp_range(self.kp, x)
         xx = np.asarray(x, dtype=float)
+        _check_exp_range(self.kp, xx)
         out = self.a / self.kp * (np.exp(self.kp * xx) - 1.0) - self.b / self.km * (
             np.exp(self.km * xx) - 1.0
         )

@@ -204,11 +204,11 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
         return ((kp - km) * e * f - kp * km * (s - beta) * (e - f),
                 (kp - km) * (de * f + e * df) - kp * km * (e - f + (s - beta) * (de - df)))
 
-    v0 = pair.at(0.0)[0]
-
     def h(c2: float) -> tuple[float, float]:
-        v2, d1, d2 = pair.at(c2)
-        return d1 * (c2 - beta) - (v2 - v0), d2 * (c2 - beta)
+        _, d1, d2 = pair.at(c2)
+        # V(c2) - V(0) by expm1: the difference of the two values cancels
+        gain = pair.a * math.expm1(kp * c2) - pair.b * math.expm1(km * c2)
+        return d1 * (c2 - beta) - gain, d2 * (c2 - beta)
 
     ratio, iterations = 0.0, 0
     if a_star > 0.0:

@@ -1,6 +1,7 @@
 """Model validation, Laplace exponents, exponent roots and scale coefficients."""
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from parisian_impulse import (
     laplace_exponent,
     right_inverse,
 )
+from parisian_impulse import models
 from parisian_impulse.models import EXP_ARG_MAX
 from parisian_impulse.parisian import parisian_scale
 
@@ -253,3 +255,70 @@ def test_float_path_equals_array_path_bit_for_bit():
                 assert str(by_float.value) == str(by_array.value)
     assert points >= 100_000
     assert np.isinf(pairs[-1].at(EXP_ARG_MAX)[0])
+
+
+def test_exp_range_check_reduces_as_np_max(monkeypatch):
+    # the range check calls the maximum ufunc's reduce instead of np.max: the
+    # exponent it tests must be np.max's, bit for bit, on every shape it is given.
+    # A NaN limit fails every "hi <= limit", so each call hands its hi to the error
+    seen = []
+    monkeypatch.setattr(models, "EXP_ARG_MAX", math.nan)
+    monkeypatch.setattr(models, "_exp_range_error", lambda hi: seen.append(hi) or DomainError())
+    inputs = [1.3, -0.0, 3, np.float64(-2.5), np.array(2.5), [0.5, -3.0, 7.0], np.array([]),
+              np.array([[1.0, 2.0], [-4.0, 0.5]]), np.array([1.0, np.inf]), np.array([-np.inf]),
+              np.array([-np.inf, 2.0]), np.array([np.inf, -np.inf]), [5e-324, -1e300]]
+    for rate in (0.7, 2.0, 1e-170):
+        pair = ExponentialPair(2.0, 1.5, rate, -0.7)
+        for x in inputs:
+            want = float(np.max(rate * np.asarray(x, dtype=float), initial=-math.inf)).hex()
+            for f in (pair.value, pair.derivative, pair.integral_from_zero):
+                seen.clear()
+                with pytest.raises(DomainError):
+                    f(x)
+                assert [hi.hex() for hi in seen] == [want], (rate, x)
+
+
+@pytest.mark.parametrize("kp", [0.5, 0.3, 1.7, compute_coefficients(brownian_spec()).surplus.kp])
+def test_exp_range_edge_is_the_same_on_every_route(kp):
+    # kp*x == EXP_ARG_MAX is inside the range; the first float past it raises one
+    # OverflowRangeError text on the float path and on the array route
+    pair = ExponentialPair(1e-300, 1.5, kp, -0.7)
+    x = EXP_ARG_MAX / kp
+    while kp * x > EXP_ARG_MAX:
+        x = math.nextafter(x, -math.inf)
+    while kp * math.nextafter(x, math.inf) <= EXP_ARG_MAX:
+        x = math.nextafter(x, math.inf)
+    assert kp * x <= EXP_ARG_MAX < kp * math.nextafter(x, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, d, _ = pair.at(x)
+        assert math.isfinite(f) and math.isfinite(pair.integral_from_zero(x))
+        assert (f, d) == (pair.value(x), pair.derivative(np.array([0.0, x]))[1])
+        past = math.nextafter(x, math.inf)
+        texts = set()
+        for call in (pair.at, pair.value, pair.derivative, pair.integral_from_zero):
+            for arg in (past, np.array(past), np.array([0.0, past])):
+                if call == pair.at and isinstance(arg, np.ndarray):
+                    continue
+                with pytest.raises(OverflowRangeError) as raised:
+                    call(arg)
+                texts.add(str(raised.value))
+    assert texts == {f"exponent {kp * past:.3g} exceeds the finite double range "
+                     f"(limit {EXP_ARG_MAX})"}
+
+
+def test_nan_raises_domain_error_on_every_evaluator():
+    # a NaN x gave NaN silently on x >= 0; it fails "kp*x <= EXP_ARG_MAX" as a
+    # number past the range does, and raises one DomainError on every route
+    pairs = [compute_coefficients(brownian_spec()).surplus,
+             parisian_scale(cramer_lundberg_spec()).positive_pair,
+             ExponentialPair(2.0, 1.5, 0.3, -0.7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair in pairs:
+            for call in (pair.at, pair.value, pair.derivative, pair.integral_from_zero):
+                for arg in (math.nan, np.array(math.nan), np.array([1.0, math.nan, np.inf])):
+                    if call == pair.at and isinstance(arg, np.ndarray):
+                        continue
+                    with pytest.raises(DomainError, match="^an exponential pair is undefined at NaN$"):
+                        call(arg)
