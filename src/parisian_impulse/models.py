@@ -18,11 +18,17 @@ of two exponentials, an :class:`ExponentialPair`; so are the refracted scale
 function and the Parisian ``V`` built from it.  :func:`compute_coefficients`
 produces the pairs of the original surplus process and of the refracted
 (drift-reduced) one; everything downstream works off these pairs.
+
+A pair is read on ``x >= 0`` only, and it alone decides what fits the double
+range: past its ``edge``, the last x with ``kp*x <= EXP_ARG_MAX`` and every
+term of f, f' and f'' (``a*kp**n*e^{kp x}``, ``b*km**n*e^{km x}``) at most
+``TERM_MAX = DBL_MAX/4``, a read raises ``OverflowRangeError`` before NumPy
+overflows; up to it, values, slopes, curvatures and gains f(u) - f(v) are finite.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -33,6 +39,10 @@ from .errors import ConfigError, DomainError, InvalidRefractionError, OverflowRa
 SPEC_CACHE_SIZE = 128  # distinct specs kept by each per-spec cache
 # exp() overflows just above 709; refuse a margin earlier
 EXP_ARG_MAX = 700.0
+# the largest term a pair read may form: two of them, or two values, differ finitely
+TERM_MAX = float(np.finfo(float).max) / 4
+_LOG_TERM_MAX = math.log(TERM_MAX)
+_FREE = TERM_MAX * math.exp(-EXP_ARG_MAX - 1.0)  # a term this small stays below TERM_MAX
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -182,21 +192,6 @@ def _roots(model: Model, q: float) -> tuple[float, float]:
     return max(r1, r2), min(r1, r2)
 
 
-def _check_exp_range(rate: float, xx: np.ndarray) -> None:
-    # np.max's own reduction without its Python wrapper, which costs more on one point
-    hi = float(np.maximum.reduce(rate * xx, axis=None, initial=-math.inf))
-    if not hi <= EXP_ARG_MAX:  # NaN too
-        raise _exp_range_error(hi)
-
-
-def _exp_range_error(hi: float) -> DomainError | OverflowRangeError:
-    if math.isnan(hi):
-        return DomainError("an exponential pair is undefined at NaN")
-    return OverflowRangeError(
-        f"exponent {hi:.3g} exceeds the finite double range (limit {EXP_ARG_MAX})"
-    )
-
-
 def _match(out: ArrayLike) -> ArrayLike:
     """A float for a scalar result, the array otherwise."""
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
@@ -204,51 +199,77 @@ def _match(out: ArrayLike) -> ArrayLike:
 
 @dataclass(frozen=True)
 class ExponentialPair:
-    """The function ``f(x) = a * exp(kp * x) - b * exp(km * x)`` with kp > km.
+    """The function ``f(x) = a * exp(kp * x) - b * exp(km * x)`` with kp > 0 > km.
 
     All scale-type functions in this package restrict to this shape on
-    ``x >= 0``.  Evaluations accept scalars or numpy arrays; :meth:`at` is
-    the float path for one point.  ``a`` and ``b`` may be arrays of one
-    shape (``refracted_pair`` on an array of depths); a scalar ``x`` then
-    gives an array.
+    ``x >= 0``, the only domain it is read on (below 0 reads are not checked).
+    Evaluations accept scalars or numpy arrays; :meth:`at` is the float path
+    for one point.  ``a`` and ``b`` may be arrays of one shape (``refracted_pair``
+    on an array of depths), with one ``edge`` per entry; a scalar ``x`` then
+    gives an array.  A read at NaN raises ``DomainError``.
     """
 
     a: float
     b: float
     kp: float
     km: float
+    edge: ArrayLike = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edge", self._edge(max(1.0, self.kp**2), max(1.0, self.km**2)))
+
+    def _edge(self, grow: float, fall: float) -> ArrayLike:
+        """The last x with ``kp*x <= EXP_ARG_MAX`` and ``|a|*grow*e^{kp x}`` at most
+        TERM_MAX; -inf if ``|b|*fall``, the falling term at 0, is not; NaN for NaN."""
+        kp, end = self.kp, EXP_ARG_MAX / self.kp  # end: stepped to the last such float
+        while kp * end > EXP_ARG_MAX:
+            end = math.nextafter(end, -math.inf)
+        while kp * math.nextafter(end, math.inf) <= EXP_ARG_MAX:
+            end = math.nextafter(end, math.inf)
+        size, fits = abs(self.a), abs(self.b) <= TERM_MAX / fall  # no product overflows
+        if fits is True and type(size) is float and size * grow <= _FREE:
+            return end  # float coefficients whose margin cannot bind: the common case
+        cut = (_LOG_TERM_MAX - np.log(grow) - np.log(np.maximum(size, 5e-324))) / kp
+        return _match(np.where(fits, np.minimum(end, cut), -math.inf))  # NaN stays NaN
+
+    def _read(self, x: ArrayLike, edge: ArrayLike) -> np.ndarray:
+        xx = np.asarray(x, dtype=float)
+        if np.logical_and.reduce(xx <= edge, axis=None):  # NaN fails
+            return xx
+        hi = float(np.maximum.reduce(self.kp * xx, axis=None, initial=-math.inf))
+        if math.isnan(hi):
+            raise DomainError("an exponential pair is undefined at NaN")
+        if not hi <= EXP_ARG_MAX:
+            raise OverflowRangeError(
+                f"exponent {hi:.3g} exceeds the finite double range (limit {EXP_ARG_MAX})")
+        x, e = (v[~(xx <= edge)][0] for v in np.broadcast_arrays(xx, edge))
+        raise OverflowRangeError(f"a term of the pair leaves the double range (limit "
+                                 f"{TERM_MAX:.3g}) at x = {x:.6g}, past its edge {e:.6g}")
 
     def value(self, x: ArrayLike) -> ArrayLike:
-        xx = np.asarray(x, dtype=float)
-        _check_exp_range(self.kp, xx)
+        xx = self._read(x, self.edge)
         return _match(self.a * np.exp(self.kp * xx) - self.b * np.exp(self.km * xx))
 
     def derivative(self, x: ArrayLike) -> ArrayLike:
-        xx = np.asarray(x, dtype=float)
-        _check_exp_range(self.kp, xx)
-        return _match(
-            self.a * self.kp * np.exp(self.kp * xx)
-            - self.b * self.km * np.exp(self.km * xx),
-        )
+        xx = self._read(x, self.edge)
+        return _match(self.a * self.kp * np.exp(self.kp * xx)
+                      - self.b * self.km * np.exp(self.km * xx))
 
     def at(self, x: float) -> tuple[float, float, float]:
         """``(f, f', f'')`` at one float x, as floats.  ``np.exp`` gives a float
         the bits it gives in an array (``math.exp`` may not), so f and f' equal
         :meth:`value` and :meth:`derivative` bit for bit; raises as they do."""
+        if not x <= self.edge:  # NaN too
+            self._read(x, self.edge)  # raises the array route's error
         a, b, kp, km = self.a, self.b, self.kp, self.km
-        if not kp * x <= EXP_ARG_MAX:  # NaN too
-            raise _exp_range_error(kp * x)
         ep, em = float(np.exp(kp * x)), float(np.exp(km * x))
         return a * ep - b * em, a * kp * ep - b * km * em, kp**2 * (a * ep) - km**2 * (b * em)
 
     def integral_from_zero(self, x: ArrayLike) -> ArrayLike:
-        """``int_0^x f(y) dy`` (kp, km are nonzero for every model here)."""
-        xx = np.asarray(x, dtype=float)
-        _check_exp_range(self.kp, xx)
-        out = self.a / self.kp * (np.exp(self.kp * xx) - 1.0) - self.b / self.km * (
-            np.exp(self.km * xx) - 1.0
-        )
-        return _match(out)
+        """``int_0^x f(y) dy``, read up to its own edge: its terms carry 1/kp and 1/km."""
+        xx = self._read(x, self._edge(max(1.0, 1.0 / self.kp), max(1.0, -1.0 / self.km)))
+        return _match(self.a / self.kp * (np.exp(self.kp * xx) - 1.0)
+                      - self.b / self.km * (np.exp(self.km * xx) - 1.0))
 
     def derivative_argmin(self) -> float:
         """Location of the minimum of f' on [0, inf).

@@ -30,7 +30,7 @@ Otherwise ``c1* = 0`` and ``c2*`` is the root of the increasing function
 ``h(c2) = V'(c2) * (c2 - beta) - (V(c2) - V(0))`` on ``(max(a*, beta), inf)``.
 Roots, certificates, payout ratios and the policy value on ``[0, upper]`` read V
 by ``ExponentialPair.at``, bit for bit ``ps.value``; each root is a bracketed
-Newton-bisection within exp's range.
+Newton-bisection up to the pair's edge, past which its reads raise.
 
 The sufficiency certificate (V' nondecreasing beyond the trigger) is closed
 form too.  With ``V = a*e^{kp x} - b*e^{km x}``, ``a > 0`` and ``km < 0``:
@@ -58,8 +58,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OverflowRangeError, SolverFailureError
-from .models import EXP_ARG_MAX, ArrayLike, ExponentialPair, ImpulsePolicy
+from .errors import DomainError, SolverFailureError
+from .models import ArrayLike, ExponentialPair, ImpulsePolicy
 from .parisian import ParisianScale
 
 # Relative step at which a root counts as converged: a Newton step this
@@ -107,13 +107,10 @@ def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
 
 
 def _gain(v_upper: float, v_lower: float, lower: float, upper: float, beta: float) -> float:
-    """``V(upper) - V(lower)``, the numerator of every payout ratio, checked:
-    out of the double range it raises ``OverflowRangeError``, and where a tiny
-    q leaves V flat in doubles, so that it or the net payout
-    ``upper - lower - beta`` is not positive, ``SolverFailureError``."""
+    """``V(upper) - V(lower)``, the numerator of every payout ratio, checked: where
+    a tiny q leaves V flat in doubles, so that it or the net payout
+    ``upper - lower - beta`` is not positive, it raises ``SolverFailureError``."""
     gain = v_upper - v_lower
-    if not math.isfinite(gain):
-        raise OverflowRangeError(f"V({upper:.6g}) - V({lower:.6g}) leaves the double range")
     if not (gain > 0.0 and upper > lower + beta and upper - lower - beta > 0.0):
         raise SolverFailureError(f"V is flat in doubles across ({lower:.17g}, {upper:.17g})")
     return gain
@@ -190,7 +187,6 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
     beta = ps.spec.beta
     pair = ps.positive_pair
     kp, km = pair.kp, pair.km
-    cap = EXP_ARG_MAX / kp
     a_star = pair.derivative_argmin()
     # every c2 lies past a*, where V/V' >= (1 + kp/km)/kp: the resolution check below cannot
     # pass (2 covers FO_TOL and rounding) where 2**-53 times that bound exceeds TRANSFER_TOL
@@ -212,14 +208,14 @@ def find_optimal_policy(ps: ParisianScale) -> OptimalPolicyResult:
 
     ratio, iterations = 0.0, 0
     if a_star > 0.0:
-        gap, iterations = _find_root(psi, 0.0, cap, 1.0 / (kp - km))
+        gap, iterations = _find_root(psi, 0.0, pair.edge, 1.0 / (kp - km))
         ratio = pair.b * km * math.expm1(km * gap) / (pair.a * kp * math.expm1(kp * gap))
     if ratio > 1.0:
         case, c1 = "interior", math.log(ratio) / (kp - km)
         c2 = c1 + gap
     else:
         case, c1 = "boundary", 0.0
-        c2, its = _find_root(h, max(a_star, beta), cap, 1.0 / kp)
+        c2, its = _find_root(h, max(a_star, beta), pair.edge, 1.0 / kp)
         iterations += its
     policy = ImpulsePolicy(c1, c2)
     v2, d2, _ = pair.at(c2)
@@ -275,19 +271,15 @@ def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport
     Closed form (see the module docstring): it holds exactly when ``a > 0``
     and ``upper >= a*``.  ``worst_slack`` is the least V'' on [upper, inf):
     V'' at upper, or at the zero of V''' when ``b < 0`` puts that further
-    right.  V' is also evaluated at both ends of ``[upper, far]``, where its
-    two exponential terms are largest, so that a V' that leaves the double
-    range there is a typed error rather than a silent pass.
+    right.  V' is also read at both ends of ``[upper, far]``, where its terms are
+    largest: past the pair's edge it raises ``OverflowRangeError``, never passes.
     """
     if not 0.0 <= upper < math.inf:
         raise DomainError(f"the trigger must be finite and nonnegative, got {upper}")
     pair = ps.positive_pair
     a_star = pair.derivative_argmin()
     far = max(upper + 10.0, 3.0 * max(a_star, 1.0))
-    if not (math.isfinite(pair.at(upper)[1]) and math.isfinite(pair.at(far)[1])):
-        raise OverflowRangeError(
-            f"V' is not finite on the certificate grid [{upper:.6g}, {far:.6g}]"
-        )
+    pair.at(upper), pair.at(far)  # past the pair's edge these raise
     least = max(upper, pair.derivative_zero(3))  # V'' is least at the zero of V''' if past upper
     passed = pair.a > 0.0 and upper >= a_star - ARGMIN_TOL
     return SufficiencyReport(
@@ -307,8 +299,6 @@ def check_transfer_inequality(ps: ParisianScale, policy: ImpulsePolicy) -> Trans
     lo, up = policy.lower, policy.upper
     pair = ps.positive_pair
     v_up, d_up, _ = pair.at(up)
-    if not math.isfinite(v_up + d_up):
-        raise OverflowRangeError(f"V or V' leaves the double range at the trigger {up:.6g}")
     g = _gain(v_up, pair.at(lo)[0], lo, up, beta) / (up - lo - beta)
     # V' is monotone on each side of a*, so V' - g has at most one root on each
     a_star = pair.derivative_argmin()

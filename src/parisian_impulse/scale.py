@@ -10,19 +10,10 @@ two-product evaluation suffers from.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DomainError, OverflowRangeError
-from .models import (
-    EXP_ARG_MAX,
-    ArrayLike,
-    CoefficientSet,
-    ExponentialPair,
-    _check_exp_range,
-    _match,
-)
+from .errors import DomainError
+from .models import ArrayLike, CoefficientSet, ExponentialPair, _match
 
 
 class ScaleFunction:
@@ -65,15 +56,15 @@ def refracted_pair(cs: CoefficientSet, depth: ArrayLike) -> ExponentialPair:
     refracted rates.  The resulting coefficients are sums of same-sign terms
     for the growing part, so the evaluation stays cancellation-free.  An
     array of depths gives arrays ``a`` and ``b``, one entry per depth; a float
-    depth gives floats, its range checked by one float compare as in ``at``.
+    depth gives floats; a depth past the surplus pair's edge raises.
     """
     array = isinstance(depth, np.ndarray)
     if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
         raise DomainError(f"depth must be nonnegative, got {depth}")
     X, Y = cs.surplus, cs.refracted
     delta = cs.spec.delta
-    if array or X.kp * depth > EXP_ARG_MAX:  # a float depth comes here only to raise
-        _check_exp_range(X.kp, depth)
+    if array or not depth <= X.edge:  # a float depth comes here only to raise
+        X._read(depth, X.edge)
     # np.exp on a float equals its array result bit for bit; math.exp may not
     e_p, e_m = np.exp(X.kp * depth), np.exp(X.km * depth)
     if not array:
@@ -94,7 +85,7 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     Either argument may be an array (the window integral's depths, eval's
     ``x``): each branch is read on its own points only.  A float ``x`` at a
     float depth is read by :meth:`ExponentialPair.at`, bit for bit the array;
-    a result out of the double range raises ``OverflowRangeError``.
+    a read past a pair's edge raises ``OverflowRangeError``.
     """
     array = isinstance(depth, np.ndarray)  # the window integral's depths
     if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
@@ -102,15 +93,11 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     if array or isinstance(x, np.ndarray):
         xs, zs = np.broadcast_arrays(np.asarray(x, dtype=float), depth)
         w, neg = np.empty(xs.shape), xs < 0.0
-        with np.errstate(over="ignore"):
-            if neg.any():
-                w[neg] = ScaleFunction(cs.surplus, cs.spec.q).value(xs[neg] + zs[neg])
-            if not neg.all():  # NaN goes to the refracted pair
-                w[~neg] = refracted_pair(cs, zs[~neg]).value(xs[~neg])
-    elif x < 0.0:
-        w = 0.0 if x + depth < 0.0 else cs.surplus.at(x + depth)[0]
-    else:
-        w = refracted_pair(cs, depth).at(x)[0]
-    if np.isinf(w).any() if isinstance(w, np.ndarray) else math.isinf(w):
-        raise OverflowRangeError(f"w(x; -depth) leaves the double range at depth {depth}")
-    return w
+        if neg.any():
+            w[neg] = ScaleFunction(cs.surplus, cs.spec.q).value(xs[neg] + zs[neg])
+        if not neg.all():  # NaN goes to the refracted pair
+            w[~neg] = refracted_pair(cs, zs[~neg]).value(xs[~neg])
+        return w
+    if x < 0.0:
+        return 0.0 if x + depth < 0.0 else cs.surplus.at(x + depth)[0]
+    return refracted_pair(cs, depth).at(x)[0]

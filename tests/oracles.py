@@ -7,10 +7,11 @@ convolution evaluated with adaptive quadrature.  None of it shares code with
 the package's closed forms, so agreement is a genuine cross-check rather
 than a tautology.  The one exception is ``brute_force_payout_grid``, which
 checks the optimizer's search rather than V: it takes V from the package and
-only replaces the root solves with an exhaustive lattice.  ``search_bound``,
-the right end of that lattice in acceptance criterion 6, is solved with the
-optimizer's bracketed root, as the optimizer once did on every solve, but on
-its own ``math.exp`` reads of V'.  ``reference_optimum`` solves the policy's
+only replaces the root solves with an exact lattice minimum (a convex hull
+sweep, checked against the exhaustive ``brute_force_payout_table``).
+``search_bound``, the right end of that lattice in acceptance criterion 6, is
+solved with the optimizer's bracketed root, as the optimizer once did on every
+solve, but on its own ``math.exp`` reads of V'.  ``reference_optimum`` solves the policy's
 first-order conditions in mpmath, on V from ``reference_positive_pair``.
 
 The certificate grids check the package's closed-form certificates: they
@@ -538,7 +539,61 @@ def search_bound(ps: ParisianScale) -> float:
 def brute_force_payout_grid(
     ps: ParisianScale, x_max: float, step: float = 1e-3
 ) -> tuple[float, float, float]:
-    """Exhaustive grid minimum of g with the given step (test oracle).
+    """Exact grid minimum of g with the given step (test oracle), in O(n log n).
+
+    For a lower level ``x_i``, ``g = (V_j - V_i) / (x_j - x_i - beta)`` is the
+    slope from ``(x_i + beta, V_i)`` to ``(x_j, V_j)``, so its least value over
+    the admissible ``j`` (gap ``> 1e-12``, a suffix of the grid) sits at the
+    tangent from that point to the lower convex hull of those points.  The
+    sweep runs ``i`` from right to left and pushes each newly admissible point
+    onto the hull (monotone chain), then finds the tangent by bisection: the
+    slope falls and then rises along the hull (Preparata and Shamos, 1985,
+    *Computational Geometry*, ch. 3).  Same grid, V values, admissibility rule
+    and ``g`` arithmetic as :func:`brute_force_payout_table`, which checks it;
+    ties go to the least ``i``, then the least ``j``, as there.
+    """
+    beta = ps.spec.beta
+    n = int(math.floor(x_max / step)) + 1
+    grid = np.arange(n, dtype=float) * step
+    xs, vs = grid.tolist(), ps.positive_pair.value(grid).tolist()
+    hull: list[int] = []  # the lower hull of the admitted points, leftmost last
+    best = (math.inf, 0.0, 0.0)
+    j = n
+    for i in range(n - 1, -1, -1):
+        xi, vi = xs[i], vs[i]
+        while j > 0 and xs[j - 1] - xi - beta > 1e-12:
+            j -= 1
+            # drop the leftmost hull point while it is not strictly below the
+            # segment from the new point to the one after it
+            while len(hull) >= 2 and not ((vs[hull[-1]] - vs[j]) / (xs[hull[-1]] - xs[j])
+                                          < (vs[hull[-2]] - vs[hull[-1]])
+                                          / (xs[hull[-2]] - xs[hull[-1]])):
+                hull.pop()
+            hull.append(j)
+        if not hull:
+            continue
+
+        def g(k: int) -> float:  # the slope to the k-th hull point from the left
+            h = hull[-1 - k]
+            return (vs[h] - vi) / (xs[h] - xi - beta)
+
+        lo, hi = 0, len(hull) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if g(mid + 1) < g(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        if g(lo) <= best[0]:
+            best = (g(lo), xi, xs[hull[-1 - lo]])
+    return best
+
+
+def brute_force_payout_table(
+    ps: ParisianScale, x_max: float, step: float = 1e-3
+) -> tuple[float, float, float]:
+    """Exhaustive grid minimum of g with the given step: the check of
+    :func:`brute_force_payout_grid`, on every admissible pair.
 
     Chunked over the lower boundary so the full pair table never
     materializes.  The gap ``upper - lower - beta`` falls as the lower level

@@ -21,7 +21,6 @@ from parisian_impulse import (
     laplace_exponent,
     right_inverse,
 )
-from parisian_impulse import models
 from parisian_impulse.models import EXP_ARG_MAX
 from parisian_impulse.parisian import parisian_scale
 
@@ -225,9 +224,9 @@ def _bits(values) -> np.ndarray:
 def test_float_path_equals_array_path_bit_for_bit():
     # ExponentialPair.at is every read of V on x >= 0 in the optimizer and its
     # certificates: its f and f' must carry the array route's bits out to the
-    # end of the exp range, and past it raise as the array route does, all
-    # without a RuntimeWarning (the last pair's f leaves the double range
-    # before its exponent does; the array route warns there, the float path not)
+    # pair's edge, and past it raise as the array route does, all without a
+    # RuntimeWarning (the last pair's f leaves the double range before its
+    # exponent does: its edge is the term limit, not the exp range)
     specs = (brownian_spec(), cramer_lundberg_spec())
     pairs = [compute_coefficients(s).surplus for s in specs]
     pairs += [parisian_scale(s).positive_pair for s in specs]
@@ -238,44 +237,62 @@ def test_float_path_equals_array_path_bit_for_bit():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for pair in pairs:
-            end = EXP_ARG_MAX / pair.kp
+            end = pair.edge
             xs = np.concatenate([rng.uniform(0.0, end, 20_000),
                                  end * (1.0 - np.logspace(-16, -1, 400)), [0.0, end]])
             floats = np.array([pair.at(x) for x in xs.tolist()])
-            with np.errstate(over="ignore", invalid="ignore"):
-                value, derivative = pair.value(xs), pair.derivative(xs)
+            value, derivative = pair.value(xs), pair.derivative(xs)
             assert np.array_equal(_bits(floats[:, 0]), _bits(value))
             assert np.array_equal(_bits(floats[:, 1]), _bits(derivative))
+            assert np.isfinite(floats).all()
             points += xs.size
-            for x in (end * (1.0 + 1e-12), 2.0 * end, 1e300, np.inf):
+            for x in (math.nextafter(end, math.inf), end * (1.0 + 1e-12), 2.0 * end, 1e300,
+                      np.inf):
                 with pytest.raises(OverflowRangeError) as by_float:
                     pair.at(x)
                 with pytest.raises(OverflowRangeError) as by_array:
                     pair.value(np.array([x]))
                 assert str(by_float.value) == str(by_array.value)
     assert points >= 100_000
-    assert np.isinf(pairs[-1].at(EXP_ARG_MAX)[0])
+    assert pairs[-1].edge < EXP_ARG_MAX / pairs[-1].kp
+    with pytest.raises(OverflowRangeError, match="^a term of the pair leaves the double range"):
+        pairs[-1].at(EXP_ARG_MAX)
 
 
-def test_exp_range_check_reduces_as_np_max(monkeypatch):
-    # the range check calls the maximum ufunc's reduce instead of np.max: the
-    # exponent it tests must be np.max's, bit for bit, on every shape it is given.
-    # A NaN limit fails every "hi <= limit", so each call hands its hi to the error
-    seen = []
-    monkeypatch.setattr(models, "EXP_ARG_MAX", math.nan)
-    monkeypatch.setattr(models, "_exp_range_error", lambda hi: seen.append(hi) or DomainError())
+def test_range_check_is_the_exponent_check_where_terms_fit():
+    # x <= edge at every point: where no term nears TERM_MAX it is the exponent
+    # check kp*x <= EXP_ARG_MAX that np.max(kp*x) made, with its text, on every
+    # shape a read is given; NaN anywhere raises DomainError
     inputs = [1.3, -0.0, 3, np.float64(-2.5), np.array(2.5), [0.5, -3.0, 7.0], np.array([]),
               np.array([[1.0, 2.0], [-4.0, 0.5]]), np.array([1.0, np.inf]), np.array([-np.inf]),
-              np.array([-np.inf, 2.0]), np.array([np.inf, -np.inf]), [5e-324, -1e300]]
+              np.array([-np.inf, 2.0]), np.array([np.inf, -np.inf]), [5e-324, -1e300],
+              [1.0, math.nan], 1e300]
     for rate in (0.7, 2.0, 1e-170):
         pair = ExponentialPair(2.0, 1.5, rate, -0.7)
         for x in inputs:
-            want = float(np.max(rate * np.asarray(x, dtype=float), initial=-math.inf)).hex()
+            hi = float(np.max(rate * np.asarray(x, dtype=float), initial=-math.inf))
+            if hi <= EXP_ARG_MAX:
+                pair._read(x, pair.edge)  # the check alone: a read below 0 is not checked
+                continue
             for f in (pair.value, pair.derivative, pair.integral_from_zero):
-                seen.clear()
-                with pytest.raises(DomainError):
+                if math.isnan(hi):
+                    with pytest.raises(DomainError, match="undefined at NaN"):
+                        f(x)
+                else:
+                    with pytest.raises(OverflowRangeError) as raised:
+                        f(x)
+                    assert str(raised.value) == (f"exponent {hi:.3g} exceeds the finite double "
+                                                 f"range (limit {EXP_ARG_MAX})"), (rate, x)
+    # array coefficients: one edge per entry, and each point is read against its own
+    pair = ExponentialPair(np.array([1.0, 1e300]), np.array([1.0, 1.0]), 1.0, -1.0)
+    assert pair.edge[0] == ExponentialPair(1.0, 1.0, 1.0, -1.0).edge and pair.edge[1] < 20.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(pair.value(np.array([100.0, 10.0]))).all()
+        for x in (np.array([10.0, 100.0]), 100.0, np.array(100.0)):
+            for f in (pair.value, pair.derivative):
+                with pytest.raises(OverflowRangeError, match="at x = 100, past its edge 17.6"):
                     f(x)
-                assert [hi.hex() for hi in seen] == [want], (rate, x)
 
 
 @pytest.mark.parametrize("kp", [0.5, 0.3, 1.7, compute_coefficients(brownian_spec()).surplus.kp])

@@ -234,10 +234,9 @@ def test_value_function_float_route_equals_replaced_formula_bit_for_bit():
             points = [0.0, -0.0, 5e-324, lo, 0.5 * lo, 0.5 * (lo + up), 0.9 * up, up,
                       math.nextafter(up, -math.inf), math.nextafter(up, math.inf),
                       1.5 * up, 10.0 * up + 100.0, 1e300, -0.5, math.inf, -math.inf, math.nan]
-            with np.errstate(over="ignore"):
-                new = [_float_outcome(lambda: value_function(ps, policy, x)) for x in points]
-                old = [_float_outcome(lambda: _replaced_value_function(ps, policy, x))
-                       for x in points]
+            new = [_float_outcome(lambda: value_function(ps, policy, x)) for x in points]
+            old = [_float_outcome(lambda: _replaced_value_function(ps, policy, x))
+                   for x in points]
             assert new == old, (spec, policy)
             got = value_function(ps, policy, np.array(points[:-1]))  # a NaN raises for all
             assert [v.hex() for v in got.tolist()] == new[:-1], (spec, policy)
@@ -250,9 +249,8 @@ def test_value_function_float_route_equals_replaced_formula_bit_for_bit():
                           ImpulsePolicy(0.5006457197522601, 1.8047461187310947)),
                          (overflow, ImpulsePolicy(0.0, 8.0))]:
         ps = parisian_scale(spec)
-        with np.errstate(over="ignore"):
-            errors = [_float_outcome(lambda: f(ps, policy, 1.0))
-                      for f in (value_function, _replaced_value_function)]
+        errors = [_float_outcome(lambda: f(ps, policy, 1.0))
+                  for f in (value_function, _replaced_value_function)]
         assert errors[0] == errors[1] and isinstance(errors[0], tuple), spec
 
 
@@ -312,7 +310,7 @@ def test_value_function_out_of_double_range_is_typed():
     ps = parisian_scale(ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076,
                                     q=3.63, r=191.9, beta=0.677))
     for x in (1.0, np.array([-1.0, 1.0, 20.0])):
-        with np.errstate(over="ignore"), pytest.raises(OverflowRangeError):
+        with pytest.raises(OverflowRangeError):
             value_function(ps, ImpulsePolicy(0.0, 10.0), x)
 
 
@@ -334,7 +332,7 @@ def test_every_payout_ratio_checks_its_gain(spec, policy, error):
              lambda: value_function(ps, policy, policy.upper),
              lambda: value_function(ps, policy, xs)]
     for call in calls:
-        with np.errstate(over="ignore"), pytest.raises(error):
+        with pytest.raises(error):
             call()
 
 
@@ -511,13 +509,14 @@ def test_iterations_count_every_root_evaluation(spec, case, roots, monkeypatch):
 
 
 def test_sufficiency_overflow_is_typed():
-    # V(0) = e^{697} is finite, but V' overflows on the certificate grid; the
-    # solver used to return g* = 4e303 with a failed certificate
+    # V(0) = e^{697} is finite, but V' overflows on the certificate's reads; the
+    # solver used to return g* = 4e303 with a failed certificate.  The pair's edge
+    # refuses the read
     spec = ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076, q=3.63,
                        r=191.9, beta=0.677)
     ps = parisian_scale(spec)
     assert math.isfinite(ps.value(0.0))
-    with pytest.raises(OverflowRangeError, match="certificate grid"):
+    with pytest.raises(OverflowRangeError, match="^a term of the pair leaves the double range"):
         find_optimal_policy(ps)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,31 @@ def test_long_delay_gives_value_or_overflow(r):
         return
     for x in (-0.75 * spec.model.p * r, -1.0, 0.0, 2.0):
         assert math.isfinite(ps.value(x))
+
+
+def test_value_past_the_pair_edge_is_typed_on_every_route():
+    # V(0) = e^{300} and kp = 1.25: V(500) overflows although 500*kp is inside the
+    # exp range; ps.value and ps.derivative returned inf with a RuntimeWarning.
+    # The positive pair refuses the read itself, on floats, 0-d arrays, arrays and at
+    ps = parisian_scale(ProblemSpec(BrownianMotion(0.5, 0.75), delta=0.05, q=1.0, r=300.0,
+                                    beta=0.05))
+    pair = ps.positive_pair
+    assert pair.kp * 500.0 < 700.0 and pair.edge < 500.0
+    calls = [lambda: ps.value(500.0), lambda: ps.derivative(500.0),
+             lambda: ps.value(np.array(500.0)), lambda: ps.derivative(np.array(500.0)),
+             lambda: ps.value(np.array([1.0, 500.0])),
+             lambda: ps.derivative(np.array([1.0, 500.0])), lambda: pair.at(500.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(OverflowRangeError, match=r"^a term of the pair leaves the "
+                                                         r"double range .* at x = 500, past"):
+                call()
+        # the edge itself is read, finite, on every route
+        edge = np.array([pair.edge])
+        assert ps.value(edge)[0] == ps.value(pair.edge) == pair.at(pair.edge)[0]
+        assert ps.derivative(edge)[0] == ps.derivative(pair.edge) == pair.at(pair.edge)[1]
+        assert math.isfinite(pair.at(pair.edge)[2])
 
 
 def test_normal_cdf_against_mpmath():

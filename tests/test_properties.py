@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from parisian_impulse import (
     BrownianMotion,
+    ConfigError,
     CramerLundberg,
     DomainError,
     ImpulsePolicy,
@@ -24,6 +26,7 @@ from parisian_impulse import (
     laplace_exponent,
     payout_ratio,
     right_inverse,
+    value_function,
 )
 from parisian_impulse.cli import sig17
 from parisian_impulse.config import build_problem_spec, parse_config_text
@@ -105,6 +108,92 @@ except Exception:
 def test_optimizer_certified_or_typed_error(bounded_python):
     # every spec solves with its certificates or raises a typed error
     _run_property(bounded_python, "certified_or_typed_property")
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# the benchmark's census box: COMMON_BOX with BM_BOX or CL_BOX (bench/workloads.py)
+@st.composite
+def census_box_specs(draw):
+    common = dict(q=draw(_log_uniform(0.01, 5.0)), r=draw(_log_uniform(0.5, 200.0)),
+                  beta=draw(st.floats(0.02, 1.5)))
+    if draw(st.booleans()):
+        model = BrownianMotion(mu=draw(st.floats(0.1, 1.0)), sigma=draw(st.floats(0.3, 1.5)))
+        return ProblemSpec(model, delta=draw(st.floats(0.01, 0.08)), **common)
+    model = CramerLundberg(p=draw(st.floats(2.0, 4.0)), lam=draw(st.floats(0.5, 3.0)),
+                           mu_claim=draw(st.floats(0.8, 2.0)))
+    return ProblemSpec(model, delta=draw(st.floats(0.05, 0.5)), **common)
+
+
+_sizes = _log_uniform(1e-3, 1e3)
+
+
+def _finite_or_typed(call) -> None:
+    """call() returns finite numbers (a float, an array or a report) or raises a
+    typed error; a RuntimeWarning is an error here too."""
+    try:
+        out = call()
+    except (NumericalError, DomainError, ConfigError):
+        return
+    values = astuple(out) if is_dataclass(out) else out
+    assert np.isfinite(np.asarray(values, dtype=float)).all(), out
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec=census_box_specs(),
+       xs=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), _sizes).map(lambda t: t[0] * t[1]),
+                   min_size=1, max_size=3),
+       depth=_sizes, lower=st.one_of(st.just(0.0), _sizes), gap=_sizes)
+# V(148.4) = inf with a NumPy overflow warning before the pair refused it (V(0) = e^{518})
+@example(spec=ProblemSpec(BrownianMotion(mu=1.0, sigma=1.0), delta=0.0625, q=math.e,
+                          r=math.exp(5.25), beta=1.0),
+         xs=[-148.4131591025766], depth=1.0, lower=0.0, gap=1.0)
+def finite_or_typed_on_the_domain_property(spec, xs, depth, lower, gap):
+    # every evaluator on the documented domain: x out to 1e3 on both sides (on
+    # x >= 0 for the pair's own reads), depths out to 1e3, policies up to 2e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cs = compute_coefficients(spec)
+        for x in xs:
+            _finite_or_typed(lambda: refracted_scale(cs, x, depth))
+        _finite_or_typed(lambda: refracted_scale(cs, np.array(xs), depth))
+        try:
+            ps = parisian_scale(spec)
+        except NumericalError:
+            return
+        pair, policy = ps.positive_pair, ImpulsePolicy(lower, lower + spec.beta + gap)
+        for f in (ps.value, ps.derivative, lambda x: value_function(ps, policy, x)):
+            for x in xs:
+                _finite_or_typed(lambda: f(x))
+            _finite_or_typed(lambda: f(np.array(xs)))
+        for x in [abs(x) for x in xs] + [0.0]:
+            for f in (pair.value, pair.derivative, pair.at):
+                _finite_or_typed(lambda: f(x))
+        for f in (pair.value, pair.derivative):
+            _finite_or_typed(lambda: f(np.abs(xs)))
+        _finite_or_typed(lambda: payout_ratio(ps, policy.lower, policy.upper))
+        _finite_or_typed(lambda: check_sufficiency_pair(ps, policy.upper))
+        _finite_or_typed(lambda: check_transfer_inequality(ps, policy))
+
+
+def test_finite_or_typed_on_the_domain(bounded_python):
+    # the domain contract: a finite value or a typed error, never a warning, inf or NaN
+    _run_property(bounded_python, "finite_or_typed_on_the_domain_property")
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=specs(), x_max=st.floats(0.5, 12.0))
+def test_payout_grid_hull_matches_table(spec, x_max):
+    # the O(n log n) hull sweep of the grid oracle against its exhaustive table at
+    # step 1e-2: the same argmin and g to a few ulps (a sweep that kept the upper
+    # hull instead was 170-250% off on criterion 6's specs)
+    ps = parisian_scale(spec)
+    hull = oracles.brute_force_payout_grid(ps, x_max, step=1e-2)
+    table = oracles.brute_force_payout_table(ps, x_max, step=1e-2)
+    assert hull[1:] == table[1:], (hull, table)
+    assert hull[0] == table[0] or abs(hull[0] - table[0]) <= 4.0 * math.ulp(table[0])
 
 
 def _interior_gaps(spec: ProblemSpec) -> list[float]:
