@@ -129,6 +129,10 @@ class ImpulsePolicy:
     lower: float
     upper: float
 
+    def __post_init__(self) -> None:  # doubles: an np.float32 level stays float32 on NumPy 2
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
+
     def validate(self, beta: float) -> None:
         """Admissibility for a given transaction cost: lower >= 0 and a net
         payout ``upper - lower - beta`` above 0, also in float arithmetic."""
@@ -203,10 +207,10 @@ class ExponentialPair:
 
     All scale-type functions in this package restrict to this shape on
     ``x >= 0``, the only domain it is read on (below 0 reads are not checked).
-    Evaluations accept scalars or numpy arrays; :meth:`at` is the float path
-    for one point.  ``a`` and ``b`` may be arrays of one shape (``refracted_pair``
-    on an array of depths), with one ``edge`` per entry; a scalar ``x`` then
-    gives an array.  A read at NaN raises ``DomainError``.
+    Evaluations accept scalars or numpy arrays; :meth:`at` is the path for one
+    Python float x (every scalar V read on ``x >= 0``).  ``a`` and ``b`` may be
+    arrays of one shape (``refracted_pair`` on an array of depths), one ``edge``
+    per entry; a scalar ``x`` then gives an array.  NaN raises ``DomainError``.
     """
 
     a: float

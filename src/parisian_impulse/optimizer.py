@@ -100,10 +100,10 @@ class OptimalPolicyResult:
 
 def payout_ratio(ps: ParisianScale, lower: float, upper: float) -> float:
     """g(lower, upper); raises DomainError outside the admissible wedge."""
-    beta = ps.spec.beta
-    ImpulsePolicy(lower, upper).validate(beta)
-    pair = ps.positive_pair
-    return _gain(pair.at(upper)[0], pair.at(lower)[0], lower, upper, beta) / (upper - lower - beta)
+    beta, policy = ps.spec.beta, ImpulsePolicy(lower, upper)
+    policy.validate(beta)
+    lo, up, pair = policy.lower, policy.upper, ps.positive_pair
+    return _gain(pair.at(up)[0], pair.at(lo)[0], lo, up, beta) / (up - lo - beta)
 
 
 def _gain(v_upper: float, v_lower: float, lower: float, upper: float, beta: float) -> float:
@@ -258,6 +258,7 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> Ar
     if isinstance(x, np.ndarray):
         below = factor * ps.value(np.minimum(x, up))
         return np.where(x <= up, below, x - lo - beta + factor * v_lo)
+    x = float(x)
     if 0.0 <= x <= up:
         return factor * pair.at(x)[0]
     if x > up:
@@ -274,6 +275,7 @@ def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport
     right.  V' is also read at both ends of ``[upper, far]``, where its terms are
     largest: past the pair's edge it raises ``OverflowRangeError``, never passes.
     """
+    upper = float(upper)
     if not 0.0 <= upper < math.inf:
         raise DomainError(f"the trigger must be finite and nonnegative, got {upper}")
     pair = ps.positive_pair

@@ -17,10 +17,11 @@ over one delay window:
   a few blocks of such rows, bit for bit equal.  Every term is exponentiated
   from its log, prefactor included: only a V out of the double range overflows.
 
-The closed forms use NumPy and ``math`` only (the normal CDF tails come from
-``math.erfc`` and the Mills-ratio expansion), and this module imports only
-``errors`` and ``models``.  The route that checks them, the defining window
-integral, is ``quadrature.quadrature_value``.
+On x >= 0 a scalar V or V' is one ``ExponentialPair.at`` read of the double x
+converts to, bit for bit the array route.  The closed forms use NumPy and
+``math`` only (normal CDF tails: ``math.erfc`` and a Mills-ratio expansion);
+this module imports only ``errors`` and ``models``, and the window integral
+``quadrature.quadrature_value`` is the route that checks them.
 """
 from __future__ import annotations
 
@@ -342,8 +343,9 @@ class ParisianScale:
         arrays too; NaN raises ``DomainError``."""
         if isinstance(x, np.ndarray):
             return self._on_array(x.astype(float, copy=False), with_derivative=False)
+        x = float(x)  # an np.float32 would keep kp * x in float32 on NumPy 2
         if x >= 0.0:
-            return self.positive_pair.value(x)
+            return self.positive_pair.at(x)[0]
         return self._below_zero(x, with_derivative=False)
 
     def derivative(self, x: ArrayLike) -> ArrayLike:
@@ -352,12 +354,13 @@ class ParisianScale:
         an input NaN raises ``DomainError`` and ``-inf`` gives 0."""
         if isinstance(x, np.ndarray):
             return self._on_array(x.astype(float, copy=False), with_derivative=True)
+        x = float(x)
         if self._is_cl and (x == 0.0 or x == -self.spec.model.p * self.spec.r):
             raise UndefinedDerivativeError(
                 f"derivative does not exist at x={x} for the bounded-variation model"
             )
         if x >= 0.0:
-            return self.positive_pair.derivative(x)
+            return self.positive_pair.at(x)[1]
         return self._below_zero(x, with_derivative=True)
 
     def _below_zero(self, x: float, with_derivative: bool) -> float:

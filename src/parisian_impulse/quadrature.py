@@ -233,7 +233,7 @@ def generator_residual(ps: ParisianScale, policy: ImpulsePolicy, x: float) -> fl
     quadrature over the actual piecewise value function.
     """
     spec = ps.spec
-    h = GENERATOR_STEP
+    h, x = GENERATOR_STEP, float(x)  # an np.float32 x would step in float32
     v = lambda y: value_function(ps, policy, y)
     vx = v(x)
     d1 = (v(x + h) - v(x - h)) / (2.0 * h)

@@ -61,8 +61,8 @@ def refracted_pair(cs: CoefficientSet, depth: ArrayLike) -> ExponentialPair:
     array = isinstance(depth, np.ndarray)
     if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
         raise DomainError(f"depth must be nonnegative, got {depth}")
-    X, Y = cs.surplus, cs.refracted
-    delta = cs.spec.delta
+    X, Y, delta = cs.surplus, cs.refracted, cs.spec.delta
+    depth = depth if array else float(depth)  # an np.float32 would read in float32
     if array or not depth <= X.edge:  # a float depth comes here only to raise
         X._read(depth, X.edge)
     # np.exp on a float equals its array result bit for bit; math.exp may not
@@ -98,6 +98,7 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
         if not neg.all():  # NaN goes to the refracted pair
             w[~neg] = refracted_pair(cs, zs[~neg]).value(xs[~neg])
         return w
+    x, depth = float(x), float(depth)
     if x < 0.0:
         return 0.0 if x + depth < 0.0 else cs.surplus.at(x + depth)[0]
     return refracted_pair(cs, depth).at(x)[0]

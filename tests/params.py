@@ -5,9 +5,14 @@ Poisson process, each with the delay, refraction and discount rates used by
 the frozen oracle values.  The transaction cost defaults to 0.05 for the
 diffusion and 1 for compound Poisson; both optima are interior (the compound
 Poisson one only barely, with c1* = 2.585e-3).  Tests that need the boundary
-regime pass their own beta, e.g. ``brownian_spec(1.0)``.
+regime pass their own beta, e.g. ``brownian_spec(1.0)``.  Drawn specs come
+from ``census_box_specs``, the benchmark's census box.
 """
 from __future__ import annotations
+
+import math
+
+from hypothesis import strategies as st
 
 from parisian_impulse import BrownianMotion, CramerLundberg, ProblemSpec
 
@@ -22,3 +27,20 @@ def cramer_lundberg_spec(beta: float = 1.0) -> ProblemSpec:
     return ProblemSpec(
         CramerLundberg(p=3.0, lam=2.0, mu_claim=1.0), delta=0.25, q=0.05, r=2.0, beta=beta
     )
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# the benchmark's census box: COMMON_BOX with BM_BOX or CL_BOX (bench/workloads.py)
+@st.composite
+def census_box_specs(draw):
+    common = dict(q=draw(log_uniform(0.01, 5.0)), r=draw(log_uniform(0.5, 200.0)),
+                  beta=draw(st.floats(0.02, 1.5)))
+    if draw(st.booleans()):
+        model = BrownianMotion(mu=draw(st.floats(0.1, 1.0)), sigma=draw(st.floats(0.3, 1.5)))
+        return ProblemSpec(model, delta=draw(st.floats(0.01, 0.08)), **common)
+    model = CramerLundberg(p=draw(st.floats(2.0, 4.0)), lam=draw(st.floats(0.5, 3.0)),
+                           mu_claim=draw(st.floats(0.8, 2.0)))
+    return ProblemSpec(model, delta=draw(st.floats(0.05, 0.5)), **common)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import quad
 from scipy.special import gammainc, i1, log_ndtr, ndtr
 
@@ -17,16 +18,23 @@ from parisian_impulse import (
     CompoundPoissonWindow,
     CramerLundberg,
     DomainError,
+    ExponentialPair,
+    ImpulsePolicy,
     NumericalError,
     OverflowRangeError,
     ProblemSpec,
     SeriesConvergenceError,
     UndefinedDerivativeError,
+    check_sufficiency_pair,
+    check_transfer_inequality,
     find_optimal_policy,
+    payout_ratio,
+    value_function,
 )
 from parisian_impulse.models import compute_coefficients
 from parisian_impulse.parisian import ParisianScale, _log_ndtr, _ndtr, parisian_scale
-from parisian_impulse.quadrature import quadrature_value
+from parisian_impulse.quadrature import generator_residual, quadrature_value
+from parisian_impulse.scale import refracted_pair, refracted_scale
 
 from oracles import (
     CramerLundbergWindowOracle,
@@ -34,7 +42,7 @@ from oracles import (
     regularized_lower_gamma,
     series_constant_by_window,
 )
-from params import brownian_spec, cramer_lundberg_spec
+from params import brownian_spec, census_box_specs, cramer_lundberg_spec, log_uniform
 
 # Frozen from a 50-digit evaluation of the defining window integral
 # (independent implementation; the package never saw these numbers).
@@ -317,6 +325,103 @@ def test_value_past_the_pair_edge_is_typed_on_every_route():
         assert math.isfinite(pair.at(pair.edge)[2])
 
 
+@settings(max_examples=300, deadline=None)
+@given(spec=census_box_specs(), x=log_uniform(1e-3, 1e3))
+def test_float_route_equals_one_point_array_route(spec, x):
+    # a float x >= 0 reads V and V' by ExponentialPair.at, a one-point array by the
+    # pair's array route: the same bits, or the same error type and text, at 0, -0,
+    # an int, an np.float64, the pair's edge and past it, and +inf; at the compound
+    # Poisson kink 0 the float V' raises where the array holds NaN
+    try:
+        ps = parisian_scale(spec)
+    except NumericalError:
+        return
+    edge = float(ps.positive_pair.edge)
+    points = [0.0, -0.0, int(x), np.float64(x), x, edge, math.nextafter(edge, math.inf),
+              math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (ps.value, ps.derivative):
+            for point in points:
+                got = _outcome(lambda: f(point))
+                if f == ps.derivative and ps._is_cl and point == 0.0:
+                    assert got[0] is UndefinedDerivativeError, got
+                    assert math.isnan(f(np.array([float(point)]))[0])
+                    continue
+                want = _outcome(lambda: f(np.array([float(point)]))[0])
+                assert got == want, (spec, f.__name__, point)
+
+
+def test_float_read_on_x_nonnegative_never_calls_the_pair_array_route(bm_scale, cl_scale,
+                                                                     monkeypatch):
+    # a float x >= 0 reads V and V' by ExponentialPair.at alone: the route cannot
+    # fall back on the pair's 0-d value or derivative silently
+    points = [0.0, 1e-9, 0.5, 3, np.float64(2.5), np.float32(1.3), 12.0]
+    expected = {}
+    for ps in (bm_scale, cl_scale):
+        slopes = [p for p in points if not (ps._is_cl and p == 0.0)]
+        expected[ps] = slopes, [ps.value(p) for p in points], [ps.derivative(p) for p in slopes]
+
+    def refuse(self, x):
+        raise AssertionError(f"ExponentialPair read at {x} called")
+
+    monkeypatch.setattr(ExponentialPair, "value", refuse)
+    monkeypatch.setattr(ExponentialPair, "derivative", refuse)
+    for ps, (slopes, values, derivatives) in expected.items():
+        assert [ps.value(p) for p in points] == values
+        assert [ps.derivative(p) for p in slopes] == derivatives
+        with pytest.raises(AssertionError, match="called"):
+            ps.value(np.array([1.0]))  # an array still reads the pair's array route
+
+
+def _bits(evaluate):
+    """The hex bits of the float ``evaluate()`` returns (of each field of a
+    report), or the type and text of its error."""
+    try:
+        out = evaluate()
+    except (DomainError, NumericalError) as exc:
+        return type(exc), str(exc)
+    fields = dataclasses.astuple(out) if dataclasses.is_dataclass(out) else (out,)
+    assert all(type(v) in (float, bool) for v in fields), out
+    return [v.hex() if type(v) is float else v for v in fields]
+
+
+def test_numpy_scalars_are_read_as_their_doubles(bm_scale, cl_scale, optimum):
+    # on NumPy 2 kp * np.float32(x) stays float32 (NEP 50): value_function, refracted_scale,
+    # refracted_pair, payout_ratio, the certificates and generator_residual read a float32
+    # x in float32 (or returned an np.float32). Every float route converts at its entry,
+    # and ImpulsePolicy its levels, so a NumPy scalar gives the Python float of its double
+    specs = [ProblemSpec(BrownianMotion(0.5, 0.75), delta=0.05, q=0.1, r=2.0, beta=0.3),
+             bm_scale.spec, cl_scale.spec]
+    # float32(0.3) + 0.3 stays float32 and equals float32(0.3), so (0, 0.3) is at the
+    # wedge's edge in float32 arithmetic but admissible as doubles
+    assert float(np.float32(0.3)) > 0.3
+    for spec in specs:
+        ps, cs = parisian_scale(spec), compute_coefficients(spec)
+        opt = optimum(spec).policy
+        calls = [
+            lambda x, lo, up: ps.value(x),
+            lambda x, lo, up: ps.derivative(x),
+            lambda x, lo, up: value_function(ps, ImpulsePolicy(lo, up), x),
+            lambda x, lo, up: refracted_scale(cs, x, up),
+            lambda x, lo, up: refracted_pair(cs, up),
+            lambda x, lo, up: generator_residual(ps, ImpulsePolicy(lo, up), x),
+            lambda x, lo, up: payout_ratio(ps, lo, up),
+            lambda x, lo, up: check_sufficiency_pair(ps, up),
+            lambda x, lo, up: check_transfer_inequality(ps, ImpulsePolicy(lo, up)),
+        ]
+        for lo, up in np.float32([(opt.lower, opt.upper), (0.0, spec.beta)]):
+            for x in map(np.float32, (1.3, 0.0, -0.7, 2.0 * opt.upper + 0.1)):
+                for call in calls:
+                    if call is calls[1] and ps._is_cl and x == 0.0:
+                        continue  # the compound Poisson kink
+                    got = _bits(lambda: call(x, lo, up))
+                    want = _bits(lambda: call(float(x), float(lo), float(up)))
+                    assert got == want, (spec, x, lo, up, call)
+        if spec.beta == 0.3:  # the edge pair is admissible as doubles
+            assert type(payout_ratio(ps, np.float32(0.0), np.float32(0.3))) is float
+
+
 def test_normal_cdf_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     xs = np.concatenate([-np.logspace(3, -3, 300), [0.0], np.logspace(-3, math.log10(40.0), 200),
@@ -403,9 +508,10 @@ def test_band_point_equals_one_point_block(spec, constant):
 
 
 def _outcome(evaluate):
+    """The bits of the float ``evaluate()`` returns, or the type and text of its error."""
     try:
         return float(evaluate()).hex()
-    except NumericalError as exc:
+    except (DomainError, NumericalError) as exc:
         return type(exc), str(exc)
 
 

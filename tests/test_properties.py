@@ -35,7 +35,7 @@ from parisian_impulse.scale import ScaleFunction, refracted_scale
 
 import oracles
 from oracles import parisian_clock
-from params import brownian_spec, cramer_lundberg_spec
+from params import brownian_spec, census_box_specs, cramer_lundberg_spec, log_uniform
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -110,35 +110,19 @@ def test_optimizer_certified_or_typed_error(bounded_python):
     _run_property(bounded_python, "certified_or_typed_property")
 
 
-def _log_uniform(lo: float, hi: float):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+_sizes = log_uniform(1e-3, 1e3)
 
 
-# the benchmark's census box: COMMON_BOX with BM_BOX or CL_BOX (bench/workloads.py)
-@st.composite
-def census_box_specs(draw):
-    common = dict(q=draw(_log_uniform(0.01, 5.0)), r=draw(_log_uniform(0.5, 200.0)),
-                  beta=draw(st.floats(0.02, 1.5)))
-    if draw(st.booleans()):
-        model = BrownianMotion(mu=draw(st.floats(0.1, 1.0)), sigma=draw(st.floats(0.3, 1.5)))
-        return ProblemSpec(model, delta=draw(st.floats(0.01, 0.08)), **common)
-    model = CramerLundberg(p=draw(st.floats(2.0, 4.0)), lam=draw(st.floats(0.5, 3.0)),
-                           mu_claim=draw(st.floats(0.8, 2.0)))
-    return ProblemSpec(model, delta=draw(st.floats(0.05, 0.5)), **common)
-
-
-_sizes = _log_uniform(1e-3, 1e3)
-
-
-def _finite_or_typed(call) -> None:
-    """call() returns finite numbers (a float, an array or a report) or raises a
-    typed error; a RuntimeWarning is an error here too."""
+def _finite_or_typed(call, nan_at=False) -> None:
+    """call() returns finite numbers (a float, an array or a report), NaN exactly
+    where ``nan_at`` is set, or raises a typed error; a RuntimeWarning is an
+    error here too."""
     try:
         out = call()
     except (NumericalError, DomainError, ConfigError):
         return
-    values = astuple(out) if is_dataclass(out) else out
-    assert np.isfinite(np.asarray(values, dtype=float)).all(), out
+    values = np.asarray(astuple(out) if is_dataclass(out) else out, dtype=float)
+    assert np.where(nan_at, np.isnan(values), np.isfinite(values)).all(), out
 
 
 @settings(max_examples=500, deadline=None)
@@ -150,6 +134,10 @@ def _finite_or_typed(call) -> None:
 @example(spec=ProblemSpec(BrownianMotion(mu=1.0, sigma=1.0), delta=0.0625, q=math.e,
                           r=math.exp(5.25), beta=1.0),
          xs=[-148.4131591025766], depth=1.0, lower=0.0, gap=1.0)
+# x = -p*r, the compound Poisson kink, where an array of V' holds NaN by design
+@example(spec=ProblemSpec(CramerLundberg(p=2.0, lam=1.0, mu_claim=1.0), delta=0.5, q=1.0,
+                          r=0.5, beta=1.0),
+         xs=[-1.0, 1.0], depth=1.0, lower=0.0, gap=1.0)
 def finite_or_typed_on_the_domain_property(spec, xs, depth, lower, gap):
     # every evaluator on the documented domain: x out to 1e3 on both sides (on
     # x >= 0 for the pair's own reads), depths out to 1e3, policies up to 2e3
@@ -164,10 +152,14 @@ def finite_or_typed_on_the_domain_property(spec, xs, depth, lower, gap):
         except NumericalError:
             return
         pair, policy = ps.positive_pair, ImpulsePolicy(lower, lower + spec.beta + gap)
-        for f in (ps.value, ps.derivative, lambda x: value_function(ps, policy, x)):
+        # V' is undefined at the compound Poisson kink x = -p*r: a scalar there
+        # raises, an array holds NaN at exactly those entries
+        kink = np.array(xs) == (-spec.model.p * spec.r if ps._is_cl else math.nan)
+        for f, nan_at in ((ps.value, False), (ps.derivative, kink),
+                          (lambda x: value_function(ps, policy, x), False)):
             for x in xs:
                 _finite_or_typed(lambda: f(x))
-            _finite_or_typed(lambda: f(np.array(xs)))
+            _finite_or_typed(lambda: f(np.array(xs)), nan_at)
         for x in [abs(x) for x in xs] + [0.0]:
             for f in (pair.value, pair.derivative, pair.at):
                 _finite_or_typed(lambda: f(x))
@@ -270,6 +262,21 @@ def sufficiency_closed_form_matches_grid_property(spec):
 
 def test_sufficiency_closed_form_matches_grid(bounded_python):
     _run_property(bounded_python, "sufficiency_closed_form_matches_grid_property")
+
+
+def test_grid_oracles_raise_the_pair_overflow():
+    # V(0) = e^{697}: both V' scans run past the pair's edge (6.34), which refuses
+    # the read before NumPy overflows; the oracles have no finiteness check of their own
+    ps = parisian_scale(ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076,
+                                    q=3.63, r=191.9, beta=0.677))
+    assert ps.positive_pair.edge < 10.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scan in (lambda: oracles.check_sufficiency_pair_by_grid(ps, 0.0),
+                     lambda: oracles.check_unimodal_by_grid(ps)):
+            with pytest.raises(OverflowRangeError, match="^a term of the pair leaves the "
+                                                         "double range .* past its edge 6.34"):
+                scan()
 
 
 @settings(max_examples=40, deadline=None)
