@@ -34,7 +34,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InvalidRefractionError, OverflowRangeError
+from .errors import (ConfigError, DomainError, InvalidRefractionError, NumericalError,
+                     OverflowRangeError)
 
 SPEC_CACHE_SIZE = 128  # distinct specs kept by each per-spec cache
 # exp() overflows just above 709; refuse a margin earlier
@@ -43,6 +44,7 @@ EXP_ARG_MAX = 700.0
 TERM_MAX = float(np.finfo(float).max) / 4
 _LOG_TERM_MAX = math.log(TERM_MAX)
 _FREE = TERM_MAX * math.exp(-EXP_ARG_MAX - 1.0)  # a term this small stays below TERM_MAX
+_SQUARE_MAX = 1e154  # x**2 is a double below it (sqrt(DBL_MAX) = 1.34e154); f'' has kp**2
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -184,8 +186,10 @@ def _roots(model: Model, q: float) -> tuple[float, float]:
     cancels when ``b^2 >> |a c|``, that is when the drift dominates the
     discount rate.
     """
-    if isinstance(model, BrownianMotion):
-        a, b, c = 0.5 * model.sigma**2, model.mu, -q
+    if isinstance(model, BrownianMotion):  # sigma**2 raises OverflowError past 1.34e154
+        a, b, c = (0.5 * model.sigma**2 if model.sigma < _SQUARE_MAX else math.inf), model.mu, -q
+        if not 0.0 < a < math.inf:  # or underflows to 0 below 1.5e-162
+            raise NumericalError(f"sigma**2 leaves the double range at sigma = {model.sigma}")
     else:
         p, lam, mu = model.p, model.lam, model.mu_claim
         a, b, c = p, p * mu - lam - q, -q * mu
@@ -201,7 +205,19 @@ def _match(out: ArrayLike) -> ArrayLike:
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
-@dataclass(frozen=True)
+def _edge(a: ArrayLike, b: ArrayLike, kp: float, end: float, grow: float, fall: float):
+    """The pair's one overflow decision: the last x up to ``end`` with ``|a|*grow*e^{kp x}``
+    at most TERM_MAX; -inf if ``|b|*fall``, the falling term at 0, is not; NaN for NaN.
+    ``grow``, ``fall``: the largest factors on a term's coefficient (at least 1 is used)."""
+    grow, fall = grow if grow > 1.0 else 1.0, fall if fall > 1.0 else 1.0  # NaN too: 1
+    size, fits = abs(a), abs(b) <= TERM_MAX / fall  # no product overflows
+    if fits is True and type(size) is float and size * grow <= _FREE:
+        return end  # float coefficients whose margin cannot bind: the common case
+    cut = (_LOG_TERM_MAX - np.log(grow) - np.log(np.maximum(size, 5e-324))) / kp
+    return _match(np.where(fits, np.minimum(end, cut), -math.inf))  # NaN stays NaN
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class ExponentialPair:
     """The function ``f(x) = a * exp(kp * x) - b * exp(km * x)`` with kp > 0 > km.
 
@@ -211,30 +227,34 @@ class ExponentialPair:
     Python float x (every scalar V read on ``x >= 0``).  ``a`` and ``b`` may be
     arrays of one shape (``refracted_pair`` on an array of depths), one ``edge``
     per entry; a scalar ``x`` then gives an array.  NaN raises ``DomainError``.
+    ``end`` depends on kp alone: ``_edge`` reads other weights at these rates with it.
+    The fields are set once, by ``__init__``.  The class is not frozen: a frozen
+    class pays an ``object.__setattr__`` per field, and a pair has ten.
     """
 
     a: float
     b: float
     kp: float
     km: float
+    end: float = field(init=False, repr=False, compare=False)  # last x with kp*x <= 700
     edge: ArrayLike = field(init=False, repr=False, compare=False)
+    akp: ArrayLike = field(init=False, repr=False, compare=False)  # a*kp, b*km, kp**2 and
+    bkm: ArrayLike = field(init=False, repr=False, compare=False)  # km**2: the products that
+    kp2: float = field(init=False, repr=False, compare=False)  # at and derivative read,
+    km2: float = field(init=False, repr=False, compare=False)  # formed once
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edge", self._edge(max(1.0, self.kp**2), max(1.0, self.km**2)))
-
-    def _edge(self, grow: float, fall: float) -> ArrayLike:
-        """The last x with ``kp*x <= EXP_ARG_MAX`` and ``|a|*grow*e^{kp x}`` at most
-        TERM_MAX; -inf if ``|b|*fall``, the falling term at 0, is not; NaN for NaN."""
-        kp, end = self.kp, EXP_ARG_MAX / self.kp  # end: stepped to the last such float
+    def __init__(self, a: ArrayLike, b: ArrayLike, kp: float, km: float) -> None:
+        if not (0.0 < kp < _SQUARE_MAX and abs(km) < _SQUARE_MAX):  # NaN too: else the
+            raise DomainError(  # search below may not end, or kp**2 or km**2 overflows
+                f"an exponential pair needs rates 0 < kp, |km| < 1e154, got {kp}, {km}")
+        end = EXP_ARG_MAX / kp  # stepped to the last float x with kp*x <= EXP_ARG_MAX
         while kp * end > EXP_ARG_MAX:
             end = math.nextafter(end, -math.inf)
         while kp * math.nextafter(end, math.inf) <= EXP_ARG_MAX:
             end = math.nextafter(end, math.inf)
-        size, fits = abs(self.a), abs(self.b) <= TERM_MAX / fall  # no product overflows
-        if fits is True and type(size) is float and size * grow <= _FREE:
-            return end  # float coefficients whose margin cannot bind: the common case
-        cut = (_LOG_TERM_MAX - np.log(grow) - np.log(np.maximum(size, 5e-324))) / kp
-        return _match(np.where(fits, np.minimum(end, cut), -math.inf))  # NaN stays NaN
+        self.a, self.b, self.kp, self.km, self.end = a, b, kp, km, end
+        self.akp, self.bkm, self.kp2, self.km2 = a * kp, b * km, kp**2, km**2
+        self.edge = _edge(a, b, kp, end, self.kp2, self.km2)
 
     def _read(self, x: ArrayLike, edge: ArrayLike) -> np.ndarray:
         xx = np.asarray(x, dtype=float)
@@ -256,8 +276,7 @@ class ExponentialPair:
 
     def derivative(self, x: ArrayLike) -> ArrayLike:
         xx = self._read(x, self.edge)
-        return _match(self.a * self.kp * np.exp(self.kp * xx)
-                      - self.b * self.km * np.exp(self.km * xx))
+        return _match(self.akp * np.exp(self.kp * xx) - self.bkm * np.exp(self.km * xx))
 
     def at(self, x: float) -> tuple[float, float, float]:
         """``(f, f', f'')`` at one float x, as floats.  ``np.exp`` gives a float
@@ -265,13 +284,13 @@ class ExponentialPair:
         :meth:`value` and :meth:`derivative` bit for bit; raises as they do."""
         if not x <= self.edge:  # NaN too
             self._read(x, self.edge)  # raises the array route's error
-        a, b, kp, km = self.a, self.b, self.kp, self.km
-        ep, em = float(np.exp(kp * x)), float(np.exp(km * x))
-        return a * ep - b * em, a * kp * ep - b * km * em, kp**2 * (a * ep) - km**2 * (b * em)
+        ep, em = float(np.exp(self.kp * x)), float(np.exp(self.km * x))
+        fp, fm = self.a * ep, self.b * em  # value's and derivative's products, in their order
+        return fp - fm, self.akp * ep - self.bkm * em, self.kp2 * fp - self.km2 * fm
 
     def integral_from_zero(self, x: ArrayLike) -> ArrayLike:
         """``int_0^x f(y) dy``, read up to its own edge: its terms carry 1/kp and 1/km."""
-        xx = self._read(x, self._edge(max(1.0, 1.0 / self.kp), max(1.0, -1.0 / self.km)))
+        xx = self._read(x, _edge(self.a, self.b, self.kp, self.end, 1.0 / self.kp, -1.0 / self.km))
         return _match(self.a / self.kp * (np.exp(self.kp * xx) - 1.0)
                       - self.b / self.km * (np.exp(self.km * xx) - 1.0))
 
@@ -301,15 +320,20 @@ class ExponentialPair:
 def _coefficients(model: Model, q: float) -> ExponentialPair:
     """The q-scale function on ``x >= 0``: ``kp > 0 > km`` are the roots of
     ``psi = q`` and ``a, b > 0``, so ``W(0+) = a - b`` (zero for Brownian
-    motion, ``1/p`` for Cramer-Lundberg)."""
+    motion, ``1/p`` for Cramer-Lundberg).  Where doubles cannot hold that shape
+    (a root or weight overflows, underflows or cancels) it raises NumericalError."""
     plus, minus = _roots(model, q)
+    if not (0.0 < plus < _SQUARE_MAX and -_SQUARE_MAX < minus < 0.0):  # NaN too
+        raise NumericalError(
+            f"psi = q has no roots kp > 0 > km, squares in doubles: {plus}, {minus}")
     if isinstance(model, BrownianMotion):
-        weight = 2.0 / (model.sigma**2 * (plus - minus))
-        return ExponentialPair(weight, weight, plus, minus)
-    p, mu = model.p, model.mu_claim
-    # weights (mu + root) / (plus - minus) / p; their difference is 1/p
-    span = plus - minus
-    return ExponentialPair((mu + plus) / (span * p), (mu + minus) / (span * p), plus, minus)
+        a = b = 2.0 / (model.sigma**2 * (plus - minus))
+    else:  # weights (mu + root) / (plus - minus) / p; their difference is 1/p
+        p, mu, span = model.p, model.mu_claim, plus - minus
+        a, b = (mu + plus) / (span * p), (mu + minus) / (span * p)
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise NumericalError(f"the scale weights are not finite and positive: {a}, {b}")
+    return ExponentialPair(a, b, plus, minus)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ Otherwise ``c1* = 0`` and ``c2*`` is the root of the increasing function
 ``h(c2) = V'(c2) * (c2 - beta) - (V(c2) - V(0))`` on ``(max(a*, beta), inf)``.
 Roots, certificates, payout ratios and the policy value on ``[0, upper]`` read V
 by ``ExponentialPair.at``, bit for bit ``ps.value``; each root is a bracketed
-Newton-bisection up to the pair's edge, past which its reads raise.
+Newton-bisection up to the pair's edge, past which its reads raise.  The policy
+value keeps its factor and ``V(lower)`` per ``(ps, policy)``: a read is one ``at``.
 
 The sufficiency certificate (V' nondecreasing beyond the trigger) is closed
 form too.  With ``V = a*e^{kp x} - b*e^{km x}``, ``a > 0`` and ``km < 0``:
@@ -53,13 +54,15 @@ generator residual that checks its policies is in ``quadrature``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, SolverFailureError
-from .models import ArrayLike, ExponentialPair, ImpulsePolicy
+from .models import SPEC_CACHE_SIZE, ArrayLike, ExponentialPair, ImpulsePolicy
 from .parisian import ParisianScale
 
 # Relative step at which a root counts as converged: a Newton step this
@@ -247,23 +250,32 @@ def value_function(ps: ParisianScale, policy: ImpulsePolicy, x: ArrayLike) -> Ar
     """Candidate value of the policy started from x (a float or an array).
 
     Scales V below ``upper`` and continues with unit slope above; continuous
-    at ``upper`` by construction.  A float x in ``[0, upper]`` reads V by ``at``.
+    at ``upper`` by construction.  A float x in ``[0, upper]`` reads V by ``at``,
+    once: the scale factor and ``V(lower)`` are kept per ``(ps, policy)``.
     """
-    beta = ps.spec.beta
     lo, up = policy.lower, policy.upper
-    policy.validate(beta)
-    pair = ps.positive_pair
-    v_lo = pair.at(lo)[0]
-    factor = (up - lo - beta) / _gain(pair.at(up)[0], v_lo, lo, up, beta)
+    factor, v_lo = _policy_terms(weakref.ref(ps), lo, up)
     if isinstance(x, np.ndarray):
         below = factor * ps.value(np.minimum(x, up))
-        return np.where(x <= up, below, x - lo - beta + factor * v_lo)
+        return np.where(x <= up, below, x - lo - ps.spec.beta + factor * v_lo)
     x = float(x)
     if 0.0 <= x <= up:
-        return factor * pair.at(x)[0]
+        return factor * ps.positive_pair.at(x)[0]
     if x > up:
-        return x - lo - beta + factor * v_lo
+        return x - lo - ps.spec.beta + factor * v_lo
     return factor * ps.value(x)  # below 0; NaN lands here, and V raises
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _policy_terms(ps_ref: weakref.ref, lo: float, up: float) -> tuple[float, float]:
+    """``(upper - lower - beta) / (V(upper) - V(lower))`` and ``V(lower)``; an
+    inadmissible policy or a flat V raises on every call (errors are not kept).
+    Keyed by a weak reference: the cache keeps no ``ParisianScale`` alive."""
+    ps = ps_ref()
+    beta, pair = ps.spec.beta, ps.positive_pair
+    ImpulsePolicy(lo, up).validate(beta)
+    v_lo = pair.at(lo)[0]
+    return (up - lo - beta) / _gain(pair.at(up)[0], v_lo, lo, up, beta), v_lo
 
 
 def check_sufficiency_pair(ps: ParisianScale, upper: float) -> SufficiencyReport:

@@ -127,7 +127,8 @@ class ParisianScale:
         self._is_cl = isinstance(spec.model, CramerLundberg)
         self.series_constant: Optional[float] = None
         try:
-            if self._is_cl:
+            if self._is_cl:  # p*r and mu as floats: the band point reads them per call
+                self._pr, self._mu = spec.model.p * spec.r, spec.model.mu_claim
                 self._band_k, self._band_terms = self._band_table()
                 self.series_constant = self._band_point(0.0, *self._band_terms[2])
                 self.positive_pair = self._positive_pair_cl()
@@ -285,25 +286,26 @@ class ParisianScale:
     def _band_point(self, x: float, log_coef: np.ndarray, sign: np.ndarray) -> float:
         """The band sum at one point x: one log-pmf row against the ``(rows, K)`` table,
         checked on its row sums as floats, equal to :meth:`_window_sums` on one point."""
-        pr = self.spec.model.p * self.spec.r
+        pr = self._pr
         block = np.log((x + pr) / pr) * self._band_k
         block[0] = 0.0
-        block -= self.spec.model.mu_claim * x
+        block -= self._mu * x
         block = np.add(block, log_coef)
         np.exp(block, out=block)
         tails = block[:, -2:].tolist()
         block *= sign
-        sums = np.add.reduce(block, axis=1)
-        rows = sums.tolist()
+        rows = np.add.reduce(block, axis=1).tolist()
         if not all(map(math.isfinite, rows)):  # NaN too, as in np.maximum.reduce
             raise self._band_error(overflow=True)
+        total = 0.0  # the block's row reduction: from 0.0, in row order (no -0.0 result)
         for (before, last), s in zip(tails, rows):
             if max(before, last) - SERIES_RTOL * abs(s) >= SERIES_RTOL * 1e-300:
                 raise self._band_error(overflow=False)
-        return float(np.add.reduce(sums))  # the block's own row reduction, not sum()
+            total += s
+        return total
 
     def _band_error(self, overflow: bool) -> Exception:
-        pr, n = self.spec.model.p * self.spec.r, self._band_k.size
+        pr, n = self._pr, self._band_k.size
         if overflow:
             return OverflowRangeError(f"band series leave the double range (p*r = {pr:.6g})")
         return SeriesConvergenceError(f"band series did not converge within {n} terms")
@@ -355,7 +357,7 @@ class ParisianScale:
         if isinstance(x, np.ndarray):
             return self._on_array(x.astype(float, copy=False), with_derivative=True)
         x = float(x)
-        if self._is_cl and (x == 0.0 or x == -self.spec.model.p * self.spec.r):
+        if self._is_cl and (x == 0.0 or x == -self._pr):
             raise UndefinedDerivativeError(
                 f"derivative does not exist at x={x} for the bounded-variation model"
             )
@@ -367,8 +369,7 @@ class ParisianScale:
         """V or V' at one point below 0, where NaN lands too and raises.  Both
         vanish at ``-inf`` and, for Cramer-Lundberg, below ``-p*r``."""
         if self._is_cl:
-            pr = self.spec.model.p * self.spec.r
-            if x >= -pr:
+            if x >= -self._pr:
                 return self._band_point(x, *self._band_terms[with_derivative])
         elif x > -math.inf:
             return self._neg_brownian(x, with_derivative)[with_derivative]
@@ -386,14 +387,14 @@ class ParisianScale:
         out[pos] = (pair.derivative if with_derivative else pair.value)(x[pos])
         below = ~pos
         if self._is_cl:
-            pr = self.spec.model.p * self.spec.r
+            pr = self._pr
             band = below & (x >= -pr)
             below &= ~band
             if with_derivative:  # V' is undefined at the kinks 0 and -p*r
                 out[(x == 0.0) | (x == -pr)] = np.nan
                 band &= x > -pr
             xb = x[band]
-            ratio, shift = (xb + pr) / pr, self.spec.model.mu_claim * xb
+            ratio, shift = (xb + pr) / pr, self._mu * xb
             step = max(1, _BAND_BLOCK // self._band_terms[with_derivative][0].size)
             out[band] = np.concatenate([np.empty(0)] + [  # blocks of at most _BAND_BLOCK terms
                 self._window_sums(ratio[i:i + step], shift[i:i + step], int(with_derivative))

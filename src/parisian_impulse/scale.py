@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .models import ArrayLike, CoefficientSet, ExponentialPair, _match
+from .models import ArrayLike, CoefficientSet, ExponentialPair, _edge, _match
 
 
 class ScaleFunction:
@@ -61,19 +61,23 @@ def refracted_pair(cs: CoefficientSet, depth: ArrayLike) -> ExponentialPair:
     array = isinstance(depth, np.ndarray)
     if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
         raise DomainError(f"depth must be nonnegative, got {depth}")
+    Y = cs.refracted
+    return ExponentialPair(*_refracted_weights(cs, depth if array else float(depth)), Y.kp, Y.km)
+
+
+def _refracted_weights(cs: CoefficientSet, depth: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+    """``(a, b)`` of ``w(x; -depth)`` at a checked array or Python float depth."""
     X, Y, delta = cs.surplus, cs.refracted, cs.spec.delta
-    depth = depth if array else float(depth)  # an np.float32 would read in float32
+    array = isinstance(depth, np.ndarray)
     if array or not depth <= X.edge:  # a float depth comes here only to raise
         X._read(depth, X.edge)
     # np.exp on a float equals its array result bit for bit; math.exp may not
     e_p, e_m = np.exp(X.kp * depth), np.exp(X.km * depth)
     if not array:
         e_p, e_m = float(e_p), float(e_m)
-    tp = X.a * X.kp * e_p
-    tm = X.b * X.km * e_m
-    a = -delta * Y.a * (tp / (X.kp - Y.kp) - tm / (X.km - Y.kp))
-    b = -delta * Y.b * (tp / (X.kp - Y.km) - tm / (X.km - Y.km))
-    return ExponentialPair(a, b, Y.kp, Y.km)
+    tp, tm = X.akp * e_p, X.bkm * e_m
+    return (-delta * Y.a * (tp / (X.kp - Y.kp) - tm / (X.km - Y.kp)),
+            -delta * Y.b * (tp / (X.kp - Y.km) - tm / (X.km - Y.km)))
 
 
 def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> ArrayLike:
@@ -84,8 +88,9 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     and switches to the refracted two-exponential form above 0 (continuously).
     Either argument may be an array (the window integral's depths, eval's
     ``x``): each branch is read on its own points only.  A float ``x`` at a
-    float depth is read by :meth:`ExponentialPair.at`, bit for bit the array;
-    a read past a pair's edge raises ``OverflowRangeError``.
+    float depth reads the refracted weights through the pair's overflow decision
+    ``_edge`` without building a pair, bit for bit :meth:`ExponentialPair.at` and
+    the array; a read past a pair's edge raises ``OverflowRangeError``.
     """
     array = isinstance(depth, np.ndarray)  # the window integral's depths
     if not (bool((depth >= 0.0).all()) if array else depth >= 0.0):  # NaN included
@@ -101,4 +106,7 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     x, depth = float(x), float(depth)
     if x < 0.0:
         return 0.0 if x + depth < 0.0 else cs.surplus.at(x + depth)[0]
-    return refracted_pair(cs, depth).at(x)[0]
+    (a, b), Y = _refracted_weights(cs, depth), cs.refracted
+    if not x <= _edge(a, b, Y.kp, Y.end, Y.kp2, Y.km2):  # NaN too: the pair raises its own error
+        return ExponentialPair(a, b, Y.kp, Y.km).at(x)[0]
+    return a * float(np.exp(Y.kp * x)) - b * float(np.exp(Y.km * x))  # at(x)[0], unbuilt

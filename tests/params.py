@@ -6,15 +6,18 @@ the frozen oracle values.  The transaction cost defaults to 0.05 for the
 diffusion and 1 for compound Poisson; both optima are interior (the compound
 Poisson one only barely, with c1* = 2.585e-3).  Tests that need the boundary
 regime pass their own beta, e.g. ``brownian_spec(1.0)``.  Drawn specs come
-from ``census_box_specs``, the benchmark's census box.
+from ``census_box_specs``, the benchmark's census box.  ``outcome`` is the
+bit-identity tests' one comparison key: a float's bits or an error's type and text.
 """
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
-from parisian_impulse import BrownianMotion, CramerLundberg, ProblemSpec
+from parisian_impulse import (BrownianMotion, CramerLundberg, DomainError, NumericalError,
+                              ProblemSpec)
 
 
 def brownian_spec(beta: float = 0.05) -> ProblemSpec:
@@ -44,3 +47,16 @@ def census_box_specs(draw):
     model = CramerLundberg(p=draw(st.floats(2.0, 4.0)), lam=draw(st.floats(0.5, 3.0)),
                            mu_claim=draw(st.floats(0.8, 2.0)))
     return ProblemSpec(model, delta=draw(st.floats(0.05, 0.5)), **common)
+
+
+def outcome(call, errors=(DomainError, NumericalError), python_float=False):
+    """The hex bits of the float ``call()`` returns (an array's first entry), or the
+    type and text of the error among ``errors`` it raises; with ``python_float`` the
+    result must be a Python float, not a NumPy scalar or array."""
+    try:
+        value = call()
+    except errors as exc:
+        return type(exc), str(exc)
+    if python_float:
+        assert type(value) is float, value
+    return float(np.asarray(value).reshape(-1)[0]).hex()

@@ -543,6 +543,38 @@ print(code, time.perf_counter() - start, repr(err.getvalue()))
     assert float(seconds) < 1.0
 
 
+# Finite configs whose roots or weights leave the double range: the first hung in
+# the pair's edge search (kp = -inf stepped through every positive double), the
+# others exited 1 with a traceback (ZeroDivisionError, OverflowError, ValueError);
+# the last has every value within 1e+-8, and its claim weight cancels to 0
+EXTREME_CONFIGS = {
+    "cl_q_mu_claim_1e160": (CL_CFG, ["q=1e160", "mu_claim=1e160"]),
+    "cl_mu_claim_1e200": (CL_CFG, ["mu_claim=1e200"]),
+    "cl_lambda_1e300": (CL_CFG, ["lambda=1e300"]),
+    "bm_sigma_1e-200": (BM_CFG, ["sigma=1e-200"]),
+    "bm_sigma_1e200": (BM_CFG, ["sigma=1e200"]),
+    "bm_mu_1e200": (BM_CFG, ["mu=1e200"]),
+    "cl_within_1e8": (CL_CFG, ["p=8.43e6", "lambda=3.94e-6", "mu_claim=1.42e5",
+                               "delta=2.59e4", "q=7.93e-5", "r=5.17e-4"]),
+}
+
+
+@pytest.mark.parametrize("case", EXTREME_CONFIGS)
+def test_extreme_finite_config_is_a_typed_numerical_failure(bounded_python, case):
+    cfg, sets = EXTREME_CONFIGS[case]
+    argv = ["optimize", "--config", cfg] + [arg for s in sets for arg in ("--set", s)]
+    code = f"""
+import contextlib, io
+from parisian_impulse import cli
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = cli.main({argv!r})
+print(code, repr(err.getvalue()))
+"""
+    code, err = bounded_python(code, timeout=10.0).split(maxsplit=1)
+    assert int(code) == 3 and "numerical failure" in err and "Traceback" not in err, err
+
+
 def test_grid_size_limit():
     assert cli._parse_grid(f"0:1:{cli.GRID_MAX_POINTS}").size == cli.GRID_MAX_POINTS
     with pytest.raises(ConfigError, match="points"):

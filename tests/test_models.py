@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -257,6 +258,50 @@ def test_float_path_equals_array_path_bit_for_bit():
     assert pairs[-1].edge < EXP_ARG_MAX / pairs[-1].kp
     with pytest.raises(OverflowRangeError, match="^a term of the pair leaves the double range"):
         pairs[-1].at(EXP_ARG_MAX)
+
+
+@pytest.mark.parametrize("model, q, cause", [
+    (BrownianMotion(0.5, 1e-200), 0.05, "sigma\\*\\*2 leaves the double range"),
+    (BrownianMotion(0.5, 1e200), 0.05, "sigma\\*\\*2 leaves the double range"),
+    (BrownianMotion(1e200, 0.75), 0.05, "no roots kp > 0 > km"),
+    (CramerLundberg(3.0, 2.0, 1e160), 1e160, "no roots kp > 0 > km"),
+    (CramerLundberg(3.0, 2.0, 1e200), 0.05, "no roots kp > 0 > km"),
+    (CramerLundberg(3.0, 1e300, 1.0), 0.05, "no roots kp > 0 > km"),
+    (CramerLundberg(8.43e6 - 2.59e4, 3.94e-6, 1.42e5), 7.93e-5, "weights are not finite"),
+    (BrownianMotion(2.55e105, 1.02e-88), 3.9e-44, "no roots kp > 0 > km, squares in doubles"),
+])
+def test_coefficients_doubles_cannot_hold_raise_numerical_error(bounded_python, model, q, cause):
+    # roots kp > 0 > km and weights a, b > 0, all finite, or a typed error naming
+    # which: these ended in a hang (so each runs bounded), ZeroDivisionError,
+    # OverflowError or ValueError
+    code = f"""
+from parisian_impulse import BrownianMotion, CramerLundberg, NumericalError
+from parisian_impulse.models import _coefficients
+try:
+    _coefficients({model!r}, {q!r})
+except NumericalError as exc:
+    print(exc)
+"""
+    assert re.search(cause, bounded_python(code, timeout=10.0))
+
+
+def test_pair_rate_outside_the_positive_doubles_is_refused_at_once(bounded_python):
+    # the edge search stepped through every positive double at kp = -inf and
+    # divided by zero at kp = 0; kp**2 or km**2 raised OverflowError past 1.34e154
+    code = """
+from parisian_impulse import DomainError, ExponentialPair
+inf, nan = float("inf"), float("nan")
+for kp, km in [(0.0, -1.0), (-1.0, -1.0), (-inf, -1.0), (inf, -1.0), (nan, -1.0),
+               (1e200, -1.0), (1.0, -1e200), (1.0, -inf), (1.0, nan)]:
+    try:
+        ExponentialPair(1.0, 1.0, kp, km)
+    except DomainError as exc:
+        print(exc)
+"""
+    lines = bounded_python(code, timeout=10.0).splitlines()
+    assert len(lines) == 9, lines
+    assert all(line.startswith("an exponential pair needs rates 0 < kp, |km| < 1e154")
+               for line in lines)
 
 
 def test_range_check_is_the_exponent_check_where_terms_fit():

@@ -1,8 +1,11 @@
 """Impulse policy search, value function and optimality certificates."""
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from dataclasses import astuple, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,10 +30,10 @@ from parisian_impulse import optimizer
 from parisian_impulse.config import build_problem_spec, parse_config_text
 from parisian_impulse.cli import result_record
 from parisian_impulse.parisian import ParisianScale, parisian_scale
-from parisian_impulse.models import EXP_ARG_MAX
+from parisian_impulse.models import EXP_ARG_MAX, SPEC_CACHE_SIZE
 
 import oracles
-from params import brownian_spec, cramer_lundberg_spec
+from params import brownian_spec, cramer_lundberg_spec, outcome
 
 # Frozen optima (50-digit stationarity solves of the closed form).  The
 # compound Poisson beta=1 pair is interior: it beats the best boundary policy
@@ -208,14 +211,7 @@ def _replaced_value_function(ps, policy, x):
     return factor * ps.value(x)
 
 
-def _float_outcome(call):
-    """The bits of the float ``call()`` returns, or the type and text of its error."""
-    try:
-        value = call()
-    except (DomainError, NumericalError) as exc:
-        return type(exc), str(exc)
-    assert type(value) is float
-    return value.hex()
+_float_outcome = partial(outcome, python_float=True)
 
 
 def test_value_function_float_route_equals_replaced_formula_bit_for_bit():
@@ -252,6 +248,69 @@ def test_value_function_float_route_equals_replaced_formula_bit_for_bit():
         errors = [_float_outcome(lambda: f(ps, policy, 1.0))
                   for f in (value_function, _replaced_value_function)]
         assert errors[0] == errors[1] and isinstance(errors[0], tuple), spec
+
+
+def test_value_function_keeps_its_policy_terms_bit_for_bit():
+    # the scale factor and V(lower) are kept per (ps, policy): every read, the first
+    # (a miss) and the second (a hit), equals the formula recomputed from two at reads,
+    # on float and array x, for optimal policies of both cases and a wider policy per
+    # spec with the same lower level
+    optimizer._policy_terms.cache_clear()
+    reads, cases = [], set()
+    for spec in _drawn_specs(12, seed=31):
+        ps = parisian_scale(spec)
+        result = find_optimal_policy(ps)
+        cases.add(result.case)
+        opt = result.policy
+        reads += [(ps, opt), (ps, ImpulsePolicy(opt.lower, 1.5 * opt.upper + spec.beta))]
+    assert {"interior", "boundary"} <= cases
+    for _ in range(2):
+        for ps, policy in reads:
+            lo, up, beta, pair = policy.lower, policy.upper, ps.spec.beta, ps.positive_pair
+            v_lo = pair.at(lo)[0]
+            factor = (up - lo - beta) / (pair.at(up)[0] - v_lo)
+            xs = [0.0, 0.5 * lo, lo, 0.5 * (lo + up), up, 1.5 * up]
+            want = [(factor * pair.at(x)[0] if x <= up else x - lo - beta + factor * v_lo).hex()
+                    for x in xs]
+            assert [_float_outcome(lambda: value_function(ps, policy, x)) for x in xs] == want
+            assert [v.hex() for v in value_function(ps, policy, np.array(xs)).tolist()] == want
+
+
+def test_failing_policy_raises_on_every_call(bm_scale):
+    # errors are never kept: an inadmissible policy (one sharing a kept policy's
+    # lower level too), a net payout that rounds to 0, a V flat in doubles and a V
+    # past the double range raise on every call
+    optimizer._policy_terms.cache_clear()
+    beta = bm_scale.spec.beta
+    assert math.isfinite(value_function(bm_scale, ImpulsePolicy(0.0, 1.0), 0.5))
+    rounds = parisian_scale(replace(bm_scale.spec, beta=1.3041003989788345))
+    flat = parisian_scale(replace(brownian_spec(), q=1e-300))
+    overflow = parisian_scale(ProblemSpec(BrownianMotion(mu=0.685, sigma=1.344), delta=0.076,
+                                          q=3.63, r=191.9, beta=0.677))
+    for ps, policy, error in [
+            (bm_scale, ImpulsePolicy(0.0, 0.5 * beta), DomainError),
+            (bm_scale, ImpulsePolicy(-1.0, 1.0), DomainError),
+            (rounds, ImpulsePolicy(0.5006457197522601, 1.8047461187310947), DomainError),
+            (flat, ImpulsePolicy(1000.0, 1001.0), SolverFailureError),
+            (overflow, ImpulsePolicy(0.0, 8.0), OverflowRangeError)]:
+        errors = {_float_outcome(lambda: value_function(ps, policy, 0.5)) for _ in range(3)}
+        assert len(errors) == 1 and next(iter(errors))[0] is error, policy
+    assert optimizer._policy_terms.cache_info().currsize == 1
+
+
+def test_policy_cache_is_bounded_and_keeps_no_scale_alive():
+    # 200 policies leave at most 128 entries, and an entry does not outlive its
+    # ParisianScale: a scale no spec cache holds is freed with its terms still kept
+    optimizer._policy_terms.cache_clear()
+    ps = ParisianScale(brownian_spec())
+    for i in range(200):
+        value_function(ps, ImpulsePolicy(0.0, 1.0 + 0.01 * i), 0.5)
+    info = optimizer._policy_terms.cache_info()
+    assert info.maxsize == SPEC_CACHE_SIZE and info.currsize <= SPEC_CACHE_SIZE == 128
+    alive = weakref.ref(ps)
+    del ps
+    gc.collect()
+    assert alive() is None and optimizer._policy_terms.cache_info().currsize == info.currsize
 
 
 def test_value_function_float_route_never_calls_ps_value(bm_scale, cl_scale, optimum, monkeypatch):

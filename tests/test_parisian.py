@@ -42,7 +42,8 @@ from oracles import (
     regularized_lower_gamma,
     series_constant_by_window,
 )
-from params import brownian_spec, census_box_specs, cramer_lundberg_spec, log_uniform
+from params import (brownian_spec, census_box_specs, cramer_lundberg_spec, log_uniform,
+                    outcome)
 
 # Frozen from a 50-digit evaluation of the defining window integral
 # (independent implementation; the package never saw these numbers).
@@ -343,12 +344,12 @@ def test_float_route_equals_one_point_array_route(spec, x):
         warnings.simplefilter("error")
         for f in (ps.value, ps.derivative):
             for point in points:
-                got = _outcome(lambda: f(point))
+                got = outcome(lambda: f(point))
                 if f == ps.derivative and ps._is_cl and point == 0.0:
                     assert got[0] is UndefinedDerivativeError, got
                     assert math.isnan(f(np.array([float(point)]))[0])
                     continue
-                want = _outcome(lambda: f(np.array([float(point)]))[0])
+                want = outcome(lambda: f(np.array([float(point)]))[0])
                 assert got == want, (spec, f.__name__, point)
 
 
@@ -507,14 +508,6 @@ def test_band_point_equals_one_point_block(spec, constant):
     assert ps.series_constant.hex() == block[0].hex()
 
 
-def _outcome(evaluate):
-    """The bits of the float ``evaluate()`` returns, or the type and text of its error."""
-    try:
-        return float(evaluate()).hex()
-    except (DomainError, NumericalError) as exc:
-        return type(exc), str(exc)
-
-
 class _InfiniteConstantScale(ParisianScale):
     """A ``ParisianScale`` whose series constant C, the build's one three-row
     band sum, is ``inf``."""
@@ -556,9 +549,9 @@ def test_patched_band_point_matches_one_point_block(cl_scale, fault, error):
     pairs.append((lambda: ps._band_point(0.0, *ps._band_terms[2]),
                   lambda: ps._window_sums(np.array([1.0]), np.array([0.0]), 2)[0]))
     for scalar, block in pairs:
-        outcome = _outcome(scalar)
-        assert outcome == _outcome(block)
-        assert outcome[0] is error if error else float.fromhex(outcome) == 0.0
+        got = outcome(scalar)
+        assert got == outcome(block)
+        assert got[0] is error if error else float.fromhex(got) == 0.0
 
 
 def test_compound_poisson_build_skips_window_density(monkeypatch):

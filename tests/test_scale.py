@@ -1,16 +1,19 @@
 """Exponential-pair machinery, scale functions and the refracted scale."""
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from parisian_impulse import (
     BrownianMotion,
     DomainError,
     ExponentialPair,
+    NumericalError,
     OverflowRangeError,
     ProblemSpec,
     UndefinedDerivativeError,
@@ -20,7 +23,7 @@ from parisian_impulse.models import EXP_ARG_MAX
 from parisian_impulse.scale import ScaleFunction, refracted_pair, refracted_scale
 
 import oracles
-from params import brownian_spec, cramer_lundberg_spec
+from params import brownian_spec, census_box_specs, cramer_lundberg_spec, log_uniform, outcome
 
 PAIR = ExponentialPair(a=2.0, b=1.5, kp=0.3, km=-0.7)
 
@@ -149,12 +152,7 @@ def test_refracted_scale_on_arrays_matches_scalar_calls(spec):
 NAN_ERROR = (DomainError, "an exponential pair is undefined at NaN")
 
 
-def _outcome(f):
-    """The float bits of ``f()`` (its first entry for an array), or its error."""
-    try:
-        return float(np.asarray(f()).reshape(-1)[0]).hex()
-    except (DomainError, OverflowRangeError) as exc:
-        return type(exc), str(exc)
+_outcome = functools.partial(outcome, errors=(DomainError, OverflowRangeError))
 
 
 @pytest.mark.parametrize("spec", [brownian_spec(), cramer_lundberg_spec()])
@@ -253,6 +251,30 @@ def test_refracted_scale_out_of_double_range_is_typed():
         assert math.isfinite(refracted_scale(cs, 3.0, z))
         with pytest.raises(OverflowRangeError):
             refracted_scale(cs, 100.0, np.array([1.0, z]))  # an array of depths
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=census_box_specs(), x=log_uniform(1e-3, 1e3), z=log_uniform(1e-3, 1e3))
+def test_float_refracted_scale_reads_the_refracted_pair_unbuilt(spec, x, z):
+    # a float x >= 0 at a float depth reads the refracted weights through the pair's
+    # one overflow decision without building a pair: the bits, or the error type and
+    # text, of refracted_pair(cs, depth).at(x) and of the one-point array route, also
+    # at depths on the surplus pair's edge and for x past the refracted pair's edge
+    try:
+        cs = compute_coefficients(spec)
+    except NumericalError:
+        return
+    edge = float(cs.surplus.edge)
+    for depth in (z, 0.0, edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+        try:
+            far = float(refracted_pair(cs, depth).edge)
+        except OverflowRangeError:
+            far = x
+        for point in (x, 0.0, -0.0, far, math.nextafter(far, math.inf), 2.0 * far, math.inf,
+                      math.nan):
+            got = outcome(lambda: refracted_scale(cs, point, depth), python_float=True)
+            assert got == outcome(lambda: refracted_pair(cs, depth).at(point)[0]), (point, depth)
+            assert got == outcome(lambda: refracted_scale(cs, np.array([point]), depth))
 
 
 def test_refracted_scale_frozen_values():
