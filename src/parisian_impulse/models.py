@@ -213,7 +213,8 @@ def _edge(a: ArrayLike, b: ArrayLike, kp: float, end: float, grow: float, fall: 
     size, fits = abs(a), abs(b) <= TERM_MAX / fall  # no product overflows
     if fits is True and type(size) is float and size * grow <= _FREE:
         return end  # float coefficients whose margin cannot bind: the common case
-    cut = (_LOG_TERM_MAX - np.log(grow) - np.log(np.maximum(size, 5e-324))) / kp
+    with np.errstate(over="ignore"):  # a subnormal kp: the cut passes any end
+        cut = (_LOG_TERM_MAX - np.log(grow) - np.log(np.maximum(size, 5e-324))) / kp
     return _match(np.where(fits, np.minimum(end, cut), -math.inf))  # NaN stays NaN
 
 
@@ -313,7 +314,10 @@ class ExponentialPair:
             return -math.inf
         if self.a * self.kp**n == 0.0:  # a tiny q: the ratio below leaves the double range
             raise OverflowRangeError(f"a * kp**{n} underflows to 0 at kp = {self.kp:.3g}")
-        ratio = self.b * self.km**n / (self.a * self.kp**n)
+        try:  # kp**n fits: it was formed just above
+            ratio = self.b * self.km**n / (self.a * self.kp**n)
+        except OverflowError:
+            raise OverflowRangeError(f"km**{n} passes the double range at km = {self.km:.3g}")
         return math.log(ratio) / (self.kp - self.km) if ratio > 0.0 else -math.inf
 
 

@@ -12,10 +12,11 @@ over one delay window:
   exponential claims, and V needs one scalar series constant C plus two
   bracketed incomplete-gamma series on the middle band ``[-p*r, 0)``.  Both
   come from a table of log-space coefficients built once per spec
-  (``_band_table``): a scalar band point, and C at ``x = 0``, is one Poisson
-  log-pmf row against it, not a one-point block (10-15 us a call), an array
-  a few blocks of such rows, bit for bit equal.  Every term is exponentiated
-  from its log, prefactor included: only a V out of the double range overflows.
+  (``_band_table``): a band point, and C at ``x = 0``, is one Poisson log-pmf
+  row against it, an array a few blocks of rows, bit for bit equal.  Every
+  term is exponentiated from its log: only a V out of the double range
+  overflows.  A table entry carries a bound on its terms inside the band, and
+  where it keeps every sum in range a scalar read needs no errstate guard.
 
 On x >= 0 a scalar V or V' is one ``ExponentialPair.at`` read of the double x
 converts to, bit for bit the array route.  The closed forms use NumPy and
@@ -33,11 +34,13 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    NumericalError,
     OverflowRangeError,
     SeriesConvergenceError,
     UndefinedDerivativeError,
 )
 from .models import (
+    _LOG_TERM_MAX,
     SPEC_CACHE_SIZE,
     ArrayLike,
     BrownianMotion,
@@ -50,6 +53,7 @@ from .models import (
 SERIES_RTOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_ROOT = -0.5 * math.log(2.0 * math.pi)  # log of the normal density's factor
 _SIDES = np.array([[1.0], [-1.0]])  # the q_plus and q_minus variants' signs
 _BAND_BLOCK = 2**14  # most band terms in one block of points: 128 KB an array ran fastest
 BAND_MAX_TERMS = 10**6  # under 1 s and 0.3 GB to build; the benchmark box needs a few thousand
@@ -69,6 +73,13 @@ def _log_factorials(n: int) -> tuple[np.ndarray, np.ndarray]:
         log_k_factorial = np.array([math.lgamma(i + 1.0) for i in range(size)])
         _FACTORIAL_TABLE = (k, log_k_factorial)
     return k[:n], log_k_factorial[:n]
+
+
+def _log(product: float, name: str) -> float:
+    """``log(product)`` of positive numbers; NumericalError where it underflows to 0."""
+    if product == 0.0:
+        raise NumericalError(f"{name} underflows to 0 in doubles")
+    return math.log(product)
 
 
 def _term_budget(peak: float) -> int:
@@ -159,7 +170,10 @@ class ParisianScale:
         Y = self.coefficient_set.refracted
         s2 = m.sigma**2
         disc = 0.5 * s2 * (X.kp - X.km)  # sqrt(mu^2 + 2 q sigma^2)
+        self._tails = (X.kp, X.km, spec.r * disc, m.sigma * math.sqrt(spec.r), spec.q * spec.r)
         eqr = math.exp(spec.q * spec.r)
+        if 2.0 * math.pi * s2 * spec.r == 0.0:  # 2 / sqrt of it below
+            raise NumericalError("2*pi*sigma**2*r underflows to 0 in doubles")
         # integral of W' against the window displacement law
         i1 = (
             2.0 / math.sqrt(2.0 * math.pi * s2 * spec.r) * math.exp(-spec.r * m.mu**2 / (2.0 * s2))
@@ -224,9 +238,9 @@ class ParisianScale:
         # per variant: p*r*c, log base, log(p*r*c), log|rate|, and less
         # log_scale: log own, log cross, log(c cross)
         columns = np.array([
-            [pr * (rate + mu), math.log(pr * (other + mu)), math.log(pr * (rate + mu)),
-             math.log(abs(rate)), math.log(own) - log_scale, math.log(cross) - log_scale,
-             math.log((rate + mu) * cross) - log_scale]
+            [pr * (rate + mu), _log(pr * (other + mu), "p*r*(mu+km)"), math.log(pr * (rate + mu)),
+             math.log(abs(rate)), math.log(own) - log_scale, _log(cross, "p*b") - log_scale,
+             _log((rate + mu) * cross, "(mu+root)*p*weight") - log_scale]
             for rate, other, own, cross in zip(rates, rates[::-1], weights, weights[::-1])
         ]).T[:, :, None]
         prc, _, _, log_rate, log_own, log_cross, log_c_cross = columns
@@ -257,15 +271,23 @@ class ParisianScale:
             np.sign(gap, out=sign[4:6])  # the variant's sign times its rate's is +1
             np.multiply(sign[4:6], _SIDES, out=sign[:2])
             np.multiply(np.sign(bracket), _SIDES, out=sign[2:4])
-            log_coef[6] = math.log(m.lam * mu * spec.r) - log_scale + k_logs[0, 0] + k_logs[1, 0]
+            log_coef[6] = (_log(m.lam * mu * spec.r, "lam*mu*r") - log_scale
+                           + k_logs[0, 0] + k_logs[1, 0])
             sign[6] = 1.0
-        return k[:-1], tuple((log_coef[i:j], sign[i:j]) for i, j in ((0, 2), (2, 6), (4, 7)))
+        return k[:-1], tuple(self._band_entry(log_coef[i:j], sign[i:j])
+                             for i, j in ((0, 2), (2, 6), (4, 7)))
+
+    def _band_entry(self, log_coef: np.ndarray, sign: np.ndarray) -> tuple:
+        """Rows and a bound on the log of their term sum on the band (NaN for a NaN row):
+        ``k log((x + p*r) / (p*r)) - mu*x <= mu*p*r`` there, and there are ``size`` terms."""
+        bound = float(log_coef.max()) + self._mu * self._pr
+        return log_coef, sign, bound + math.log(log_coef.size)
 
     def _window_sums(self, ratio: np.ndarray, shift: np.ndarray, kind: int) -> np.ndarray:
         """``V``, ``V'`` or C (``kind`` 0-2) at band points x from ``(x + p*r) / (p*r)``
         and ``mu*x``: one log-pmf row ``k log(ratio) - shift`` per point; a row sum out
         of the double range, or not converged in its last two terms (floor 1e-300), raises."""
-        log_coef, sign = self._band_terms[kind]
+        log_coef, sign, _ = self._band_terms[kind]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_pmf = np.log(ratio)[:, None] * self._band_k
             log_pmf[:, 0] = 0.0  # u^0 = 1 at u = 0
@@ -282,20 +304,27 @@ class ParisianScale:
                 raise self._band_error(overflow=False)
         return np.add.reduce(sums, axis=1)
 
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # half a with-block's cost
-    def _band_point(self, x: float, log_coef: np.ndarray, sign: np.ndarray) -> float:
+    def _band_point(self, x: float, log_coef: np.ndarray, sign: np.ndarray, bound: float) -> float:
         """The band sum at one point x: one log-pmf row against the ``(rows, K)`` table,
-        checked on its row sums as floats, equal to :meth:`_window_sums` on one point."""
+        checked on its row sums as floats, equal to :meth:`_window_sums` on one point; with
+        the table's ``bound`` in range, x in ``(-p*r, 0]`` reads unguarded (no errstate)."""
+        if not (bound <= _LOG_TERM_MAX and x > -self._pr):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return self._band_sum(x, log_coef, sign, guarded=True)
+        return self._band_sum(x, log_coef, sign, guarded=False)
+
+    def _band_sum(self, x: float, log_coef: np.ndarray, sign: np.ndarray, guarded: bool) -> float:
         pr = self._pr
         block = np.log((x + pr) / pr) * self._band_k
-        block[0] = 0.0
+        if guarded:  # else the log is finite, and its k = 0 entry 0 or -0.0
+            block[0] = 0.0  # u^0 = 1 at u = 0
         block -= self._mu * x
         block = np.add(block, log_coef)
         np.exp(block, out=block)
         tails = block[:, -2:].tolist()
         block *= sign
         rows = np.add.reduce(block, axis=1).tolist()
-        if not all(map(math.isfinite, rows)):  # NaN too, as in np.maximum.reduce
+        if guarded and not all(map(math.isfinite, rows)):  # NaN too, as np.maximum.reduce
             raise self._band_error(overflow=True)
         total = 0.0  # the block's row reduction: from 0.0, in row order (no -0.0 result)
         for (before, last), s in zip(tails, rows):
@@ -313,28 +342,17 @@ class ParisianScale:
     # ---------- Brownian negative branch ----------
 
     def _neg_brownian(self, x: float, with_derivative: bool):
-        spec = self.spec
-        m = spec.model
-        X = self.coefficient_set.surplus
-        s2 = m.sigma**2
-        disc = 0.5 * s2 * (X.kp - X.km)
-        sr = m.sigma * math.sqrt(spec.r)
-        qr = spec.q * spec.r
-        alpha = (-x - spec.r * disc) / sr
-        beta = (-x + spec.r * disc) / sr
+        kp, km, rdisc, sr, qr = self._tails
+        alpha = (-x - rdisc) / sr
+        beta = (-x + rdisc) / sr
         # log-space tails keep exp(-km * x) * survival finite far below 0
-        t_plus = math.exp(qr + X.kp * x + _log_ndtr(-alpha))
-        t_minus = math.exp(qr + X.km * x + _log_ndtr(-beta))
+        t_plus = math.exp(qr + kp * x + _log_ndtr(-alpha))
+        t_minus = math.exp(qr + km * x + _log_ndtr(-beta))
         value = t_plus + t_minus
         if not with_derivative:
             return value, None
-        log_root = -0.5 * math.log(2.0 * math.pi)
-        d_plus = X.kp * t_plus + math.exp(
-            qr + X.kp * x - 0.5 * alpha * alpha + log_root
-        ) / sr
-        d_minus = X.km * t_minus + math.exp(
-            qr + X.km * x - 0.5 * beta * beta + log_root
-        ) / sr
+        d_plus = kp * t_plus + math.exp(qr + kp * x - 0.5 * alpha * alpha + _LOG_ROOT) / sr
+        d_minus = km * t_minus + math.exp(qr + km * x - 0.5 * beta * beta + _LOG_ROOT) / sr
         return value, d_plus + d_minus
 
     # ---------- public evaluation ----------

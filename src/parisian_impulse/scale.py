@@ -6,14 +6,18 @@ difference of two exponentials, and so is the refracted scale function
 the refraction level.  Both are the :class:`~parisian_impulse.models.ExponentialPair`
 of :mod:`models`, imported here too; the refracted coefficients come out of a
 partial-fraction identity and avoid the catastrophic cancellation the naive
-two-product evaluation suffers from.
+two-product evaluation suffers from.  A float read keeps them and their edge per
+(coefficient set, depth) in a ``SPEC_CACHE_SIZE`` cache keyed by a weak reference.
 """
 from __future__ import annotations
+
+import weakref
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .models import ArrayLike, CoefficientSet, ExponentialPair, _edge, _match
+from .models import SPEC_CACHE_SIZE, ArrayLike, CoefficientSet, ExponentialPair, _edge, _match
 
 
 class ScaleFunction:
@@ -88,8 +92,8 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     and switches to the refracted two-exponential form above 0 (continuously).
     Either argument may be an array (the window integral's depths, eval's
     ``x``): each branch is read on its own points only.  A float ``x`` at a
-    float depth reads the refracted weights through the pair's overflow decision
-    ``_edge`` without building a pair, bit for bit :meth:`ExponentialPair.at` and
+    float depth reads the refracted weights and their ``_edge``, cached per (coefficient
+    set, depth), without building a pair: bit for bit :meth:`ExponentialPair.at` and
     the array; a read past a pair's edge raises ``OverflowRangeError``.
     """
     array = isinstance(depth, np.ndarray)  # the window integral's depths
@@ -106,7 +110,16 @@ def refracted_scale(cs: CoefficientSet, x: ArrayLike, depth: ArrayLike) -> Array
     x, depth = float(x), float(depth)
     if x < 0.0:
         return 0.0 if x + depth < 0.0 else cs.surplus.at(x + depth)[0]
-    (a, b), Y = _refracted_weights(cs, depth), cs.refracted
-    if not x <= _edge(a, b, Y.kp, Y.end, Y.kp2, Y.km2):  # NaN too: the pair raises its own error
+    (a, b, edge), Y = _refracted_terms(weakref.ref(cs), depth), cs.refracted
+    if not x <= edge:  # NaN too: the pair raises its own error
         return ExponentialPair(a, b, Y.kp, Y.km).at(x)[0]
     return a * float(np.exp(Y.kp * x)) - b * float(np.exp(Y.km * x))  # at(x)[0], unbuilt
+
+
+@lru_cache(maxsize=SPEC_CACHE_SIZE)
+def _refracted_terms(cs_ref: weakref.ref, depth: float) -> tuple[float, float, float]:
+    """``(a, b, edge)`` of ``w(x; -depth)`` at a checked float depth; errors are not kept.
+    Keyed by a weak reference: the cache keeps no ``CoefficientSet`` alive."""
+    cs = cs_ref()
+    (a, b), Y = _refracted_weights(cs, depth), cs.refracted
+    return a, b, _edge(a, b, Y.kp, Y.end, Y.kp2, Y.km2)

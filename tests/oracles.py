@@ -492,10 +492,11 @@ class WindowConstantScale(ParisianScale):
     ``p*r`` from its own series: the build's one three-row sum (C) loses its
     density row to ``CompoundPoissonWindow.density``."""
 
-    def _band_point(self, x: float, log_coef: np.ndarray, sign: np.ndarray) -> float:
+    def _band_point(self, x: float, log_coef: np.ndarray, sign: np.ndarray,
+                    bound: float) -> float:
         if log_coef.shape[0] != 3:  # V or V' at a band point
-            return super()._band_point(x, log_coef, sign)
-        slope = super()._band_point(x, log_coef[:2], sign[:2])
+            return super()._band_point(x, log_coef, sign, bound)
+        slope = super()._band_point(x, log_coef[:2], sign[:2], bound)  # bounds two of its rows
         m = self.spec.model
         window = CompoundPoissonWindow(m.lam, m.mu_claim, self.spec.r)
         return slope + window.density(m.p * self.spec.r)

@@ -31,7 +31,7 @@ from parisian_impulse import (
     payout_ratio,
     value_function,
 )
-from parisian_impulse.models import compute_coefficients
+from parisian_impulse.models import _LOG_TERM_MAX, compute_coefficients
 from parisian_impulse.parisian import ParisianScale, _log_ndtr, _ndtr, parisian_scale
 from parisian_impulse.quadrature import generator_residual, quadrature_value
 from parisian_impulse.scale import refracted_pair, refracted_scale
@@ -82,6 +82,15 @@ def test_value_at_zero_is_discounted_delay(bm_scale, cl_scale):
 def test_frozen_values_brownian(bm_scale):
     for x, v in FROZEN_BM.items():
         assert bm_scale.value(x) == pytest.approx(v, rel=1e-9), f"x={x}"
+
+
+def test_brownian_tails_keep_their_bits(bm_scale):
+    # the tails read kp, km, r*disc, sigma*sqrt(r) and q*r formed once at the build,
+    # by the expressions each read used to form: V and V' keep their bits
+    for x, v, d in ((-0.5, "0x1.0b74050e05d0cp+0", "0x1.19a3fd62685a5p-2"),
+                    (-3.0, "0x1.7bfcbdda5d21fp-3", "0x1.d29e569d582dcp-3"),
+                    (-30.0, "0x1.ea6cea870b0f2p-353", "0x1.035902c65d09bp-348")):
+        assert (bm_scale.value(x).hex(), bm_scale.derivative(x).hex()) == (v, d), x
 
 
 def test_frozen_values_compound_poisson(cl_scale):
@@ -512,9 +521,9 @@ class _InfiniteConstantScale(ParisianScale):
     """A ``ParisianScale`` whose series constant C, the build's one three-row
     band sum, is ``inf``."""
 
-    def _band_point(self, x, log_coef, sign):
+    def _band_point(self, x, log_coef, sign, bound):
         if log_coef.shape[0] != 3:  # V or V' at a band point
-            return super()._band_point(x, log_coef, sign)
+            return super()._band_point(x, log_coef, sign, bound)
         return math.inf
 
 
@@ -538,12 +547,14 @@ def test_patched_band_point_matches_one_point_block(cl_scale, fault, error):
     ps = copy.copy(cl_scale)
     n = 8 if fault == "truncated" else ps._band_k.size
     ps._band_k = ps._band_k[:n]
-    ps._band_terms = tuple((c[:, :n].copy(), s[:, :n].copy()) for c, s in ps._band_terms)
-    for log_coef, sign in ps._band_terms:
+    tables = [(c[:, :n].copy(), s[:, :n].copy()) for c, s, _ in ps._band_terms]
+    for log_coef, sign in tables:
         if fault == "negative_zero":
             log_coef[:], sign[:] = -np.inf, -1.0
         elif fault != "truncated":
             log_coef[-1, 3], sign[-1, 3] = 1000.0, 0.0 if fault == "nan" else 1.0
+    # each patched table carries the bound of its own rows, as a built one does
+    ps._band_terms = tuple(ps._band_entry(c, s) for c, s in tables)
     x = -0.5 * ps.spec.model.p * ps.spec.r
     pairs = [(lambda: f(x), lambda: f(np.array([x]))[0]) for f in (ps.value, ps.derivative)]
     pairs.append((lambda: ps._band_point(0.0, *ps._band_terms[2]),
@@ -552,6 +563,46 @@ def test_patched_band_point_matches_one_point_block(cl_scale, fault, error):
         got = outcome(scalar)
         assert got == outcome(block)
         assert got[0] is error if error else float.fromhex(got) == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    cramer_lundberg_spec(), dataclasses.replace(cramer_lundberg_spec(), r=20.0), DEEP_BAND_SPEC,
+], ids=["shipped", "r20", "deep_band"])
+def test_fast_band_route_matches_guarded_route(spec):
+    # a table whose bound fits reads inside the band with no errstate; an infinite
+    # bound forces the guarded route, which gives the same bits or error at -p*r,
+    # just inside it, mid-band and at -1e-300 (and C's x = 0)
+    ps = ParisianScale(spec)
+    pr = ps._pr
+    for kind, (log_coef, sign, bound) in enumerate(ps._band_terms):
+        # the deep band's e^{qr} = e^{272} and mu*p*r = 495 leave its bound past the limit
+        assert (bound <= _LOG_TERM_MAX) is (spec is not DEEP_BAND_SPEC), bound
+        for x in (-pr, -pr * (1.0 - 1e-12), -pr / 2.0, -1e-300, 0.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="raise", under="ignore"):  # no route raises a flag
+                    read = outcome(lambda: ps._band_point(x, log_coef, sign, bound))
+            assert read == outcome(lambda: ps._band_point(x, log_coef, sign, math.inf)), (kind, x)
+
+
+def test_band_bound_counts_the_window_shift():
+    # a k = 0 term of log 700 reaches 700 + mu*p*r = 760 as x nears -p*r, past exp's
+    # range: the bound (without mu*p*r it would fit) sends every read to the guarded
+    # route, which raises the typed error where the unguarded one would warn
+    ps = ParisianScale(dataclasses.replace(cramer_lundberg_spec(), r=20.0))
+    pr = ps._pr
+    tables = [(c.copy(), s.copy()) for c, s, _ in ps._band_terms]
+    for log_coef, _ in tables:
+        log_coef[0, 0] = 700.0
+    ps._band_terms = tuple(ps._band_entry(c, s) for c, s in tables)
+    for log_coef, sign, bound in ps._band_terms:
+        assert bound - ps._mu * pr <= _LOG_TERM_MAX < bound
+        for x in (-pr * (1.0 - 1e-12), -pr / 2.0):
+            got = outcome(lambda: ps._band_point(x, log_coef, sign, bound))
+            assert got[0] is OverflowRangeError, (x, got)
+    for f in (ps.value, ps.derivative):
+        for x in (-pr * (1.0 - 1e-12), -pr / 2.0, -1e-300):
+            assert outcome(lambda: f(x)) == outcome(lambda: f(np.array([x]))), x
 
 
 def test_compound_poisson_build_skips_window_density(monkeypatch):

@@ -30,7 +30,7 @@ from parisian_impulse import (
 )
 from parisian_impulse.cli import sig17
 from parisian_impulse.config import build_problem_spec, parse_config_text
-from parisian_impulse.parisian import parisian_scale
+from parisian_impulse.parisian import ParisianScale, parisian_scale
 from parisian_impulse.scale import ScaleFunction, refracted_scale
 
 import oracles
@@ -173,6 +173,55 @@ def finite_or_typed_on_the_domain_property(spec, xs, depth, lower, gap):
 def test_finite_or_typed_on_the_domain(bounded_python):
     # the domain contract: a finite value or a typed error, never a warning, inf or NaN
     _run_property(bounded_python, "finite_or_typed_on_the_domain_property")
+
+
+_doubles = log_uniform(1e-300, 1e300)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(cl=st.booleans(), rates=st.tuples(_doubles, _doubles, _doubles),
+       sign=st.sampled_from([-1.0, 1.0]),
+       fields=st.tuples(_doubles, _doubles, _doubles, _doubles))
+# 2*pi*sigma**2*r underflowed to 0: a ZeroDivisionError (brownian.cfg, sigma and r set)
+@example(cl=False, rates=(0.5, 4.68e-37, 1.0), sign=1.0, fields=(0.05, 0.05, 1e-290, 0.05))
+# products of the band table that underflowed to 0, each a ValueError from math.log:
+# p*r*(mu + km) (cramer_lundberg.cfg with every field set), lam*mu*r and p*b
+@example(cl=True, rates=(2.080219800434496e-43, 0.01114664381072907, 4.64120043018534e-199),
+         sign=1.0, fields=(5.418555750528317e-221, 1.6961461292741397e-33,
+                           2.258028935120023e-252, 2.7975354796660167e+19))
+@example(cl=True, rates=(8.065524047132113e+126, 2.5655109975133484e-144, 8.754793555674511e-215),
+         sign=1.0, fields=(4.722607676492959e-215, 3.359015560424687e+30,
+                           6.723020271777077e-121, 9.303497410773723e+233))
+@example(cl=True, rates=(4.929308441168006e-182, 1.1521395273310902e-52, 2.3678729814861487e-197),
+         sign=1.0, fields=(6.671649182586641e-286, 2.1935951652268114e-66,
+                           3.0678084591676236e+49, 3.04593156062721e-14))
+# kp = 4e-295: the pair's edge divided 700 by it with a NumPy overflow warning
+@example(cl=False, rates=(1.2559958193910158e+40, 4.844637876769564e+116, 1.0), sign=1.0,
+         fields=(6.141591387572904e+30, 4.1330101391626774e-281, 1.0639170191826241e-199,
+                 3.6835936378906416e+271))
+# km = -7e103: km**3 in the certificate's V''' zero raised OverflowError
+@example(cl=False, rates=(1.0, math.exp(-119.0), 1.0), sign=1.0,
+         fields=(math.exp(-1.0), 1.0, 1.0, 1.0))
+def total_on_finite_configs_property(cl, rates, sign, fields):
+    # every finite config: refused at construction, solved with its certificate
+    # (the sufficiency check), or a typed error; never a warning or another error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = CramerLundberg(*rates) if cl else BrownianMotion(sign * rates[0], rates[1])
+            spec = ProblemSpec(model, *fields)
+        except ConfigError:  # InvalidRefractionError too
+            return
+        try:
+            result = find_optimal_policy(ParisianScale(spec))
+        except (NumericalError, DomainError, ConfigError):
+            return
+        assert result.sufficiency_pass and 0.0 < result.payout_ratio < math.inf, (spec, result)
+
+
+def test_total_on_finite_configs(bounded_python):
+    # finite fields out to 1e+-300 end in bounded time with a typed outcome
+    _run_property(bounded_python, "total_on_finite_configs_property")
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from parisian_impulse import (
     UndefinedDerivativeError,
     compute_coefficients,
 )
-from parisian_impulse.models import EXP_ARG_MAX
-from parisian_impulse.scale import ScaleFunction, refracted_pair, refracted_scale
+from parisian_impulse.models import EXP_ARG_MAX, SPEC_CACHE_SIZE
+from parisian_impulse.scale import (ScaleFunction, _refracted_terms, refracted_pair,
+                                    refracted_scale)
 
 import oracles
 from params import brownian_spec, census_box_specs, cramer_lundberg_spec, log_uniform, outcome
@@ -275,6 +278,28 @@ def test_float_refracted_scale_reads_the_refracted_pair_unbuilt(spec, x, z):
             got = outcome(lambda: refracted_scale(cs, point, depth), python_float=True)
             assert got == outcome(lambda: refracted_pair(cs, depth).at(point)[0]), (point, depth)
             assert got == outcome(lambda: refracted_scale(cs, np.array([point]), depth))
+
+
+def test_refracted_depth_cache_is_bounded_and_weak():
+    # (a, b, edge) per (coefficient set, depth): at most SPEC_CACHE_SIZE entries,
+    # no coefficient set kept alive, and no error kept (each bad read raises again)
+    spec = brownian_spec(0.123)  # not in compute_coefficients' cache, which holds its sets
+    cs = compute_coefficients.__wrapped__(spec)
+    first = refracted_scale(cs, 0.5, 0.0)
+    for i in range(200):
+        assert refracted_scale(cs, 0.5, 0.01 * i) == refracted_pair(cs, 0.01 * i).at(0.5)[0]
+    assert _refracted_terms.cache_info().currsize <= SPEC_CACHE_SIZE
+    assert refracted_scale(cs, 0.5, 0.0) == first
+    far = float(refracted_pair(cs, 1.0).edge)
+    for x, depth, error in ((math.nan, 1.0, DomainError), (2.0 * far, 1.0, OverflowRangeError),
+                            (0.5, 2.0 * float(cs.surplus.edge), OverflowRangeError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                refracted_scale(cs, x, depth)
+    ref = weakref.ref(cs)
+    del cs
+    gc.collect()
+    assert ref() is None
 
 
 def test_refracted_scale_frozen_values():
